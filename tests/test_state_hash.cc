@@ -11,7 +11,10 @@
 #include <cstdint>
 
 #include "common/hash.h"
+#include "fault/fault.h"
 #include "sched/scheduler.h"
+#include "serve/service.h"
+#include "serve/stream.h"
 #include "sim/simulator.h"
 #include "workload/trace_gen.h"
 
@@ -78,17 +81,97 @@ TEST(StateHash, DistinguishesSchedulersSeedsAndFaults)
               run_once("elasticflow", 42, faulty).state_hash);
 }
 
+/** Digest of a churn run with every optional hashed subsystem on:
+ *  background defrag (budgeted), GPU faults and RPC drops. */
+std::uint64_t
+churn_with_faults_and_defrag()
+{
+    Trace trace = TraceGenerator::generate(churn_preset());
+    SimConfig config;
+    config.defrag.enabled = true;
+    config.defrag.budget_units_per_round = 16.0;
+    config.faults.seed = 7;
+    config.faults.gpu_mtbf_s = 2.0 * kDay;
+    config.faults.rpc_drop_prob = 0.02;
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(trace, scheduler.get(), config);
+    return sim.run().state_hash;
+}
+
+/** Digest of the simulator's streaming-admission (service) mode. */
+std::uint64_t
+simulator_service_mode()
+{
+    SimConfig config;
+    config.service.enabled = true;
+    config.service.queue_watermark = 8;
+    config.service.degrade_infeasible = true;
+    return run_once("elasticflow", 42, config).state_hash;
+}
+
+/** serve::Service over a fixed synthetic stream with a scripted
+ *  arrival storm (and RPC loss) through its fault injector. */
+std::uint64_t
+service_with_arrival_storm()
+{
+    FaultConfig faults;
+    faults.seed = 11;
+    faults.rpc_drop_prob = 0.02;
+    faults.script.push_back(
+        {2000.0, FaultType::kArrivalStorm, -1, 1500.0, 8.0});
+    FaultInjector injector(faults);
+
+    serve::StreamConfig stream_config;
+    stream_config.topology = TopologySpec::with_total_gpus(16);
+    stream_config.arrival_rate = 0.02;
+    stream_config.seed = 5;
+    serve::SyntheticStream stream(stream_config, &injector);
+
+    serve::ServiceConfig config;
+    config.total_gpus = 16;
+    config.queue_watermark = 16;
+    config.governor.rounds_per_second = 0.01;
+    config.governor.starvation_horizon_s = 120.0;
+    config.degrade_infeasible = true;
+    serve::Service service(config, &injector);
+    for (int i = 0; i < 400; ++i)
+        service.submit(stream.next());
+    service.finish();
+    return service.state_hash();
+}
+
 /**
- * Pinned digest of the canonical configuration. A change here means
- * scheduler decisions, event ordering, job-state evolution, or RNG
- * draw counts changed for everyone — which is fine when intended, but
- * must be a conscious decision: re-pin the constant from this test's
- * failure message and say why in the commit.
+ * Pinned digests. A change here means scheduler decisions, event
+ * ordering, job-state evolution, or RNG draw counts changed — which is
+ * fine when intended, but must be a conscious decision: re-pin the
+ * constant from this test's failure message and say why in the
+ * commit. Beyond the canonical batch run, the table covers every
+ * optional hashed subsystem (defrag, fault streams, service queue and
+ * governor, serve::Service's per-round fold).
  */
 TEST(StateHash, PinnedBaseline)
 {
-    RunResult result = run_once("elasticflow", 42);
-    EXPECT_EQ(result.state_hash, UINT64_C(0xe75d68e122baea09));
+    struct Pin
+    {
+        const char *name;
+        std::uint64_t (*run)();
+        std::uint64_t want;
+    };
+    const Pin pins[] = {
+        {"canonical elasticflow",
+         [] { return run_once("elasticflow", 42).state_hash; },
+         UINT64_C(0xe75d68e122baea09)},
+        {"churn + defrag + GPU faults + RPC drops",
+         churn_with_faults_and_defrag, UINT64_C(0x99b08c578bae6601)},
+        {"simulator service mode", simulator_service_mode,
+         UINT64_C(0x7b7bbde036ac1232)},
+        {"serve::Service with arrival storm", service_with_arrival_storm,
+         UINT64_C(0xc8b3864ad64ec163)},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        EXPECT_EQ(pin.run(), pin.want) << std::hex << "0x" << pin.run();
+    }
 }
 
 TEST(Fnv1a, KnownVectorsAndOrderSensitivity)
