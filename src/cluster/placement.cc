@@ -19,11 +19,10 @@ PlacementManager::PlacementManager(const Topology *topology)
     free_per_server_.assign(static_cast<std::size_t>(
                                 topology_->num_servers()),
                             topology_->gpus_per_server());
-    server_down_.assign(static_cast<std::size_t>(
-                            topology_->num_servers()),
-                        false);
-    gpu_down_.assign(static_cast<std::size_t>(topology_->total_gpus()),
-                     false);
+    server_up_.assign(static_cast<std::size_t>(topology_->num_servers()),
+                      true);
+    gpu_up_.assign(static_cast<std::size_t>(topology_->total_gpus()),
+                   true);
     down_per_server_.assign(static_cast<std::size_t>(
                                 topology_->num_servers()),
                             0);
@@ -40,7 +39,7 @@ PlacementManager::available_gpus() const
 {
     GpuCount total = 0;
     for (int s = 0; s < topology_->num_servers(); ++s) {
-        if (!server_down_[static_cast<std::size_t>(s)]) {
+        if (server_up_[static_cast<std::size_t>(s)]) {
             total += topology_->gpus_per_server() -
                      down_per_server_[static_cast<std::size_t>(s)];
         }
@@ -53,7 +52,7 @@ PlacementManager::idle_gpus() const
 {
     GpuCount total = 0;
     for (int s = 0; s < topology_->num_servers(); ++s) {
-        if (!server_down_[static_cast<std::size_t>(s)])
+        if (server_up_[static_cast<std::size_t>(s)])
             total += free_per_server_[static_cast<std::size_t>(s)];
     }
     return total;
@@ -111,7 +110,7 @@ GpuCount
 PlacementManager::free_in_server(int server) const
 {
     EF_CHECK(server >= 0 && server < topology_->num_servers());
-    if (server_down_[static_cast<std::size_t>(server)])
+    if (!server_up_[static_cast<std::size_t>(server)])
         return 0;
     return free_per_server_[static_cast<std::size_t>(server)];
 }
@@ -129,14 +128,14 @@ PlacementManager::set_server_available(int server, bool available)
                      "server " << server
                                << " must be drained before going down");
     }
-    server_down_[static_cast<std::size_t>(server)] = !available;
+    server_up_[static_cast<std::size_t>(server)] = available;
 }
 
 bool
 PlacementManager::server_available(int server) const
 {
     EF_CHECK(server >= 0 && server < topology_->num_servers());
-    return !server_down_[static_cast<std::size_t>(server)];
+    return server_up_[static_cast<std::size_t>(server)];
 }
 
 void
@@ -149,14 +148,14 @@ PlacementManager::set_gpu_available(GpuCount gpu, bool available)
         EF_CHECK_MSG(gpu_owner_[g] == kInvalidJob,
                      "GPU " << gpu
                             << " must be released before going down");
-        EF_CHECK_MSG(!gpu_down_[g], "GPU " << gpu << " is already down");
-        gpu_down_[g] = true;
+        EF_CHECK_MSG(gpu_up_[g], "GPU " << gpu << " is already down");
+        gpu_up_[g] = false;
         --free_per_server_[s];
         ++down_per_server_[s];
         ++down_gpus_;
     } else {
-        EF_CHECK_MSG(gpu_down_[g], "GPU " << gpu << " is not down");
-        gpu_down_[g] = false;
+        EF_CHECK_MSG(!gpu_up_[g], "GPU " << gpu << " is not down");
+        gpu_up_[g] = true;
         ++free_per_server_[s];
         --down_per_server_[s];
         --down_gpus_;
@@ -167,7 +166,7 @@ bool
 PlacementManager::gpu_available(GpuCount gpu) const
 {
     EF_CHECK(gpu >= 0 && gpu < topology_->total_gpus());
-    return !gpu_down_[static_cast<std::size_t>(gpu)];
+    return gpu_up_[static_cast<std::size_t>(gpu)];
 }
 
 JobId
@@ -187,7 +186,7 @@ PlacementManager::take_from_server(int server, GpuCount count)
          static_cast<GpuCount>(taken.size()) < count;
          ++g) {
         if (gpu_owner_[static_cast<std::size_t>(g)] == kInvalidJob &&
-            !gpu_down_[static_cast<std::size_t>(g)]) {
+            gpu_up_[static_cast<std::size_t>(g)]) {
             taken.push_back(g);
         }
     }
@@ -204,7 +203,7 @@ PlacementManager::assign(JobId job, std::vector<GpuCount> gpus)
     for (GpuCount g : gpus) {
         EF_CHECK_MSG(gpu_owner_[static_cast<std::size_t>(g)] == kInvalidJob,
                      "GPU " << g << " is already owned");
-        EF_CHECK_MSG(!gpu_down_[static_cast<std::size_t>(g)],
+        EF_CHECK_MSG(gpu_up_[static_cast<std::size_t>(g)],
                      "GPU " << g << " is down");
         gpu_owner_[static_cast<std::size_t>(g)] = job;
         --free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
@@ -224,32 +223,33 @@ PlacementManager::unassign(JobId job)
     job_gpus_.erase(it);
 }
 
-void
-PlacementManager::restore(const std::vector<JobId> &owner,
-                          const std::vector<bool> &gpu_down,
-                          const std::vector<bool> &server_down)
+bool
+PlacementManager::rebuild()
 {
-    std::size_t total = static_cast<std::size_t>(topology_->total_gpus());
-    EF_CHECK(owner.size() == total && gpu_down.size() == total);
-    EF_CHECK(server_down.size() ==
-             static_cast<std::size_t>(topology_->num_servers()));
-    EF_CHECK_MSG(job_gpus_.empty() && down_gpus_ == 0,
-                 "restore() requires a fresh placement manager");
-    // Availability first (a down GPU is necessarily unowned in a
-    // consistent snapshot), then ownership grouped per job.
-    for (std::size_t g = 0; g < total; ++g)
-        if (gpu_down[g])
-            set_gpu_available(static_cast<GpuCount>(g), false);
-    for (std::size_t srv = 0; srv < server_down.size(); ++srv)
-        if (server_down[srv])
-            set_server_available(static_cast<int>(srv), false);
-    std::map<JobId, std::vector<GpuCount>> per_job;
-    for (std::size_t g = 0; g < total; ++g)
-        if (owner[g] != kInvalidJob)
-            per_job[owner[g]].push_back(static_cast<GpuCount>(g));
-    for (auto &[job, gpus] : per_job)
-        assign(job, std::move(gpus));
-    validate();
+    // Everything validate() would abort on is a rejection here: a
+    // decoded table is input, not a programming error.
+    job_gpus_.clear();
+    std::fill(free_per_server_.begin(), free_per_server_.end(), 0);
+    std::fill(down_per_server_.begin(), down_per_server_.end(), 0);
+    down_gpus_ = 0;
+    for (std::size_t g = 0; g < gpu_owner_.size(); ++g) {
+        const std::size_t s = static_cast<std::size_t>(
+            topology_->server_of(static_cast<GpuCount>(g)));
+        const JobId owner = gpu_owner_[g];
+        if (!gpu_up_[g]) {
+            if (owner != kInvalidJob)
+                return false;  // a down GPU is necessarily unowned
+            ++down_per_server_[s];
+            ++down_gpus_;
+        } else if (owner == kInvalidJob) {
+            ++free_per_server_[s];
+        } else {
+            if (owner < 0 || !server_up_[s])
+                return false;  // a down server holds no placements
+            job_gpus_[owner].push_back(static_cast<GpuCount>(g));
+        }
+    }
+    return true;
 }
 
 std::optional<std::vector<GpuCount>>
@@ -278,7 +278,7 @@ PlacementManager::try_best_fit(GpuCount size) const
         // least) the request.
         int best = -1;
         for (int s = 0; s < servers; ++s) {
-            if (server_down_[static_cast<std::size_t>(s)])
+            if (!server_up_[static_cast<std::size_t>(s)])
                 continue;
             GpuCount free = free_per_server_[static_cast<std::size_t>(s)];
             if (free < size)
@@ -294,7 +294,7 @@ PlacementManager::try_best_fit(GpuCount size) const
             for (GpuCount g = base; g < base + per_server; ++g) {
                 if (gpu_owner_[static_cast<std::size_t>(g)] ==
                         kInvalidJob &&
-                    !gpu_down_[static_cast<std::size_t>(g)]) {
+                    gpu_up_[static_cast<std::size_t>(g)]) {
                     gpus.push_back(g);
                     if (static_cast<GpuCount>(gpus.size()) == size)
                         return gpus;
@@ -310,7 +310,7 @@ PlacementManager::try_best_fit(GpuCount size) const
         // fits).
         std::vector<int> free_servers;
         for (int s = 0; s < servers; ++s) {
-            if (server_down_[static_cast<std::size_t>(s)])
+            if (!server_up_[static_cast<std::size_t>(s)])
                 continue;
             if (free_per_server_[static_cast<std::size_t>(s)] == per_server)
                 free_servers.push_back(s);
@@ -375,7 +375,7 @@ PlacementManager::try_best_fit(GpuCount size) const
     for (int s : order) {
         if (remaining == 0)
             break;
-        if (server_down_[static_cast<std::size_t>(s)])
+        if (!server_up_[static_cast<std::size_t>(s)])
             continue;
         GpuCount take = std::min(
             remaining, free_per_server_[static_cast<std::size_t>(s)]);
@@ -385,7 +385,7 @@ PlacementManager::try_best_fit(GpuCount size) const
         for (GpuCount g = base;
              g < base + per_server && take > 0; ++g) {
             if (gpu_owner_[static_cast<std::size_t>(g)] == kInvalidJob &&
-                !gpu_down_[static_cast<std::size_t>(g)]) {
+                gpu_up_[static_cast<std::size_t>(g)]) {
                 gpus.push_back(g);
                 --take;
                 --remaining;
@@ -403,12 +403,12 @@ PlacementManager::try_first_fit(GpuCount size) const
         return std::nullopt;
     std::vector<GpuCount> gpus;
     for (GpuCount g = 0; g < topology_->total_gpus(); ++g) {
-        if (server_down_[static_cast<std::size_t>(
+        if (!server_up_[static_cast<std::size_t>(
                 topology_->server_of(g))]) {
             continue;
         }
         if (gpu_owner_[static_cast<std::size_t>(g)] == kInvalidJob &&
-            !gpu_down_[static_cast<std::size_t>(g)]) {
+            gpu_up_[static_cast<std::size_t>(g)]) {
             gpus.push_back(g);
             if (static_cast<GpuCount>(gpus.size()) == size)
                 return gpus;
@@ -430,7 +430,7 @@ PlacementManager::try_scatter(GpuCount size) const
         for (int s = 0; s < topology_->num_servers() &&
                         static_cast<GpuCount>(gpus.size()) < size;
              ++s) {
-            if (server_down_[static_cast<std::size_t>(s)])
+            if (!server_up_[static_cast<std::size_t>(s)])
                 continue;
             GpuCount base = topology_->first_gpu_of_server(s);
             GpuCount &c = cursor[static_cast<std::size_t>(s)];
@@ -439,7 +439,7 @@ PlacementManager::try_scatter(GpuCount size) const
                 ++c;
                 if (gpu_owner_[static_cast<std::size_t>(g)] ==
                         kInvalidJob &&
-                    !gpu_down_[static_cast<std::size_t>(g)]) {
+                    gpu_up_[static_cast<std::size_t>(g)]) {
                     gpus.push_back(g);
                     progressed = true;
                     break;
@@ -507,7 +507,7 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
     std::vector<int> rack_free(static_cast<std::size_t>(num_racks),
                                servers_per_rack);
     for (int srv = 0; srv < n; ++srv) {
-        if (server_down_[static_cast<std::size_t>(srv)])
+        if (!server_up_[static_cast<std::size_t>(srv)])
             --rack_free[static_cast<std::size_t>(
                 topology_->rack_of_server(srv))];
     }
@@ -520,7 +520,7 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
     // the matching below pins it onto the down server itself).
     std::vector<int> down_bins;
     for (int srv = 0; srv < n; ++srv) {
-        if (!server_down_[static_cast<std::size_t>(srv)])
+        if (server_up_[static_cast<std::size_t>(srv)])
             continue;
         int r = topology_->rack_of_server(srv);
         for (int b = r * servers_per_rack; b < (r + 1) * servers_per_rack;
@@ -659,7 +659,7 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
         std::size_t next_down_bin = 0;
         for (int srv = 0; srv < n && next_down_bin < down_bins.size();
              ++srv) {
-            if (!server_down_[static_cast<std::size_t>(srv)])
+            if (server_up_[static_cast<std::size_t>(srv)])
                 continue;
             // Find the sentinel bin reserved in this server's rack.
             for (std::size_t i = next_down_bin; i < down_bins.size();
@@ -932,7 +932,7 @@ PlacementManager::validate() const
     std::map<JobId, GpuCount> counts;
     for (GpuCount g = 0; g < topology_->total_gpus(); ++g) {
         JobId owner = gpu_owner_[static_cast<std::size_t>(g)];
-        if (gpu_down_[static_cast<std::size_t>(g)]) {
+        if (!gpu_up_[static_cast<std::size_t>(g)]) {
             EF_CHECK_MSG(owner == kInvalidJob,
                          "down GPU " << g << " is owned");
             ++down_check[static_cast<std::size_t>(
@@ -948,7 +948,7 @@ PlacementManager::validate() const
     EF_CHECK(down_check == down_per_server_);
     EF_CHECK(down_total == down_gpus_);
     for (int s = 0; s < topology_->num_servers(); ++s) {
-        if (server_down_[static_cast<std::size_t>(s)]) {
+        if (!server_up_[static_cast<std::size_t>(s)]) {
             EF_CHECK(free_per_server_[static_cast<std::size_t>(s)] +
                          down_per_server_[static_cast<std::size_t>(s)] ==
                      topology_->gpus_per_server());

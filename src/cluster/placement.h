@@ -37,6 +37,15 @@ struct Migration
     JobId job = kInvalidJob;
     std::vector<GpuCount> from;
     std::vector<GpuCount> to;
+
+    /** Persistent state (recover/fields.h). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v(job);
+        v.each(from, to);
+    }
 };
 
 /** Outcome of a placement request. */
@@ -130,20 +139,29 @@ class PlacementManager
     void release(JobId job);
 
     /**
-     * Crash recovery: rebuild the full placement on a fresh manager
-     * from a snapshot's per-GPU owner and availability arrays. Must be
-     * called before any other mutation; validates the result. Owners
-     * are grouped into per-job sorted GPU lists, so the rebuilt state
-     * is byte-identical to the one that was snapshotted.
+     * Persistent state (recover/fields.h): per-GPU (owner, available)
+     * rows, then per-server availability. Both tables are sized by the
+     * topology, never by snapshot bytes; everything else is derived
+     * and rebuilt on decode.
      */
-    void restore(const std::vector<JobId> &owner,
-                 const std::vector<bool> &gpu_down,
-                 const std::vector<bool> &server_down);
+    template <class V>
+    void
+    fields(V &v)
+    {
+        for (std::size_t g = 0; g < gpu_owner_.size(); ++g)
+            v(gpu_owner_[g], gpu_up_[g]);
+        for (std::size_t s = 0; s < server_up_.size(); ++s)
+            v(server_up_[s]);
+        v.after_decode([this] { return rebuild(); });
+    }
 
     /** Internal consistency check (tests call this after mutations). */
     void validate() const;
 
   private:
+    /** Re-derive the per-job lists and per-server counters from the
+     *  per-GPU and per-server tables; false on an inconsistent table. */
+    bool rebuild();
     std::vector<GpuCount> take_from_server(int server, GpuCount count);
     void assign(JobId job, std::vector<GpuCount> gpus);
     void unassign(JobId job);
@@ -164,8 +182,8 @@ class PlacementManager
     std::map<JobId, std::vector<GpuCount>> job_gpus_;
     /** Unowned AND individually-up GPUs per server. */
     std::vector<GpuCount> free_per_server_;
-    std::vector<bool> server_down_;
-    std::vector<bool> gpu_down_;                // size total_gpus
+    std::vector<bool> server_up_;
+    std::vector<bool> gpu_up_;                  // size total_gpus
     std::vector<GpuCount> down_per_server_;
     GpuCount down_gpus_ = 0;
 };

@@ -1,28 +1,8 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ef {
-
-std::string
-Rng::engine_state() const
-{
-    std::ostringstream out;
-    out << engine_;
-    return out.str();
-}
-
-void
-Rng::restore(const std::string &state, std::uint64_t draws,
-             std::uint64_t forks)
-{
-    std::istringstream in(state);
-    in >> engine_;
-    EF_CHECK_MSG(!in.fail(), "malformed Rng engine state");
-    draws_ = draws;
-    fork_count_ = forks;
-}
 
 Rng
 Rng::fork()

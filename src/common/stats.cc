@@ -79,6 +79,18 @@ StepSeries::record(double time, double value)
     values_.push_back(value);
 }
 
+bool
+StepSeries::canonical() const
+{
+    if (times_.size() != values_.size())
+        return false;
+    for (std::size_t i = 0; i < times_.size(); ++i) {
+        if (std::isnan(times_[i]) || (i > 0 && !(times_[i] > times_[i - 1])))
+            return false;
+    }
+    return true;
+}
+
 double
 StepSeries::value_at(double time) const
 {

@@ -68,7 +68,20 @@ class StepSeries
     std::vector<double> resample(double t0, double t1,
                                  std::size_t buckets) const;
 
+    /** Persistent state (recover/fields.h); journal only. Storage is
+     *  canonical, so decode takes the vectors as they are. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.journal(times_, values_);
+        v.after_decode([this] { return canonical(); });
+    }
+
   private:
+    /** Equal lengths and strictly increasing times. */
+    bool canonical() const;
+
     std::vector<double> times_;   // strictly increasing
     std::vector<double> values_;  // value from times_[i] to times_[i+1]
 };

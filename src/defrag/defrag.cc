@@ -6,7 +6,6 @@
 
 #include "cluster/fragmentation.h"
 #include "common/check.h"
-#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace ef {
@@ -396,98 +395,6 @@ Defragmenter::plan_round(const PlacementManager &placement,
     obs::count("defrag.moves",
                static_cast<std::uint64_t>(plan.moves.size()));
     return plan;
-}
-
-std::uint64_t
-Defragmenter::fingerprint() const
-{
-    Fnv1a h;
-    h.u64(rng_.seed());
-    h.u64(rng_.draws());
-    h.u64(rng_.forks());
-    h.u64(governor_.fingerprint());
-    h.u64(rounds_);
-    h.u64(moves_committed_);
-    h.f64(budget_spent_units_);
-    h.u64(last_batch_.size());
-    for (const Migration &m : last_batch_) {
-        h.i64(m.job);
-        for (GpuCount g : m.from)
-            h.i64(g);
-        for (GpuCount g : m.to)
-            h.i64(g);
-    }
-    return h.digest();
-}
-
-void
-Defragmenter::encode_state(recover::Encoder *enc) const
-{
-    enc->str(rng_.engine_state());
-    enc->u64(rng_.draws());
-    enc->u64(rng_.forks());
-    enc->f64(governor_.tokens_raw());
-    enc->f64(governor_.last_refill());
-    enc->u64(rounds_);
-    enc->u64(moves_committed_);
-    enc->f64(budget_spent_units_);
-    enc->u64(last_batch_.size());
-    for (const Migration &m : last_batch_) {
-        enc->i64(m.job);
-        enc->u64(m.from.size());
-        for (GpuCount g : m.from)
-            enc->i64(g);
-        enc->u64(m.to.size());
-        for (GpuCount g : m.to)
-            enc->i64(g);
-    }
-}
-
-bool
-Defragmenter::decode_state(recover::Decoder *dec)
-{
-    std::string engine;
-    std::uint64_t draws = 0;
-    std::uint64_t forks = 0;
-    double tokens = 0.0;
-    double last_refill = 0.0;
-    std::uint64_t batch = 0;
-    if (!dec->str(&engine) || !dec->u64(&draws) || !dec->u64(&forks) ||
-        !dec->f64(&tokens) || !dec->f64(&last_refill) ||
-        !dec->u64(&rounds_) || !dec->u64(&moves_committed_) ||
-        !dec->f64(&budget_spent_units_) ||
-        !dec->count(&batch, 3 * 8))
-        return false;
-    last_batch_.clear();
-    for (std::uint64_t i = 0; i < batch; ++i) {
-        Migration m;
-        std::int64_t job = 0;
-        std::uint64_t from_n = 0;
-        std::uint64_t to_n = 0;
-        if (!dec->i64(&job) || !dec->count(&from_n, 8))
-            return false;
-        m.job = job;
-        m.from.resize(from_n);
-        for (std::uint64_t k = 0; k < from_n; ++k) {
-            std::int64_t g = 0;
-            if (!dec->i64(&g))
-                return false;
-            m.from[k] = static_cast<GpuCount>(g);
-        }
-        if (!dec->count(&to_n, 8))
-            return false;
-        m.to.resize(to_n);
-        for (std::uint64_t k = 0; k < to_n; ++k) {
-            std::int64_t g = 0;
-            if (!dec->i64(&g))
-                return false;
-            m.to[k] = static_cast<GpuCount>(g);
-        }
-        last_batch_.push_back(std::move(m));
-    }
-    rng_.restore(engine, draws, forks);
-    governor_.restore(tokens, last_refill);
-    return dec->ok();
 }
 
 }  // namespace defrag

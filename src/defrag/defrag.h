@@ -42,9 +42,9 @@
  *
  * Determinism contract: the SA stream is an `ef::Rng` whose cursor
  * (and engine state), the governor bucket, the budget ledger and the
- * accepted-move log all fold into `fingerprint()` and the snapshot
- * codec, so defrag-enabled runs double-run, shard-sweep and
- * crash-recover to byte-identical `state_hash` values.
+ * accepted-move log are all listed in `fields()`, so they are hashed
+ * and snapshotted alike: defrag-enabled runs double-run, shard-sweep
+ * and crash-recover to byte-identical `state_hash` values.
  */
 #ifndef EF_DEFRAG_DEFRAG_H_
 #define EF_DEFRAG_DEFRAG_H_
@@ -56,7 +56,6 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "common/types.h"
-#include "recover/codec.h"
 #include "serve/governor.h"
 #include "workload/model_zoo.h"
 #include "workload/perf_model.h"
@@ -162,26 +161,26 @@ class Defragmenter
     const std::vector<Migration> &last_batch() const { return last_batch_; }
 
     /**
-     * FNV-1a digest of all mutable defrag state (SA cursor, governor
-     * bucket, counters, ledger, accepted-move log); folded into the
-     * simulator's state_hash whenever defrag is enabled.
+     * Persistent state (recover/fields.h): SA stream, governor bucket,
+     * counters, budget ledger and accepted-move log. Folded into the
+     * simulator's state hash (as one digest) whenever defrag is on.
      */
-    std::uint64_t fingerprint() const;
-
-    /** Snapshot codec (DESIGN.md §12); symmetric encode/decode. */
-    void encode_state(recover::Encoder *enc) const;
-    bool decode_state(recover::Decoder *dec);
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v(rng_);
+        v.digest(governor_);
+        v(rounds_, moves_committed_, budget_spent_units_, last_batch_);
+    }
 
   private:
     double objective(const std::vector<std::vector<GpuCount>> &rows,
                      const std::vector<DefragJob> &jobs,
                      const std::vector<GpuCount> &free) const;
 
-    // ef-audit: transient(all: construction-time constant, re-supplied when the simulator is rebuilt)
     DefragConfig config_;
-    // ef-audit: transient(all: borrowed topology, owned by the simulator)
     const Topology *topology_;
-    // ef-audit: transient(all: borrowed cost oracle, owned by the simulator)
     const PerfModel *perf_;
 
     /** Dedicated SA stream; cursor + engine state are persistent. */

@@ -44,6 +44,9 @@ enum class FaultType {
                    ///< index, -1 = first commit at/after `time`)
 };
 
+/** Last enumerator; snapshot decoders range-check against it. */
+constexpr FaultType enum_last(FaultType) { return FaultType::kSchedCrash; }
+
 std::string fault_type_name(FaultType type);
 /** Inverse of fault_type_name; aborts (with @p context) on unknown names. */
 FaultType fault_type_from_name(const std::string &name,
@@ -66,6 +69,15 @@ struct FaultEvent
     /** Straggler slowdown factor, forced RPC-drop count, or
      *  arrival-rate multiplier (kArrivalStorm); 0 = default. */
     double magnitude = 0.0;
+
+    /** Persistent state (recover/fields.h); journal only, so a hashed
+     *  list of events hashes as its length. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.journal(time, type, target, duration_s, magnitude);
+    }
 };
 
 /** Per-class fault rates plus the scripted trace. A rate of 0 (or an
@@ -108,7 +120,7 @@ struct FaultConfig
     /**
      * Per-round-commit probability that the scheduler process dies at
      * the commit point (crash-recovery soak testing). Draws from its
-     * own stream that is deliberately NOT part of state_fingerprint():
+     * own stream that is deliberately NOT part of the state hash:
      * a crash+recover run must hash identically to an uninterrupted
      * one, so crash arrivals may never perturb hashed state.
      */
@@ -246,54 +258,37 @@ class FaultInjector
     double arrival_rate_multiplier(Time now) const;
 
     /**
-     * FNV-1a fingerprint of the injector's mutable state: every
-     * per-class RNG cursor plus the armed scripted-event backlogs.
-     * Folded into the simulator's determinism state hash — two runs
-     * agree only if their fault streams advanced in lockstep.
+     * Persistent state (recover/fields.h). Hashed: every class
+     * stream's cursor plus the length of each scripted-event list, so
+     * two runs agree only if their fault streams advanced in lockstep.
+     * The sched-crash stream is journaled but never hashed: a
+     * crash+recover run must hash identically to an uninterrupted one,
+     * so crash arrivals may never perturb hashed state. armed_sched_
+     * is transient — its consumption is pinned by the simulator's
+     * journaled crash cursor.
      */
-    std::uint64_t state_fingerprint() const;
-
-    /**
-     * Mutable injector state for crash-recovery snapshots: the five
-     * hashed class streams (in fingerprint order) plus the sched-crash
-     * stream, and the consumed armed-event backlogs. queueable_ and
-     * storms_ are immutable after construction and rebuild from the
-     * config, so they are not captured.
-     */
-    struct State
+    template <class V>
+    void
+    fields(V &v)
     {
-        struct Stream
-        {
-            std::string engine;
-            std::uint64_t draws = 0;
-            std::uint64_t forks = 0;
-        };
-        std::vector<Stream> streams;
-        std::vector<FaultEvent> armed_rpc;
-        std::vector<FaultEvent> armed_ckpt;
-    };
-    State capture_state() const;
-    /** Restore a capture_state() snapshot taken with the same config. */
-    void restore_state(const State &state);
+        v(server_rng_, gpu_rng_, rpc_rng_, straggler_rng_, ckpt_rng_);
+        v.journal(sched_rng_);
+        v(queueable_, armed_rpc_, armed_ckpt_, storms_);
+    }
 
   private:
-    // ef-audit: transient(all: construction-time constant; restore_state() requires the same config)
     FaultConfig config_;
     Rng server_rng_;
     Rng gpu_rng_;
     Rng rpc_rng_;
     Rng straggler_rng_;
     Rng ckpt_rng_;
-    /** Meta stream: excluded from state_fingerprint() by design. */
-    // ef-audit: transient(hash: meta stream consumed before the run, pinned by sched_crash_cursor_ instead)
+    /** Meta stream: outside the state hash by design. */
     Rng sched_rng_;
-    // ef-audit: transient(codec: scripted events, re-parsed from the fault script at construction)
     std::vector<FaultEvent> queueable_;
     std::vector<FaultEvent> armed_rpc_;
     std::vector<FaultEvent> armed_ckpt_;
-    // ef-audit: transient(codec: scripted storms, re-parsed from the fault script at construction)
     std::vector<FaultEvent> storms_;
-    // ef-audit: transient(all: scripted crash points, re-parsed at construction; consumption is pinned by sched_crash_cursor_)
     std::vector<FaultEvent> armed_sched_;
 };
 

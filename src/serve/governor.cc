@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/hash.h"
 
 namespace ef {
 namespace serve {
@@ -59,15 +58,6 @@ ReplanGovernor::tokens_at(Time now) const
     return std::min(config_.burst,
                     tokens_ + (now - last_refill_) *
                                   config_.rounds_per_second);
-}
-
-std::uint64_t
-ReplanGovernor::fingerprint() const
-{
-    Fnv1a h;
-    h.f64(tokens_);
-    h.f64(last_refill_);
-    return h.digest();
 }
 
 }  // namespace serve

@@ -63,30 +63,18 @@ class ReplanGovernor
     /** Current token balance at @p now (refill applied, not stored). */
     double tokens_at(Time now) const;
 
-    /**
-     * FNV-1a digest of the mutable bucket state, folded into the
-     * service state hash so two runs agree only if their governors
-     * advanced in lockstep.
-     */
-    std::uint64_t fingerprint() const;
-
-    /** Raw bucket state for crash-recovery snapshots. */
-    double tokens_raw() const { return tokens_; }
-    Time last_refill() const { return last_refill_; }
-
-    /** Restore a bucket captured by tokens_raw()/last_refill(). */
+    /** Persistent state (recover/fields.h): the bucket. */
+    template <class V>
     void
-    restore(double tokens, Time last_refill)
+    fields(V &v)
     {
-        tokens_ = tokens;
-        last_refill_ = last_refill;
+        v(tokens_, last_refill_);
     }
 
   private:
     /** Refill up to @p now (monotonic; past times are ignored). */
     void refill(Time now);
 
-    // ef-audit: transient(all: construction-time constant, re-supplied when the service is rebuilt)
     GovernorConfig config_;
     double tokens_ = 0.0;
     Time last_refill_ = 0.0;

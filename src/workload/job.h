@@ -30,6 +30,9 @@ namespace ef {
  */
 enum class JobKind { kSlo, kSoftDeadline, kBestEffort };
 
+/** Last enumerator; snapshot decoders range-check against it. */
+constexpr JobKind enum_last(JobKind) { return JobKind::kBestEffort; }
+
 std::string job_kind_name(JobKind kind);
 
 /** One trace entry / serverless function submission. */
@@ -71,6 +74,15 @@ struct JobSpec
     GpuCount requested_gpus = 1;
 
     bool is_best_effort() const { return kind == JobKind::kBestEffort; }
+
+    /** Persistent state (recover/fields.h); journal only. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.journal(id, name, user, model, global_batch, iterations,
+                  submit_time, deadline, kind, requested_gpus);
+    }
 };
 
 }  // namespace ef

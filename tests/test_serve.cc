@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "recover/fields.h"
 #include "serve/governor.h"
 #include "serve/service.h"
 #include "serve/stream.h"
@@ -56,16 +57,16 @@ TEST(ReplanGovernor, BucketStartsFullAndRefillsAtTheRate)
     EXPECT_DOUBLE_EQ(governor.tokens_at(1000.0), 2.0);
 }
 
-TEST(ReplanGovernor, FingerprintTracksConsumption)
+TEST(ReplanGovernor, DigestTracksConsumption)
 {
     serve::GovernorConfig config;
     serve::ReplanGovernor a(config);
     serve::ReplanGovernor b(config);
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    EXPECT_EQ(recover::digest(a), recover::digest(b));
     ASSERT_TRUE(a.try_acquire(1.0));
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
+    EXPECT_NE(recover::digest(a), recover::digest(b));
     ASSERT_TRUE(b.try_acquire(1.0));
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    EXPECT_EQ(recover::digest(a), recover::digest(b));
 }
 
 TEST(Service, ShedsSynchronouslyAtTheWatermark)

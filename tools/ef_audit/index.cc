@@ -22,16 +22,6 @@ is_ident(const Token &tok, std::string_view text)
     return tok.kind == Token::kIdent && tok.text == text;
 }
 
-bool
-any_of(std::string_view text, std::initializer_list<std::string_view> set)
-{
-    for (std::string_view s : set) {
-        if (text == s)
-            return true;
-    }
-    return false;
-}
-
 /**
  * Index after the brace/bracket/paren block opening at @p i (which
  * must hold the opening token). Only the opener's own kind nests.
@@ -99,54 +89,6 @@ split_top_level(const std::vector<Token> &tokens, std::size_t begin,
 // ---------------------------------------------------------------------------
 
 void
-set_scopes(AuditAnnotation *a, std::string_view scope)
-{
-    if (scope == "hash") {
-        a->hash = true;
-    } else if (scope == "encode") {
-        a->encode = true;
-    } else if (scope == "decode") {
-        a->decode = true;
-    } else if (scope == "codec") {
-        a->encode = true;
-        a->decode = true;
-    } else {  // "all"
-        a->hash = true;
-        a->encode = true;
-        a->decode = true;
-    }
-}
-
-/** Is @p head a comma list drawn entirely from the scope keywords? */
-bool
-parse_scope_list(std::string_view head, AuditAnnotation *a)
-{
-    AuditAnnotation scratch;
-    std::size_t pos = 0;
-    bool any = false;
-    while (pos <= head.size()) {
-        std::size_t comma = head.find(',', pos);
-        std::string_view piece = head.substr(
-            pos, comma == std::string_view::npos ? head.size() - pos
-                                                 : comma - pos);
-        std::string word = lint::trim(piece);
-        if (!any_of(word, {"hash", "encode", "decode", "codec", "all"}))
-            return false;
-        set_scopes(&scratch, word);
-        any = true;
-        if (comma == std::string_view::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (!any)
-        return false;
-    a->hash = scratch.hash;
-    a->encode = scratch.encode;
-    a->decode = scratch.decode;
-    return true;
-}
-
-void
 parse_annotation(std::string_view comment, int line,
                  std::vector<AuditAnnotation> &out)
 {
@@ -164,57 +106,35 @@ parse_annotation(std::string_view comment, int line,
     std::size_t open = comment.find('(', i);
     if (open == std::string_view::npos) {
         a.malformed = true;
-        a.error = "expected 'ef-audit: transient(...)' / 'covered(...)'"
-                  " / 'allow(<rule>: <reason>)'";
+        a.error = "expected 'ef-audit: allow(<rule>: <reason>)'";
         out.push_back(std::move(a));
         return;
     }
     const std::string keyword = lint::trim(comment.substr(i, open - i));
+    if (keyword != "allow") {
+        a.malformed = true;
+        a.error = "unknown ef-audit annotation '" + keyword +
+                  "' (expected allow)";
+        out.push_back(std::move(a));
+        return;
+    }
     std::size_t close = comment.find(')', open);
     std::string_view content = comment.substr(
         open + 1, (close == std::string_view::npos ? comment.size()
                                                    : close) -
                       open - 1);
-    if (keyword == "allow") {
-        a.kind = AuditAnnotation::kAllow;
-        std::size_t colon = content.find(':');
-        if (colon == std::string_view::npos) {
-            a.malformed = true;
-            a.error = "allow() needs a reason: allow(<rule>: <reason>)";
-            out.push_back(std::move(a));
-            return;
-        }
-        a.rule = lint::trim(content.substr(0, colon));
-        a.reason = lint::trim(content.substr(colon + 1));
-        if (a.rule.empty() || a.reason.empty()) {
-            a.malformed = true;
-            a.error =
-                "allow() needs a rule name and a non-empty reason";
-        }
-        out.push_back(std::move(a));
-        return;
-    }
-    if (keyword != "transient" && keyword != "covered") {
-        a.malformed = true;
-        a.error = "unknown ef-audit annotation '" + keyword +
-                  "' (expected transient / covered / allow)";
-        out.push_back(std::move(a));
-        return;
-    }
-    a.kind = keyword == "covered" ? AuditAnnotation::kCovered
-                                  : AuditAnnotation::kTransient;
     std::size_t colon = content.find(':');
-    if (colon != std::string_view::npos &&
-        parse_scope_list(content.substr(0, colon), &a)) {
-        a.reason = lint::trim(content.substr(colon + 1));
-    } else {
-        // No scope head: the whole content is the reason, all scopes.
-        set_scopes(&a, "all");
-        a.reason = lint::trim(content);
-    }
-    if (a.reason.empty()) {
+    if (colon == std::string_view::npos) {
         a.malformed = true;
-        a.error = keyword + "() needs a non-empty reason";
+        a.error = "allow() needs a reason: allow(<rule>: <reason>)";
+        out.push_back(std::move(a));
+        return;
+    }
+    a.rule = lint::trim(content.substr(0, colon));
+    a.reason = lint::trim(content.substr(colon + 1));
+    if (a.rule.empty() || a.reason.empty()) {
+        a.malformed = true;
+        a.error = "allow() needs a rule name and a non-empty reason";
     }
     out.push_back(std::move(a));
 }
@@ -327,298 +247,6 @@ index_file(std::string path, std::string_view text)
         }
     }
     return index;
-}
-
-// ---------------------------------------------------------------------------
-// Class bodies
-// ---------------------------------------------------------------------------
-
-namespace {
-
-const std::initializer_list<std::string_view> kDeclSkipLead = {
-    "using",  "typedef", "friend", "static", "template",
-    "public", "private", "protected", "class", "struct",
-    "enum",   "union",   "operator"};
-
-void
-finish_decl(const std::vector<Token> &tokens,
-            const std::vector<std::size_t> &decl, bool has_top_paren,
-            std::vector<FieldInfo> &fields)
-{
-    if (decl.empty())
-        return;
-    const Token &first = tokens[decl.front()];
-    if (first.kind == Token::kIdent &&
-        any_of(first.text, kDeclSkipLead)) {
-        return;
-    }
-    for (std::size_t idx : decl) {
-        if (is_ident(tokens[idx], "operator"))
-            return;
-    }
-    if (has_top_paren)
-        return;  // function declaration (or function-pointer member)
-
-    // Split declarator list on top-level commas of the *declaration*
-    // (recomputed over the collected token indices).
-    int depth = 0;
-    int angle = 0;
-    std::vector<std::vector<std::size_t>> chunks(1);
-    for (std::size_t idx : decl) {
-        const Token &tok = tokens[idx];
-        if (tok.kind == Token::kPunct) {
-            if (tok.text == "(" || tok.text == "[" ||
-                tok.text == "{") {
-                ++depth;
-            } else if (tok.text == ")" || tok.text == "]" ||
-                       tok.text == "}") {
-                if (depth > 0)
-                    --depth;
-            } else if (tok.text == "<") {
-                if (!chunks.back().empty()) {
-                    const Token &prev =
-                        tokens[chunks.back().back()];
-                    if (prev.kind == Token::kIdent ||
-                        is_punct(prev, ">"))
-                        ++angle;
-                }
-            } else if (tok.text == ">") {
-                if (angle > 0)
-                    --angle;
-            } else if (tok.text == ">>") {
-                angle = angle >= 2 ? angle - 2 : 0;
-            } else if (tok.text == "," && depth == 0 && angle == 0) {
-                chunks.emplace_back();
-                continue;
-            }
-        }
-        chunks.back().push_back(idx);
-    }
-    for (const std::vector<std::size_t> &chunk : chunks) {
-        // Name: the identifier directly before a top-level '=', else
-        // the last identifier of the declarator.
-        std::size_t name_idx = tokens.size();
-        int d = 0, ang = 0;
-        for (std::size_t k = 0; k < chunk.size(); ++k) {
-            const Token &tok = tokens[chunk[k]];
-            if (tok.kind != Token::kPunct)
-                continue;
-            if (tok.text == "(" || tok.text == "[" ||
-                tok.text == "{") {
-                ++d;
-            } else if (tok.text == ")" || tok.text == "]" ||
-                       tok.text == "}") {
-                if (d > 0)
-                    --d;
-            } else if (tok.text == "<") {
-                if (k > 0 && (tokens[chunk[k - 1]].kind ==
-                                  Token::kIdent ||
-                              is_punct(tokens[chunk[k - 1]], ">")))
-                    ++ang;
-            } else if (tok.text == ">") {
-                if (ang > 0)
-                    --ang;
-            } else if (tok.text == ">>") {
-                ang = ang >= 2 ? ang - 2 : 0;
-            } else if (tok.text == "=" && d == 0 && ang == 0) {
-                if (k > 0 &&
-                    tokens[chunk[k - 1]].kind == Token::kIdent)
-                    name_idx = chunk[k - 1];
-                break;
-            }
-        }
-        if (name_idx == tokens.size()) {
-            for (std::size_t k = chunk.size(); k-- > 0;) {
-                if (tokens[chunk[k]].kind == Token::kIdent) {
-                    name_idx = chunk[k];
-                    break;
-                }
-            }
-        }
-        if (name_idx == tokens.size())
-            continue;
-        const Token &name = tokens[name_idx];
-        if (any_of(name.text,
-                   {"const", "mutable", "volatile", "int", "bool",
-                    "double", "float", "char", "auto", "void",
-                    "unsigned", "signed", "long", "short"})) {
-            continue;
-        }
-        fields.push_back(
-            {name.text, name.line, tokens[decl.front()].line});
-    }
-}
-
-std::vector<FieldInfo>
-parse_fields(const std::vector<Token> &tokens, std::size_t begin,
-             std::size_t end)
-{
-    std::vector<FieldInfo> fields;
-    std::vector<std::size_t> decl;
-    int paren = 0;
-    int angle = 0;
-    bool has_top_paren = false;
-    std::size_t i = begin;
-    while (i < end) {
-        const Token &tok = tokens[i];
-        if (tok.kind != Token::kPunct) {
-            decl.push_back(i);
-            ++i;
-            continue;
-        }
-        const std::string &text = tok.text;
-        if (text == "(") {
-            if (paren == 0 && angle == 0)
-                has_top_paren = true;
-            ++paren;
-            decl.push_back(i);
-            ++i;
-        } else if (text == ")") {
-            if (paren > 0)
-                --paren;
-            decl.push_back(i);
-            ++i;
-        } else if (text == "<") {
-            if (!decl.empty() &&
-                (tokens[decl.back()].kind == Token::kIdent ||
-                 is_punct(tokens[decl.back()], ">")))
-                ++angle;
-            decl.push_back(i);
-            ++i;
-        } else if (text == ">") {
-            if (angle > 0)
-                --angle;
-            decl.push_back(i);
-            ++i;
-        } else if (text == ">>") {
-            angle = angle >= 2 ? angle - 2 : 0;
-            decl.push_back(i);
-            ++i;
-        } else if (text == "{") {
-            const bool nested_type =
-                !decl.empty() &&
-                tokens[decl.front()].kind == Token::kIdent &&
-                any_of(tokens[decl.front()].text,
-                       {"class", "struct", "enum", "union"});
-            if (decl.empty()) {
-                i = skip_balanced(tokens, i, "{", "}");
-            } else if (nested_type) {
-                // Nested type body; its ';' clears the declaration.
-                i = skip_balanced(tokens, i, "{", "}");
-            } else if (has_top_paren && paren == 0) {
-                // In-class function definition: drop it wholesale.
-                i = skip_balanced(tokens, i, "{", "}");
-                decl.clear();
-                has_top_paren = false;
-            } else {
-                // Brace initializer (or a default argument's); the
-                // declarator continues after it.
-                i = skip_balanced(tokens, i, "{", "}");
-            }
-        } else if (text == ";" && paren == 0) {
-            finish_decl(tokens, decl, has_top_paren, fields);
-            decl.clear();
-            has_top_paren = false;
-            angle = 0;
-            ++i;
-        } else if (text == ":" && paren == 0 && decl.size() == 1 &&
-                   tokens[decl.front()].kind == Token::kIdent &&
-                   any_of(tokens[decl.front()].text,
-                          {"public", "private", "protected"})) {
-            decl.clear();
-            ++i;
-        } else {
-            decl.push_back(i);
-            ++i;
-        }
-    }
-    return fields;
-}
-
-}  // namespace
-
-TypeDef
-find_type(const FileIndex &index, std::string_view terminal)
-{
-    const std::vector<Token> &tokens = index.lexed.tokens;
-    TypeDef out;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (!(is_ident(tokens[i], "class") ||
-              is_ident(tokens[i], "struct"))) {
-            continue;
-        }
-        if (i > 0 && is_ident(tokens[i - 1], "enum"))
-            continue;  // `enum struct` / `enum class`
-        std::size_t j = i + 1;
-        std::string name;
-        while (j < tokens.size()) {
-            const Token &tok = tokens[j];
-            if (tok.kind == Token::kIdent) {
-                if (tok.text != "final")
-                    name = tok.text;
-                ++j;
-            } else if (is_punct(tok, "::")) {
-                ++j;
-            } else {
-                break;
-            }
-        }
-        if (j >= tokens.size())
-            break;
-        if (is_punct(tokens[j], ":")) {
-            // Base clause: scan to the body brace (template args in
-            // base names may nest parens/angles; braces cannot appear
-            // before the body's own '{').
-            while (j < tokens.size() && !is_punct(tokens[j], "{"))
-                ++j;
-        }
-        if (j >= tokens.size() || !is_punct(tokens[j], "{"))
-            continue;  // forward declaration or elaborated type use
-        if (name != terminal)
-            continue;  // linear scan still enters the body → nested
-                       // types are found by their own terminal name
-        out.found = true;
-        out.fields = parse_fields(
-            tokens, j + 1, skip_balanced(tokens, j, "{", "}") - 1);
-        return out;
-    }
-    return out;
-}
-
-std::set<std::string>
-function_body_idents(const FileIndex &index, std::string_view function,
-                     int *bodies_found)
-{
-    const std::vector<Token> &tokens = index.lexed.tokens;
-    std::set<std::string> idents;
-    int bodies = 0;
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-        if (!(tokens[i].kind == Token::kIdent &&
-              tokens[i].text == function &&
-              is_punct(tokens[i + 1], "("))) {
-            continue;
-        }
-        std::size_t j = skip_balanced(tokens, i + 1, "(", ")");
-        while (j < tokens.size() &&
-               tokens[j].kind == Token::kIdent &&
-               any_of(tokens[j].text,
-                      {"const", "noexcept", "override", "final"})) {
-            ++j;
-        }
-        if (j >= tokens.size() || !is_punct(tokens[j], "{"))
-            continue;  // declaration or call, not a definition
-        const std::size_t body_end =
-            skip_balanced(tokens, j, "{", "}") - 1;
-        for (std::size_t k = j + 1; k < body_end; ++k) {
-            if (tokens[k].kind == Token::kIdent)
-                idents.insert(tokens[k].text);
-        }
-        ++bodies;
-        i = body_end;
-    }
-    if (bodies_found != nullptr)
-        *bodies_found = bodies;
-    return idents;
 }
 
 }  // namespace audit

@@ -5,8 +5,7 @@
  * Built once per source file (in parallel, one index per slot) from
  * the shared ef-lint lexer's token stream. Everything pass 2 needs is
  * precomputed here: parsed ef-audit annotations, quoted includes,
- * parallel_for lambda sites, and the token stream itself for on-demand
- * class-body and function-body queries.
+ * parallel_for lambda sites, and the token stream they point into.
  */
 #ifndef EF_TOOLS_EF_AUDIT_INDEX_H_
 #define EF_TOOLS_EF_AUDIT_INDEX_H_
@@ -22,17 +21,12 @@
 namespace ef {
 namespace audit {
 
-/** One parsed `// ef-audit: ...` annotation (or a malformed try). */
+/** One parsed `// ef-audit: allow(...)` annotation (or a malformed
+ *  try). */
 struct AuditAnnotation
 {
-    enum Kind { kTransient, kCovered, kAllow };
-    Kind kind = kTransient;
     int line = 0;
-    /** Exempted surfaces (transient/covered only). */
-    bool hash = false;
-    bool encode = false;
-    bool decode = false;
-    /** Suppressed rule (allow only). */
+    /** Suppressed rule. */
     std::string rule;
     std::string reason;
     bool malformed = false;
@@ -61,20 +55,6 @@ struct LambdaSite
     std::size_t body_end = 0;
 };
 
-/** A member field parsed out of a class/struct body. */
-struct FieldInfo
-{
-    std::string name;
-    int line = 0;       ///< line of the field's name token
-    int decl_line = 0;  ///< line the whole declaration starts on
-};
-
-struct TypeDef
-{
-    bool found = false;
-    std::vector<FieldInfo> fields;
-};
-
 struct FileIndex
 {
     std::string path;
@@ -86,26 +66,6 @@ struct FileIndex
 
 /** Build the index for one file. Never fails. */
 FileIndex index_file(std::string path, std::string_view text);
-
-/**
- * Find the class/struct whose name's terminal identifier is
- * @p terminal and parse its member fields. Functions, static members,
- * nested type declarations, using/typedef/friend declarations and
- * access specifiers are skipped; a declaration list yields one field
- * per declarator. Scans the whole file, so nested classes are found
- * by their own terminal name.
- */
-TypeDef find_type(const FileIndex &index, std::string_view terminal);
-
-/**
- * Union of identifier tokens inside every *definition* body of
- * functions named @p function in this file (declarations and call
- * sites do not match). Returns the number of bodies found via
- * @p bodies_found.
- */
-std::set<std::string> function_body_idents(const FileIndex &index,
-                                           std::string_view function,
-                                           int *bodies_found);
 
 }  // namespace audit
 }  // namespace ef
