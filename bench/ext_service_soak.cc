@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/table.h"
 #include "obs/metrics.h"
 #include "serve/service.h"
@@ -104,10 +105,12 @@ main(int argc, char **argv)
     using namespace ef;
     std::uint64_t count = 1000000;
     double arrival_rate = 100.0;
-    if (argc > 1)
-        count = std::stoull(argv[1]);
-    if (argc > 2)
-        arrival_rate = std::stod(argv[2]);
+    if (argc > 3 || (argc > 1 && !parse_number(argv[1], &count)) ||
+        (argc > 2 && !parse_number(argv[2], &arrival_rate))) {
+        std::cerr << "usage: ext_service_soak [count] "
+                     "[arrival_rate_jobs_per_s]\n";
+        return 2;
+    }
 
     std::cout << "soak: " << count << " submissions at "
               << format_double(arrival_rate, 1) << " jobs/s on "

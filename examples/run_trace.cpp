@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/csv.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "fault/fault.h"
@@ -87,7 +88,7 @@ usage()
     return 2;
 }
 
-TraceGenConfig
+std::optional<TraceGenConfig>
 preset_by_name(const std::string &name)
 {
     if (name == "testbed-small")
@@ -98,10 +99,11 @@ preset_by_name(const std::string &name)
         return philly_preset();
     if (name == "churn")
         return churn_preset();
-    if (name.rfind("cluster", 0) == 0)
-        return cluster_preset(std::stoi(name.substr(7)));
-    EF_FATAL_IF(true, "unknown preset '" << name << "'");
-    return {};
+    int index = 0;
+    if (name.rfind("cluster", 0) == 0 &&
+        parse_number(name.substr(7), &index) && index >= 1 && index <= 10)
+        return cluster_preset(index);
+    return std::nullopt;
 }
 
 /**
@@ -223,7 +225,12 @@ main(int argc, char **argv)
     if (std::strcmp(argv[1], "--generate") == 0) {
         if (argc != 4)
             return usage();
-        Trace trace = TraceGenerator::generate(preset_by_name(argv[2]));
+        const std::optional<TraceGenConfig> preset = preset_by_name(argv[2]);
+        if (!preset.has_value()) {
+            std::cerr << "run_trace: unknown preset '" << argv[2] << "'\n";
+            return usage();
+        }
+        Trace trace = TraceGenerator::generate(*preset);
         save_trace_csv(argv[3], trace);
         Topology topo(trace.topology);
         std::cout << "wrote " << trace.jobs.size() << " jobs ("
@@ -265,73 +272,84 @@ main(int argc, char **argv)
                 has_inline = true;
             }
         }
+        // A missing or malformed value clears `ok`; the flag is then
+        // reported with the usage text (exit 2).
+        bool ok = true;
         auto next = [&]() -> std::string {
             if (has_inline)
                 return inline_value;
-            EF_FATAL_IF(i + 1 >= argc, arg << " needs a value");
+            if (i + 1 >= argc) {
+                ok = false;
+                return "";
+            }
             return argv[++i];
         };
+        auto number = [&](auto *out) {
+            ok = parse_number(next(), out) && ok;
+        };
+        double scaled = 0.0;  // a value the flag converts below
         if (arg == "--service") {
             service_mode = true;
             sim_config.service.enabled = true;
         } else if (arg == "--arrival-rate") {
-            arrival_rate = std::stod(next());
+            number(&arrival_rate);
         } else if (arg == "--duration") {
-            service_duration = std::stod(next());
+            number(&service_duration);
         } else if (arg == "--seed") {
-            stream_seed = std::stoull(next());
+            number(&stream_seed);
         } else if (arg == "--gpus") {
-            gpus = std::stoi(next());
+            number(&gpus);
         } else if (arg == "--scheduler") {
             scheduler_name = next();
         } else if (arg == "--failures-mtbf-days") {
+            number(&scaled);
             sim_config.failures.enabled = true;
-            sim_config.failures.server_mtbf_s =
-                std::stod(next()) * kDay;
+            sim_config.failures.server_mtbf_s = scaled * kDay;
         } else if (arg == "--noise") {
-            sim_config.noise.throughput_error = std::stod(next());
+            number(&sim_config.noise.throughput_error);
         } else if (arg == "--no-coalesce") {
             sim_config.coalesce_replans = false;
         } else if (arg == "--no-elide") {
             sim_config.elide_replans = false;
         } else if (arg == "--mtbf") {
-            sim_config.faults.server_mtbf_s = std::stod(next()) * kDay;
+            number(&scaled);
+            sim_config.faults.server_mtbf_s = scaled * kDay;
         } else if (arg == "--repair") {
-            sim_config.faults.server_repair_s =
-                std::stod(next()) * kHour;
+            number(&scaled);
+            sim_config.faults.server_repair_s = scaled * kHour;
         } else if (arg == "--gpu-fault-rate") {
-            sim_config.faults.gpu_mtbf_s = kDay / std::stod(next());
+            number(&scaled);
+            sim_config.faults.gpu_mtbf_s = kDay / scaled;
         } else if (arg == "--rpc-drop") {
-            sim_config.faults.rpc_drop_prob = std::stod(next());
+            number(&sim_config.faults.rpc_drop_prob);
         } else if (arg == "--fault-script") {
             sim_config.faults.script = load_fault_script(next());
         } else if (arg == "--fault-seed") {
-            sim_config.faults.seed = std::stoull(next());
+            number(&sim_config.faults.seed);
         } else if (arg == "--planner-shards") {
-            sim_config.planner_shards = std::stoi(next());
+            number(&sim_config.planner_shards);
         } else if (arg == "--planner-threads") {
-            sim_config.planner_threads = std::stoi(next());
+            number(&sim_config.planner_threads);
         } else if (arg == "--state-hash") {
             show_state_hash = true;
         } else if (arg == "--journal-dir") {
             sim_config.durability.journal_dir = next();
         } else if (arg == "--snapshot-every") {
-            sim_config.durability.snapshot_every = std::stoull(next());
+            number(&sim_config.durability.snapshot_every);
         } else if (arg == "--recover") {
             sim_config.durability.recover = true;
         } else if (arg == "--defrag") {
             sim_config.defrag.enabled = true;
         } else if (arg == "--defrag-budget") {
             sim_config.defrag.enabled = true;
-            sim_config.defrag.budget_units_per_round =
-                std::stod(next());
+            number(&sim_config.defrag.budget_units_per_round);
         } else if (arg == "--defrag-steps") {
-            sim_config.defrag.max_steps = std::stoi(next());
+            number(&sim_config.defrag.max_steps);
         } else if (arg == "--defrag-interval") {
-            sim_config.defrag.governor.rounds_per_second =
-                1.0 / std::stod(next());
+            number(&scaled);
+            sim_config.defrag.governor.rounds_per_second = 1.0 / scaled;
         } else if (arg == "--defrag-seed") {
-            sim_config.defrag.seed = std::stoull(next());
+            number(&sim_config.defrag.seed);
         } else if (arg == "--report-out") {
             report_out = next();
         } else if (arg == "--trace-out") {
@@ -349,6 +367,11 @@ main(int argc, char **argv)
             set_log_level(*level);
         } else {
             std::cerr << "run_trace: unknown flag '" << arg << "'\n";
+            return usage();
+        }
+        if (!ok) {
+            std::cerr << "run_trace: " << arg
+                      << " needs a valid value\n";
             return usage();
         }
     }
@@ -384,8 +407,14 @@ main(int argc, char **argv)
         return usage();
     }
 
-    Trace trace = load_trace_csv(
-        trace_path, TopologySpec::with_total_gpus(gpus));
+    Trace trace;
+    if (const std::optional<TraceError> error = try_load_trace_csv(
+            trace_path, TopologySpec::with_total_gpus(gpus), "csv-trace",
+            &trace)) {
+        std::cerr << "run_trace: " << trace_path << ": "
+                  << error->to_string() << "\n";
+        return 2;
+    }
     auto scheduler = make_scheduler(scheduler_name);
     Simulator simulator(trace, scheduler.get(), sim_config);
 

@@ -4,7 +4,7 @@
 #include "common/logging.h"
 #include <algorithm>
 
-#include "recover/codec.h"
+#include "recover/fields.h"
 
 #include "cluster/shard.h"
 #include "sched/planning_util.h"
@@ -111,48 +111,15 @@ ElasticFlowScheduler::take_demotions()
 void
 ElasticFlowScheduler::encode_recovery_state(std::string *out) const
 {
-    recover::Encoder enc;
-    enc.i64(replan_failures_);
-    enc.u64(demoted_.size());
-    for (JobId id : demoted_)
-        enc.i64(id);
-    enc.u64(fresh_demotions_.size());
-    for (JobId id : fresh_demotions_)
-        enc.i64(id);
-    *out = enc.data();
+    *out = recover::encode(replan_failures_, demoted_, fresh_demotions_);
 }
 
 bool
 ElasticFlowScheduler::decode_recovery_state(const std::string &blob)
 {
-    recover::Decoder dec(blob);
-    std::int64_t failures = 0;
-    std::uint64_t n = 0;
-    if (!dec.i64(&failures) || !dec.count(&n, 8))
-        return false;
-    std::set<JobId> demoted;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        JobId id = kInvalidJob;
-        if (!dec.i64(&id))
-            return false;
-        demoted.insert(id);
-    }
-    std::uint64_t fresh_n = 0;
-    if (!dec.count(&fresh_n, 8))
-        return false;
-    std::vector<JobId> fresh;
-    for (std::uint64_t i = 0; i < fresh_n; ++i) {
-        JobId id = kInvalidJob;
-        if (!dec.i64(&id))
-            return false;
-        fresh.push_back(id);
-    }
-    if (!dec.ok() || !dec.empty())
-        return false;
-    replan_failures_ = static_cast<int>(failures);
-    demoted_ = std::move(demoted);
-    fresh_demotions_ = std::move(fresh);
-    return true;
+    return recover::decode(blob, replan_failures_, demoted_,
+                           fresh_demotions_)
+        .ok();
 }
 
 }  // namespace ef

@@ -24,7 +24,7 @@ fi
 echo "== ef-lint =="
 ./build/tools/ef_lint/ef_lint --root . --jobs 4 --warn-unused-allow
 
-echo "== ef-audit =="
+echo "== ef-audit (thread-ownership, layering) =="
 ./build/tools/ef_audit/ef_audit --root . --jobs 4
 
 echo "== clang-format (changed files) =="
