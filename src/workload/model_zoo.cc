@@ -60,15 +60,22 @@ model_name(DnnModel model)
     return model_profile(model).name;
 }
 
-DnnModel
-model_from_name(const std::string &name)
+std::optional<DnnModel>
+find_model(const std::string &name)
 {
     for (const auto &profile : profiles()) {
         if (profile.name == name)
             return profile.model;
     }
-    EF_FATAL_IF(true, "unknown model name '" << name << "'");
-    return DnnModel::kResNet50;  // unreachable
+    return std::nullopt;
+}
+
+DnnModel
+model_from_name(const std::string &name)
+{
+    const std::optional<DnnModel> model = find_model(name);
+    EF_FATAL_IF(!model.has_value(), "unknown model name '" << name << "'");
+    return *model;
 }
 
 }  // namespace ef
