@@ -9,10 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/placement.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/allocator.h"
-#include "core/planner_concurrency.h"
 #include "workload/perf_model.h"
 
 namespace ef {
@@ -83,7 +81,7 @@ BENCHMARK(BM_ResourceAllocation)->Arg(8)->Arg(32);
  * degenerates (slot 0 saturates on minimum shares alone and the loop
  * exits immediately).
  */
-enum class AllocMode { kReference, kIncremental, kSharded };
+enum class AllocMode { kReference, kIncremental };
 
 void
 BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
@@ -100,12 +98,6 @@ BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
         state.SkipWithError("fixture infeasible");
         return;
     }
-    // Pool and shard layout are built once, outside the timed region —
-    // they are amortized across every replan of a scheduler's lifetime.
-    ThreadPool pool(4);
-    PlannerConcurrency concurrency;
-    concurrency.shards = 4;
-    concurrency.pool = &pool;
     for (auto _ : state) {
         switch (mode) {
           case AllocMode::kReference:
@@ -116,10 +108,6 @@ BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
             benchmark::DoNotOptimize(run_allocation(
                 config, 0.0, jobs, admission.plans, {}));
             break;
-          case AllocMode::kSharded:
-            benchmark::DoNotOptimize(run_allocation_sharded(
-                config, 0.0, jobs, admission.plans, {}, concurrency));
-            break;
         }
     }
 }
@@ -127,15 +115,11 @@ BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, incremental,
                   AllocMode::kIncremental)
     ->Args({1000, 2048})
     ->Args({1000, 16384})
+    ->Args({1000, 65536})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, reference,
                   AllocMode::kReference)
     ->Args({1000, 2048})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, sharded, AllocMode::kSharded)
-    ->Args({1000, 2048})
-    ->Args({1000, 16384})
-    ->Args({1000, 65536})
     ->Unit(benchmark::kMillisecond);
 
 void

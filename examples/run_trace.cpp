@@ -65,7 +65,6 @@ usage()
         << "            [--gpu-fault-rate PER_GPU_PER_DAY]\n"
         << "            [--rpc-drop PROB] [--fault-script FILE]\n"
         << "            [--fault-seed N] [--state-hash]\n"
-        << "            [--planner-shards N] [--planner-threads N]\n"
         << "            [--trace-out FILE.json] [--metrics-out FILE]\n"
         << "            [--journal-dir DIR] [--snapshot-every N]\n"
         << "            [--recover] [--report-out PREFIX]\n"
@@ -114,8 +113,7 @@ preset_by_name(const std::string &name)
 int
 run_service(double arrival_rate, Time duration, int gpus,
             std::uint64_t seed, const FaultConfig &fault_config,
-            bool show_state_hash, const std::string &metrics_out,
-            int planner_shards, int planner_threads)
+            bool show_state_hash, const std::string &metrics_out)
 {
     serve::StreamConfig stream_config;
     stream_config.topology = TopologySpec::with_total_gpus(gpus);
@@ -125,8 +123,6 @@ run_service(double arrival_rate, Time duration, int gpus,
     serve::ServiceConfig service_config;
     service_config.total_gpus = gpus;
     service_config.degrade_infeasible = true;
-    service_config.planner_shards = planner_shards;
-    service_config.planner_threads = planner_threads;
 
     std::unique_ptr<FaultInjector> faults;
     if (fault_config.any())
@@ -323,13 +319,17 @@ main(int argc, char **argv)
         } else if (arg == "--rpc-drop") {
             number(&sim_config.faults.rpc_drop_prob);
         } else if (arg == "--fault-script") {
-            sim_config.faults.script = load_fault_script(next());
+            const std::string path = next();
+            const std::optional<FaultScriptError> error =
+                ok ? load_fault_script(path, &sim_config.faults.script)
+                   : std::nullopt;
+            if (error.has_value()) {
+                std::cerr << "run_trace: " << path << ": "
+                          << error->to_string() << "\n";
+                return 2;
+            }
         } else if (arg == "--fault-seed") {
             number(&sim_config.faults.seed);
-        } else if (arg == "--planner-shards") {
-            number(&sim_config.planner_shards);
-        } else if (arg == "--planner-threads") {
-            number(&sim_config.planner_threads);
         } else if (arg == "--state-hash") {
             show_state_hash = true;
         } else if (arg == "--journal-dir") {
@@ -397,9 +397,7 @@ main(int argc, char **argv)
         }
         return run_service(arrival_rate, service_duration, gpus,
                            stream_seed, sim_config.faults,
-                           show_state_hash, metrics_out,
-                           sim_config.planner_shards,
-                           sim_config.planner_threads);
+                           show_state_hash, metrics_out);
     }
     if (arrival_rate > 0.0 || service_duration > 0.0) {
         std::cerr << "run_trace: --arrival-rate/--duration apply only "

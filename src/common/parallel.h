@@ -3,8 +3,9 @@
  * The only threading primitive in the tree: a fixed pool of worker
  * threads driving `parallel_for` index loops.
  *
- * Planner sharding (DESIGN.md §10) needs data parallelism without
- * giving up determinism, so the contract here is deliberately narrow:
+ * Its callers (ef_lint --jobs, ef-audit's indexing pass; DESIGN.md §7)
+ * need data parallelism without giving up determinism, so the
+ * contract here is deliberately narrow:
  * `parallel_for(count, fn)` calls `fn(i)` exactly once for every
  * `i` in `[0, count)`, with `fn` required to touch only state owned by
  * index `i` (disjoint output slots, per-index scratch). Under that

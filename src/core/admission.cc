@@ -19,14 +19,12 @@ std::optional<SlotPlan>
 progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot, std::uint64_t *cost, FillProbe *probe)
+                 int start_slot, std::uint64_t *cost)
 {
     const int slots = horizon.slots;
     EF_CHECK(slots >= 0 && start_slot >= 0);
     EF_CHECK(static_cast<int>(available.size()) >= slots);
     EF_CHECK(!curve.empty());
-    if (probe != nullptr)
-        *probe = FillProbe{};
 
     SlotPlan plan;
     if (remaining_iterations <= kIterEpsilon)
@@ -49,11 +47,8 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
         auto fill_slot = [&](int t) {
             if (cost != nullptr)
                 ++*cost;
-            const GpuCount avail_t =
-                available[static_cast<std::size_t>(t)];
-            if (probe != nullptr && avail_t < level)
-                probe->clipped = true;
-            GpuCount x = curve.usable(std::min(level, avail_t));
+            GpuCount x = curve.usable(std::min(
+                level, available[static_cast<std::size_t>(t)]));
             plan.gpus[static_cast<std::size_t>(t)] = x;
             remaining -= curve.throughput(x) * slot_capacity(t);
             return remaining <= kIterEpsilon;
@@ -67,8 +62,6 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                 satisfied = fill_slot(t);
         }
         if (satisfied) {
-            if (probe != nullptr)
-                probe->level = level;
             plan.trim();
             return plan;
         }
@@ -80,11 +73,10 @@ std::optional<SlotPlan>
 progressive_fill(const PlanningJob &job,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot, std::uint64_t *cost, FillProbe *probe)
+                 int start_slot, std::uint64_t *cost)
 {
     return progressive_fill(job.curve, job.remaining_iterations,
-                            available, horizon, config, start_slot,
-                            cost, probe);
+                            available, horizon, config, start_slot, cost);
 }
 
 AdmissionOutcome

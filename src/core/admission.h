@@ -57,21 +57,6 @@ struct AdmissionOutcome
 };
 
 /**
- * How one progressive fill interacted with the capacity profile.
- * Filled in by progressive_fill when requested; consumed by the
- * shard-parallel planner's speculation/merge certificate.
- */
-struct FillProbe
-{
-    /** Some fill operation of some attempted level saw
-     *  available(t) < level (the level was capacity-clipped). */
-    bool clipped = false;
-    /** The level the successful fill ran at (0 when the fill failed
-     *  or nothing was left to do). Every attempted level is <= it. */
-    GpuCount level = 0;
-};
-
-/**
  * ProgressiveFilling for one job: the smallest GPU level whose
  * per-slot allocation min(level, available) finishes
  * @p job.remaining_iterations within the horizon (the final slot
@@ -87,20 +72,12 @@ struct FillProbe
  * When @p cost is non-null it is incremented by one work unit per
  * slot-fill operation performed (across every level attempt), giving
  * callers a deterministic measure of planning effort.
- *
- * When @p probe is non-null it reports how the fill interacted with
- * the capacity profile (see FillProbe). A fill whose probe comes back
- * unclipped never observed `available` at all — its attempts, result,
- * and cost are pure functions of (curve, remaining, horizon, config) —
- * which is the certificate the shard-parallel planner uses to adopt
- * speculative per-pod fills (DESIGN.md §10).
  */
 std::optional<SlotPlan>
 progressive_fill(const PlanningJob &job,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot = 0, std::uint64_t *cost = nullptr,
-                 FillProbe *probe = nullptr);
+                 int start_slot = 0, std::uint64_t *cost = nullptr);
 
 /**
  * Same fill without materializing a PlanningJob — the allocator's
@@ -112,8 +89,7 @@ std::optional<SlotPlan>
 progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot = 0, std::uint64_t *cost = nullptr,
-                 FillProbe *probe = nullptr);
+                 int start_slot = 0, std::uint64_t *cost = nullptr);
 
 /**
  * Algorithm 1: feasibility of a whole job set (admitted jobs plus a

@@ -8,7 +8,6 @@
 #include <queue>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -117,14 +116,14 @@ struct EntryWorse
  * function of (curve, remaining, horizon) and the per-level plan
  * vector never needs materializing until a level succeeds. The
  * arithmetic replicates progressive_fill's operation sequence exactly
- * (same values, same order, same epsilon test), so the returned plan,
- * the success/failure verdict, and the cost units are all
- * bit-identical to what the general fill would produce. Earliest
- * direction, start slot 1 (the allocator's tail re-fill shape).
+ * (same values, same order, same epsilon test), so the returned plan
+ * and the success/failure verdict are bit-identical to what the
+ * general fill would produce. Earliest direction, start slot 1 (the
+ * allocator's tail re-fill shape).
  */
 std::optional<SlotPlan>
 unclipped_refill(const ScalingCurve &curve, double remaining_iterations,
-                 const PlanHorizon &horizon, Time dt, std::uint64_t *cost)
+                 const PlanHorizon &horizon, Time dt)
 {
     const int slots = horizon.slots;
     if (slots <= 1)
@@ -137,8 +136,6 @@ unclipped_refill(const ScalingCurve &curve, double remaining_iterations,
         const double tpt = curve.throughput(x);
         double remaining = remaining_iterations;
         for (int t = 1; t < slots; ++t) {
-            if (cost != nullptr)
-                ++*cost;
             const double cap =
                 t == slots - 1 ? dt * horizon.last_weight : dt;
             remaining -= tpt * cap;
@@ -374,57 +371,29 @@ run_allocation_reference(const PlannerConfig &config, Time now,
  * identical winner and the two implementations produce byte-identical
  * outcomes. tests/test_allocator_equivalence.cc fuzzes this claim.
  *
- * Shard-parallel mode (conc != nullptr, DESIGN.md §10) keeps that
- * invariant while changing only *how* the same numbers are computed:
+ * Two skip certificates (DESIGN.md §10) make the same computation
+ * cheap on underloaded clusters, both exact:
  *
- *  - The initial candidate pass is sharded by job rank (i mod shards),
- *    each shard computing its candidates into disjoint state slots
- *    with private scratch; results are then pushed into the heap
- *    sequentially in ascending job order — the identical push
- *    sequence the classic pass produces, so the heap (and every
- *    subsequent pop) cannot depend on thread interleaving.
  *  - Tail re-fills take the unclipped_refill fast path whenever the
  *    job's window provably cannot clip (min tail availability >=
- *    max_useful), which is the common case on underloaded
- *    megaclusters.
+ *    max_useful).
  *  - The per-winner affected scan is skipped outright when every
  *    changed slot kept >= the *global* max max_useful GPUs free
  *    (changed_min >= slo_max_all): each per-job certificate
  *    pref_min[d] >= slo_max_useful[k] is then implied, and a skipped
  *    scan iteration has no side effects, so eliding the whole O(n)
  *    loop is exact.
- *
- * Both fast paths reproduce the classic computation bit for bit;
- * tests/test_sharded_planner.cc fuzzes sharded-vs-classic equality
- * and the state-hash tests pin full-simulation equality.
  */
-namespace {
-
 AllocationOutcome
-run_allocation_impl(const PlannerConfig &config, Time now,
-                    const std::vector<PlanningJob> &slo_jobs,
-                    const std::map<JobId, SlotPlan> &min_share_plans,
-                    const std::vector<PlanningJob> &best_effort_jobs,
-                    const PlannerConcurrency *conc,
-                    ShardRoundStats *stats)
+run_allocation(const PlannerConfig &config, Time now,
+               const std::vector<PlanningJob> &slo_jobs,
+               const std::map<JobId, SlotPlan> &min_share_plans,
+               const std::vector<PlanningJob> &best_effort_jobs)
 {
     EF_CHECK(config.total_gpus > 0 && config.slot_seconds > 0.0);
     const Time dt = config.slot_seconds;
     const std::size_t n = slo_jobs.size();
     const std::size_t m = best_effort_jobs.size();
-
-    const int nshards =
-        conc != nullptr ? std::max(1, conc->shards) : 1;
-    // A caller-provided stats object accumulates across phases (the
-    // refresh and the allocation of one round share it) and the caller
-    // emits; without one, a sharded run meters and emits locally.
-    ShardRoundStats local_stats;
-    const bool emit_here = conc != nullptr && stats == nullptr;
-    if (emit_here)
-        stats = &local_stats;
-    if (stats != nullptr &&
-        stats->shard_cost.size() < static_cast<std::size_t>(nshards))
-        stats->shard_cost.resize(static_cast<std::size_t>(nshards), 0);
 
     // Planning horizon: the farthest SLO deadline.
     int horizon = 1;
@@ -484,12 +453,7 @@ run_allocation_impl(const PlannerConfig &config, Time now,
     std::vector<GpuCount> pref_min(static_cast<std::size_t>(horizon) + 1);
     std::vector<bool> pref_inc(static_cast<std::size_t>(horizon) + 1);
 
-    // Candidate recompute, split into compute + heap push so the
-    // sharded initial pass can run computes in parallel (disjoint
-    // slo_state slots, caller-owned scratch) and push sequentially.
-    auto compute_slo_into = [&](std::size_t i,
-                                std::vector<GpuCount> &scratch,
-                                std::uint64_t *fill_cost) {
+    auto compute_slo = [&](std::size_t i) {
         CandidateSlot &st = slo_state[i];
         ++st.epoch;
         st.cand.valid = false;
@@ -542,42 +506,41 @@ run_allocation_impl(const PlannerConfig &config, Time now,
         } else {
             used_refill = true;
             EF_DCHECK(plan[i].horizon() <= d.slots);
-            // Megacluster fast path (sharded mode only): if every tail
-            // slot of the window keeps >= max_useful GPUs free, the
-            // re-fill can never clip — availability (and the job's own
-            // returned reservation, which only adds) is invisible to
-            // it, so the specialized walk is exact. The scan breaks at
-            // the first busy slot, bounding its cost on saturated
-            // clusters where the certificate rarely holds.
-            bool unclipped = conc != nullptr;
-            if (unclipped) {
-                const GpuCount need = slo_max_useful[i];
-                for (int t = 1; t < d.slots; ++t) {
-                    if (available[static_cast<std::size_t>(t)] < need) {
-                        unclipped = false;
-                        break;
-                    }
+            // Unclipped-refill certificate: if every tail slot of the
+            // window keeps >= max_useful GPUs free, the re-fill can
+            // never clip — availability (and the job's own returned
+            // reservation, which only adds) is invisible to it, so the
+            // specialized walk is exact. The scan breaks at the first
+            // busy slot, bounding its cost on saturated clusters where
+            // the certificate rarely holds.
+            bool unclipped = true;
+            for (int t = 1; t < d.slots; ++t) {
+                if (available[static_cast<std::size_t>(t)] <
+                    slo_max_useful[i]) {
+                    unclipped = false;
+                    break;
                 }
             }
             std::optional<SlotPlan> fill;
             if (unclipped) {
-                fill = unclipped_refill(job.curve, rem_after0, d, dt,
-                                        fill_cost);
+                fill = unclipped_refill(job.curve, rem_after0, d, dt);
             } else {
                 // Re-fill the tail with the bumped slot-0 allocation,
                 // against availability with this job's own reservation
                 // returned. The scratch buffer only needs this job's
                 // horizon: progressive_fill never reads past d.slots.
-                scratch.assign(available.begin(),
-                               available.begin() + d.slots);
-                for (int t = 1; t < plan[i].horizon(); ++t)
-                    scratch[static_cast<std::size_t>(t)] += plan[i].at(t);
+                avail_self.assign(available.begin(),
+                                  available.begin() + d.slots);
+                for (int t = 1; t < plan[i].horizon(); ++t) {
+                    avail_self[static_cast<std::size_t>(t)] +=
+                        plan[i].at(t);
+                }
                 // The refilled tail always packs earliest: boosting
                 // only makes sense if it pulls the finish time
                 // forward, which a latest-packed tail by construction
                 // never would.
-                fill = progressive_fill(job.curve, rem_after0, scratch,
-                                        d, refill_config, 1, fill_cost);
+                fill = progressive_fill(job.curve, rem_after0,
+                                        avail_self, d, refill_config, 1);
             }
             if (!fill.has_value()) {
                 // Curable only by *more* tail capacity: the fill sum
@@ -611,27 +574,8 @@ run_allocation_impl(const PlannerConfig &config, Time now,
                             candidate_plan.gpu_seconds(dt)) /
                            static_cast<double>(delta);
         st.cand.new_plan = std::move(candidate_plan);
-    };
-
-    auto push_slo = [&](std::size_t i) {
-        const CandidateSlot &st = slo_state[i];
-        if (st.cand.valid)
-            heap.push(HeapEntry{st.cand.priority, true,
-                                static_cast<std::uint32_t>(i),
-                                st.epoch});
-    };
-
-    // Greedy-phase recomputes stay sequential; meter their fill work
-    // to the owning shard so imbalance telemetry covers the round.
-    auto slo_fill_cost = [&](std::size_t i) -> std::uint64_t * {
-        if (stats == nullptr)
-            return nullptr;
-        return &stats->shard_cost[i % static_cast<std::size_t>(nshards)];
-    };
-
-    auto compute_slo = [&](std::size_t i) {
-        compute_slo_into(i, avail_self, slo_fill_cost(i));
-        push_slo(i);
+        heap.push(HeapEntry{st.cand.priority, true,
+                            static_cast<std::uint32_t>(i), st.epoch});
     };
 
     auto compute_be = [&](std::size_t j) {
@@ -673,37 +617,8 @@ run_allocation_impl(const PlannerConfig &config, Time now,
                             static_cast<std::uint32_t>(j), st.epoch});
     };
 
-    if (conc != nullptr && n > 0) {
-        // Shard phase: candidate i belongs to shard i mod nshards — a
-        // fixed function of job rank. Shards write disjoint slo_state
-        // slots with private scratch and cost cells; nothing shared is
-        // mutated, so the results are independent of interleaving.
-        std::vector<std::vector<GpuCount>> shard_scratch(
-            static_cast<std::size_t>(nshards));
-        std::vector<std::uint64_t> shard_cost(
-            static_cast<std::size_t>(nshards), 0);
-        for (auto &scratch : shard_scratch)
-            scratch.reserve(static_cast<std::size_t>(horizon));
-        parallel_for(conc->pool, nshards, [&](int s) {
-            const auto shard = static_cast<std::size_t>(s);
-            for (std::size_t i = shard; i < n;
-                 i += static_cast<std::size_t>(nshards))
-                compute_slo_into(i, shard_scratch[shard],
-                                 &shard_cost[shard]);
-        });
-        if (stats != nullptr) {
-            for (std::size_t s = 0; s < shard_cost.size(); ++s)
-                stats->shard_cost[s] += shard_cost[s];
-        }
-        // Merge: push in ascending job order — the exact sequence the
-        // classic sequential pass produces, whatever the thread
-        // schedule did above.
-        for (std::size_t i = 0; i < n; ++i)
-            push_slo(i);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            compute_slo(i);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        compute_slo(i);
     for (std::size_t j = 0; j < m; ++j)
         compute_be(j);
 
@@ -752,10 +667,9 @@ run_allocation_impl(const PlannerConfig &config, Time now,
             plan[i] = std::move(new_plan);
             st.plan_dirty = true;
             compute_slo(i);
-            if (conc != nullptr && !changes.empty() &&
-                changed_min >= slo_max_all) {
-                // Whole-scan skip (sharded mode): every changed slot
-                // kept >= the global max max_useful GPUs free on both
+            if (!changes.empty() && changed_min >= slo_max_all) {
+                // Whole-scan skip certificate: every changed slot kept
+                // >= the global max max_useful GPUs free on both
                 // sides of the edit, so for every job k the per-job
                 // certificate pref_min[d] >= slo_max_useful[k] below
                 // would hold and its scan iteration would be a no-op.
@@ -817,8 +731,6 @@ run_allocation_impl(const PlannerConfig &config, Time now,
     for (std::size_t j = 0; j < m; ++j)
         outcome.gpus_now[best_effort_jobs[j].id] = be_gpus[j];
     outcome.unallocated = available[0];
-    if (emit_here)
-        emit_shard_round(now, *stats);
     obs::count("core.allocation.runs");
     if (obs::tracing()) {
         obs::TraceEvent round{now, obs::EventKind::kAllocationRound,
@@ -829,31 +741,6 @@ run_allocation_impl(const PlannerConfig &config, Time now,
         obs::emit(round);
     }
     return outcome;
-}
-
-}  // namespace
-
-AllocationOutcome
-run_allocation(const PlannerConfig &config, Time now,
-               const std::vector<PlanningJob> &slo_jobs,
-               const std::map<JobId, SlotPlan> &min_share_plans,
-               const std::vector<PlanningJob> &best_effort_jobs)
-{
-    return run_allocation_impl(config, now, slo_jobs, min_share_plans,
-                               best_effort_jobs, /*conc=*/nullptr,
-                               /*stats=*/nullptr);
-}
-
-AllocationOutcome
-run_allocation_sharded(const PlannerConfig &config, Time now,
-                       const std::vector<PlanningJob> &slo_jobs,
-                       const std::map<JobId, SlotPlan> &min_share_plans,
-                       const std::vector<PlanningJob> &best_effort_jobs,
-                       const PlannerConcurrency &concurrency,
-                       ShardRoundStats *stats)
-{
-    return run_allocation_impl(config, now, slo_jobs, min_share_plans,
-                               best_effort_jobs, &concurrency, stats);
 }
 
 }  // namespace ef

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/admission.h"
-#include "core/planner_concurrency.h"
 
 namespace ef {
 
@@ -65,28 +64,6 @@ run_allocation_reference(const PlannerConfig &config, Time now,
                          const std::vector<PlanningJob> &slo_jobs,
                          const std::map<JobId, SlotPlan> &min_share_plans,
                          const std::vector<PlanningJob> &best_effort_jobs);
-
-/**
- * Shard-parallel formulation of run_allocation (DESIGN.md §10).
- * Initial candidates are computed shard-parallel (job rank mod
- * `concurrency.shards`, each shard with private scratch) and merged
- * into the marginal-return heap in fixed ascending job order, so heap
- * contents never depend on thread completion order; the greedy loop
- * additionally exploits two megacluster fast paths (unclipped tail
- * re-fills, whole-scan skip certificates) that are exact — the
- * outcome is bit-identical to run_allocation for every input, shard
- * count, and thread count. @p stats, when non-null, accumulates
- * per-shard cost units for observability and suppresses the built-in
- * per-round emission — the caller owns emit_shard_round (letting one
- * round's refresh and allocation share a single emitted span set).
- */
-AllocationOutcome
-run_allocation_sharded(const PlannerConfig &config, Time now,
-                       const std::vector<PlanningJob> &slo_jobs,
-                       const std::map<JobId, SlotPlan> &min_share_plans,
-                       const std::vector<PlanningJob> &best_effort_jobs,
-                       const PlannerConcurrency &concurrency,
-                       ShardRoundStats *stats = nullptr);
 
 }  // namespace ef
 

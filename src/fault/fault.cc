@@ -36,8 +36,8 @@ fault_type_name(FaultType type)
     return "?";
 }
 
-FaultType
-fault_type_from_name(const std::string &name, const std::string &context)
+std::optional<FaultType>
+fault_type_from_name(const std::string &name)
 {
     if (name == "server-crash")
         return FaultType::kServerCrash;
@@ -53,8 +53,7 @@ fault_type_from_name(const std::string &name, const std::string &context)
         return FaultType::kArrivalStorm;
     if (name == "sched-crash")
         return FaultType::kSchedCrash;
-    EF_FATAL_IF(true, context << ": unknown fault type '" << name << "'");
-    return FaultType::kServerCrash;
+    return std::nullopt;
 }
 
 bool
@@ -256,60 +255,86 @@ FaultInjector::sched_crash_fires()
     return fires;
 }
 
-std::vector<FaultEvent>
-parse_fault_script(const std::string &text)
+std::string
+FaultScriptError::to_string() const
+{
+    if (line <= 0)
+        return message;
+    return "fault script line " + std::to_string(line) + ": " + message;
+}
+
+std::optional<FaultScriptError>
+parse_fault_script(const std::string &text, std::vector<FaultEvent> *out)
 {
     CsvTable table = parse_csv(text);
-    EF_FATAL_IF(table.column_index("time") < 0 ||
-                    table.column_index("type") < 0 ||
-                    table.column_index("target") < 0,
-                "fault script needs columns time,type,target");
-    bool has_duration = table.column_index("duration") >= 0;
-    bool has_magnitude = table.column_index("magnitude") >= 0;
+    for (const char *column : {"time", "type", "target"}) {
+        if (table.column_index(column) < 0) {
+            return FaultScriptError{
+                1, std::string("missing column '") + column +
+                       "' (fault scripts need columns time,type,target)"};
+        }
+    }
+    const bool has_duration = table.column_index("duration") >= 0;
+    const bool has_magnitude = table.column_index("magnitude") >= 0;
     std::vector<FaultEvent> script;
     for (std::size_t r = 0; r < table.rows.size(); ++r) {
         // Header is line 1, so data row r lives on line r + 2.
-        std::ostringstream where;
-        where << "fault script line " << r + 2;
-        const std::string context = where.str();
-        EF_FATAL_IF(table.rows[r].size() != table.header.size(),
-                    context << ": expected " << table.header.size()
-                            << " fields, got " << table.rows[r].size());
-        const auto number = [&](const char *column, auto *out) {
+        const int line = static_cast<int>(r) + 2;
+        const auto bad = [line](const std::string &why) {
+            return FaultScriptError{line, why};
+        };
+        if (table.rows[r].size() != table.header.size()) {
+            return bad("expected " + std::to_string(table.header.size()) +
+                       " fields, got " +
+                       std::to_string(table.rows[r].size()));
+        }
+        const auto number = [&](const char *column, auto *value,
+                                bool non_negative)
+            -> std::optional<FaultScriptError> {
             const std::string &cell = table.cell(r, column);
-            EF_FATAL_IF(!parse_number(cell, out),
-                        context << ", column '" << column << "': '"
-                                << cell << "' is not a number");
+            if (!parse_number(cell, value) ||
+                std::isnan(static_cast<double>(*value))) {
+                return bad("column '" + std::string(column) + "': '" +
+                           cell + "' is not a number");
+            }
+            if (non_negative && *value < 0)
+                return bad("negative " + std::string(column));
+            return std::nullopt;
         };
         FaultEvent ev;
-        number("time", &ev.time);
-        EF_FATAL_IF(ev.time < 0.0, context << ": negative time");
-        ev.type = fault_type_from_name(table.cell(r, "type"), context);
-        number("target", &ev.target);
+        if (auto error = number("time", &ev.time, true))
+            return error;
+        const std::string &type = table.cell(r, "type");
+        const std::optional<FaultType> parsed = fault_type_from_name(type);
+        if (!parsed.has_value())
+            return bad("unknown fault type '" + type + "'");
+        ev.type = *parsed;
+        if (auto error = number("target", &ev.target, false))
+            return error;
         if (has_duration) {
-            number("duration", &ev.duration_s);
-            EF_FATAL_IF(ev.duration_s < 0.0,
-                        context << ": negative duration");
+            if (auto error = number("duration", &ev.duration_s, true))
+                return error;
         }
         if (has_magnitude) {
-            number("magnitude", &ev.magnitude);
-            EF_FATAL_IF(ev.magnitude < 0.0,
-                        context << ": negative magnitude");
+            if (auto error = number("magnitude", &ev.magnitude, true))
+                return error;
         }
         script.push_back(ev);
     }
-    return script;
+    *out = std::move(script);
+    return std::nullopt;
 }
 
-std::vector<FaultEvent>
-load_fault_script(const std::string &path)
+std::optional<FaultScriptError>
+load_fault_script(const std::string &path, std::vector<FaultEvent> *out)
 {
     // ef-lint: allow(file-io: read-only script input, not durable state)
     std::ifstream in(path);
-    EF_FATAL_IF(!in, "cannot open fault script: " << path);
+    if (!in)
+        return FaultScriptError{0, "cannot open fault script: " + path};
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return parse_fault_script(buffer.str());
+    return parse_fault_script(buffer.str(), out);
 }
 
 }  // namespace ef

@@ -22,6 +22,7 @@
 #define EF_FAULT_FAULT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,8 @@ enum class FaultType {
 constexpr FaultType enum_last(FaultType) { return FaultType::kSchedCrash; }
 
 std::string fault_type_name(FaultType type);
-/** Inverse of fault_type_name; aborts (with @p context) on unknown names. */
-FaultType fault_type_from_name(const std::string &name,
-                               const std::string &context);
+/** Inverse of fault_type_name; nullopt for an unknown name. */
+std::optional<FaultType> fault_type_from_name(const std::string &name);
 
 /** One scripted fault. */
 struct FaultEvent
@@ -292,16 +292,34 @@ class FaultInjector
     std::vector<FaultEvent> armed_sched_;
 };
 
-/**
- * Parse a scripted fault trace. CSV columns: time,type,target and
- * optionally duration,magnitude. Types: server-crash, gpu-fault,
- * straggler, rpc-drop, ckpt-fail, arrival-storm. Malformed rows abort
- * with the offending line number.
- */
-std::vector<FaultEvent> parse_fault_script(const std::string &text);
+/** Why a fault script could not be loaded. */
+struct FaultScriptError
+{
+    /** 1-based CSV line at fault; 0 when the file as a whole is. */
+    int line = 0;
+    std::string message;
 
-/** Load and parse a scripted fault trace file. */
-std::vector<FaultEvent> load_fault_script(const std::string &path);
+    /** "fault script line 3: ..." (just the message for whole-file
+     *  errors). */
+    std::string to_string() const;
+};
+
+/**
+ * Parse a scripted fault trace into @p out. CSV columns:
+ * time,type,target and optionally duration,magnitude. Types:
+ * server-crash, gpu-fault, straggler, rpc-drop, ckpt-fail,
+ * arrival-storm, sched-crash. A missing column, a row with the wrong
+ * field count, a non-number, a negative time/duration/magnitude or an
+ * unknown type is returned as a line-numbered FaultScriptError (the
+ * first one found); @p out is then left untouched.
+ */
+std::optional<FaultScriptError>
+parse_fault_script(const std::string &text, std::vector<FaultEvent> *out);
+
+/** Read and parse a scripted fault trace file; an unreadable file is a
+ *  whole-file FaultScriptError. */
+std::optional<FaultScriptError>
+load_fault_script(const std::string &path, std::vector<FaultEvent> *out);
 
 }  // namespace ef
 

@@ -58,10 +58,6 @@ class Exporter
     std::map<JobId, OpenSpan> open_jobs_;
     std::map<std::int64_t, OpenSpan> open_gpus_;
     std::map<JobId, std::vector<std::int64_t>> held_gpus_;
-    /** Per-shard write cursor: next free microsecond on the shard's
-     *  scheduler row, so back-to-back rounds at the same sim time
-     *  render as consecutive (never overlapping) spans. */
-    std::map<std::int64_t, std::int64_t> shard_cursor_;
     std::int64_t end_us_ = 0;
     std::int64_t replan_id_ = 0;
     std::int64_t recovery_id_ = 0;
@@ -208,16 +204,6 @@ Exporter::render(std::uint64_t dropped)
     meta_row(kSchedPid, 1, "admission");
     meta_row(kSchedPid, 2, "faults");
 
-    // One scheduler row per planner shard (tids 3+s), only when the
-    // stream has shard-parallel planning events at all.
-    std::int64_t num_shards = 0;
-    for (const TraceEvent &event : events_) {
-        if (event.kind == EventKind::kShardPlan)
-            num_shards = std::max(num_shards, event.a + 1);
-    }
-    for (std::int64_t s = 0; s < num_shards; ++s)
-        meta_row(kSchedPid, 3 + s, "shard " + std::to_string(s));
-
     // Name every job / GPU row on first sight, in stream order.
     std::map<JobId, bool> seen_jobs;
     std::map<std::int64_t, bool> seen_gpus;
@@ -307,31 +293,6 @@ Exporter::render(std::uint64_t dropped)
                 .end_object();
             w_.end_object();
             break;
-          case EventKind::kShardPlan: {
-            // One complete span per shard per round on the shard's own
-            // scheduler row. Durations are the shard's deterministic
-            // planning cost units rendered as microseconds — a pure
-            // function of the planning inputs, never wall clock, so
-            // the exported trace stays byte-stable across runs.
-            const std::int64_t start =
-                std::max(ts, shard_cursor_[event.a]);
-            shard_cursor_[event.a] = start + event.b;
-            w_.begin_object()
-                .kv("name", "shard_plan")
-                .kv("cat", "shard")
-                .kv("ph", "X")
-                .kv("pid", kSchedPid)
-                .kv("tid", 3 + event.a)
-                .kv("ts", start)
-                .kv("dur", event.b);
-            args()
-                .kv("shard", event.a)
-                .kv("cost_units", event.b)
-                .kv("imbalance", event.x)
-                .end_object();
-            w_.end_object();
-            break;
-          }
           case EventKind::kRecoveryBegin:
             // Async span on the scheduler's replan row: recovery is a
             // control-plane phase, visually aligned with the replans

@@ -75,12 +75,6 @@ enum class EventKind {
     kServeTimeout,    ///< replan watchdog fired; a = measured planning
                       ///< cost, b = budget
 
-    // --- shard-parallel planning (DESIGN.md §10) --------------------------
-    kShardPlan,       ///< one planner shard's phase of a round;
-                      ///< a = shard index, b = deterministic cost
-                      ///< units spent in the shard, x = the round's
-                      ///< max/mean shard-cost imbalance ratio
-
     // --- crash recovery (DESIGN.md §12) ----------------------------------
     kRecoveryBegin,   ///< snapshot loaded; a = journal records read,
                       ///< b = round commits to replay

@@ -39,7 +39,6 @@ event_kind_name(EventKind kind)
       case EventKind::kServeShed: return "serve_shed";
       case EventKind::kServeRound: return "serve_round";
       case EventKind::kServeTimeout: return "serve_timeout";
-      case EventKind::kShardPlan: return "shard_plan";
       case EventKind::kRecoveryBegin: return "recovery_begin";
       case EventKind::kRecoveryEnd: return "recovery_end";
       case EventKind::kDefragRound: return "defrag_round";

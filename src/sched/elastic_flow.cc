@@ -6,7 +6,6 @@
 
 #include "recover/fields.h"
 
-#include "cluster/shard.h"
 #include "sched/planning_util.h"
 
 namespace ef {
@@ -17,30 +16,6 @@ ElasticFlowScheduler::planner_config() const
     EF_CHECK(view_ != nullptr);
     return planner_config_for(*view_, config_.slot_seconds,
                               config_.direction);
-}
-
-const PlannerConcurrency *
-ElasticFlowScheduler::planner_concurrency()
-{
-    if (config_.planner_shards <= 0)
-        return nullptr;
-    if (!concurrency_ready_) {
-        // Shard along buddy-hierarchy (pod) boundaries of the initial
-        // cluster; if faults later shrink capacity below this layout,
-        // shard_capacity_slices falls back to an even split — either
-        // way the decisions stay bit-identical to classic planning.
-        concurrency_.shards = config_.planner_shards;
-        concurrency_.shard_gpus = shard_capacities(extract_pod_shards(
-            view_->total_gpus(), config_.planner_shards));
-        concurrency_.shards =
-            static_cast<int>(concurrency_.shard_gpus.size());
-        if (config_.planner_threads > 1) {
-            pool_ = std::make_unique<ThreadPool>(config_.planner_threads);
-            concurrency_.pool = pool_.get();
-        }
-        concurrency_ready_ = true;
-    }
-    return &concurrency_;
 }
 
 bool
@@ -82,7 +57,7 @@ ElasticFlowScheduler::allocate()
     SchedulerDecision decision = elastic_allocate(
         *view_, planner_config(), margin,
         /*fixed_size=*/false, &replan_failures_, &round_, &demoted_,
-        &hard_parked, planner_concurrency());
+        &hard_parked);
     if (view_->fault_epoch() > 0) {
         // A hard-SLO job whose deadline no longer fits after a fault
         // shrank capacity is demoted to best-effort, exactly once. On

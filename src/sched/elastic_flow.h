@@ -16,12 +16,10 @@
 #ifndef EF_SCHED_ELASTIC_FLOW_H_
 #define EF_SCHED_ELASTIC_FLOW_H_
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/admission.h"
 #include "core/allocator.h"
 #include "sched/admission_policy.h"
@@ -61,21 +59,6 @@ struct ElasticFlowConfig
      * absorbed without breaking admitted deadlines.
      */
     GpuCount failure_headroom_gpus = 0;
-
-    /**
-     * Shard-parallel planning (DESIGN.md §10): number of per-pod
-     * planner shards; <= 0 plans single-threaded (classic code path).
-     * Decisions are bit-identical either way.
-     */
-    int planner_shards = 0;
-
-    /**
-     * Worker threads for the shard phase (including the calling
-     * thread); <= 1 runs shards inline on the caller, still through
-     * the full shard/merge code path. Only read when planner_shards
-     * is positive.
-     */
-    int planner_threads = 1;
 };
 
 /** See file comment. */
@@ -130,25 +113,14 @@ class ElasticFlowScheduler : public Scheduler
      * Crash recovery (DESIGN.md §12): the only state carried across
      * rounds that future decisions depend on is the replan-failure
      * count and the exactly-once demotion bookkeeping; the planning
-     * round/pool caches are rebuilt from the view without affecting
+     * round cache is rebuilt from the view without affecting
      * decisions.
      */
     void encode_recovery_state(std::string *out) const override;
     bool decode_recovery_state(const std::string &blob) override;
 
-    void set_planner_concurrency(int shards, int threads) override
-    {
-        config_.planner_shards = shards;
-        config_.planner_threads = threads;
-        pool_.reset();
-        concurrency_ = PlannerConcurrency{};
-        concurrency_ready_ = false;
-    }
-
   private:
     PlannerConfig planner_config() const;
-    /** Lazily built sharding plan; null when planner_shards <= 0. */
-    const PlannerConcurrency *planner_concurrency();
 
     ElasticFlowConfig config_;
     AdmissionPolicy *policy_ = nullptr;
@@ -159,10 +131,6 @@ class ElasticFlowScheduler : public Scheduler
     std::set<JobId> demoted_;
     /** Demotions not yet drained by take_demotions(). */
     std::vector<JobId> fresh_demotions_;
-    /** Shard worker pool (only when planner_threads > 1). */
-    std::unique_ptr<ThreadPool> pool_;
-    PlannerConcurrency concurrency_;
-    bool concurrency_ready_ = false;
 };
 
 }  // namespace ef

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace ef {
 
@@ -197,24 +196,10 @@ edf_admission_feasible(const ClusterView &view,
     return true;
 }
 
-namespace {
-
-/** One job's speculative per-pod fill (DESIGN.md §10). */
-struct ShardFill
-{
-    /** Speculative plan; kept only when the fill never observed the
-     *  shard's capacity (probe unclipped), discarded otherwise. */
-    std::optional<SlotPlan> plan;
-    FillProbe probe;
-    std::uint64_t cost = 0;
-};
-
 MinShareRefresh
-refresh_min_shares_impl(const PlannerConfig &config, Time now,
-                        std::vector<PlanningJob> slo, int *replan_failures,
-                        bool park_infeasible_hard, std::uint64_t *cost,
-                        const PlannerConcurrency *conc,
-                        ShardRoundStats *stats)
+refresh_min_shares(const PlannerConfig &config, Time now,
+                   std::vector<PlanningJob> slo, int *replan_failures,
+                   bool park_infeasible_hard, std::uint64_t *cost)
 {
     // Minimum satisfactory shares in deadline order (Algorithm 1):
     // hard jobs first — soft-deadline jobs only reserve what hard jobs
@@ -238,107 +223,14 @@ refresh_min_shares_impl(const PlannerConfig &config, Time now,
         horizon = std::max(horizon, horizons[i].slots);
     }
 
-    const std::size_t n = slo.size();
-    const int nshards = conc != nullptr ? std::max(1, conc->shards) : 1;
-    ShardRoundStats local_stats;
-    const bool emit_here = conc != nullptr && stats == nullptr;
-    if (emit_here)
-        stats = &local_stats;
-    if (stats != nullptr &&
-        stats->shard_cost.size() < static_cast<std::size_t>(nshards))
-        stats->shard_cost.resize(static_cast<std::size_t>(nshards), 0);
-
-    // Speculation phase (sharded mode): shard s fills the jobs with
-    // rank ≡ s (mod nshards) against its private pod capacity, in
-    // parallel. A speculative fill is only kept when its probe comes
-    // back unclipped — the fill then never observed the shard's
-    // capacity at all, so its attempts, plan, and cost are pure
-    // functions of (curve, remaining, horizon, config) and would be
-    // reproduced verbatim by the sequential planner against ANY
-    // capacity profile that does not clip it either.
-    std::vector<ShardFill> spec;
-    if (conc != nullptr && n > 0) {
-        spec.resize(n);
-        std::vector<GpuCount> caps = shard_capacity_slices(
-            config.total_gpus, nshards, conc->shard_gpus);
-        std::vector<std::vector<GpuCount>> shard_avail(
-            static_cast<std::size_t>(nshards));
-        for (int s = 0; s < nshards; ++s) {
-            shard_avail[static_cast<std::size_t>(s)].assign(
-                static_cast<std::size_t>(horizon),
-                caps[static_cast<std::size_t>(s)]);
-        }
-        parallel_for(conc->pool, nshards, [&](int s) {
-            std::vector<GpuCount> &avail =
-                shard_avail[static_cast<std::size_t>(s)];
-            for (std::size_t i = static_cast<std::size_t>(s); i < n;
-                 i += static_cast<std::size_t>(nshards)) {
-                ShardFill &sf = spec[i];
-                sf.plan = progressive_fill(slo[i], avail, horizons[i],
-                                           config, /*start_slot=*/0,
-                                           &sf.cost, &sf.probe);
-                if (sf.plan.has_value() && !sf.probe.clipped) {
-                    for (int t = 0; t < sf.plan->horizon(); ++t) {
-                        GpuCount &a =
-                            avail[static_cast<std::size_t>(t)];
-                        a -= sf.plan->at(t);
-                        EF_CHECK(a >= 0);
-                    }
-                } else {
-                    // Clipped speculation depends on the shard's
-                    // capacity slice, which the sequential planner
-                    // never sees — worthless as a certificate.
-                    sf.plan.reset();
-                }
-            }
-        });
-        if (stats != nullptr) {
-            for (std::size_t i = 0; i < n; ++i) {
-                stats->shard_cost[i % static_cast<std::size_t>(
-                                          nshards)] += spec[i].cost;
-            }
-        }
-    }
-
     MinShareRefresh refresh;
     std::vector<GpuCount> available(static_cast<std::size_t>(horizon),
                                     config.total_gpus);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < slo.size(); ++i) {
         PlanningJob &job = slo[i];
         PlanHorizon d = horizons[i];
-        std::optional<SlotPlan> fill;
-        if (i < spec.size() && spec[i].plan.has_value()) {
-            // Cross-shard merge certificate: adopt the speculative
-            // plan iff global availability never clips any attempted
-            // level. Failed lower levels walk the entire window, and
-            // every attempted level is <= probe.level, so min over
-            // [0, d.slots) >= probe.level implies the sequential fill
-            // would run the exact same unclipped attempt sequence.
-            bool unclipped_globally = true;
-            for (int t = 0; t < d.slots; ++t) {
-                if (available[static_cast<std::size_t>(t)] <
-                    spec[i].probe.level) {
-                    unclipped_globally = false;
-                    break;
-                }
-            }
-            if (unclipped_globally) {
-                fill = std::move(spec[i].plan);
-                if (cost != nullptr)
-                    *cost += spec[i].cost;
-                if (stats != nullptr)
-                    ++stats->adopted;
-            }
-        }
-        if (!fill.has_value()) {
-            // Cross-shard balancer: jobs that straddle shards (or lost
-            // to a saturated shard) re-bid against the global profile,
-            // exactly as the sequential planner plans them.
-            if (conc != nullptr && stats != nullptr)
-                ++stats->rebid;
-            fill = progressive_fill(job, available, d, config,
-                                    /*start_slot=*/0, cost);
-        }
+        std::optional<SlotPlan> fill = progressive_fill(
+            job, available, d, config, /*start_slot=*/0, cost);
         if (!fill.has_value() && job.soft) {
             // A soft deadline that cannot be met is not an incident:
             // the job simply continues as best-effort (§4.4).
@@ -394,35 +286,7 @@ refresh_min_shares_impl(const PlannerConfig &config, Time now,
         refresh.min_shares.emplace(job.id, std::move(*fill));
         refresh.slo.push_back(std::move(job));
     }
-    if (emit_here)
-        emit_shard_round(now, *stats);
     return refresh;
-}
-
-}  // namespace
-
-MinShareRefresh
-refresh_min_shares(const PlannerConfig &config, Time now,
-                   std::vector<PlanningJob> slo, int *replan_failures,
-                   bool park_infeasible_hard, std::uint64_t *cost)
-{
-    return refresh_min_shares_impl(config, now, std::move(slo),
-                                   replan_failures, park_infeasible_hard,
-                                   cost, /*conc=*/nullptr,
-                                   /*stats=*/nullptr);
-}
-
-MinShareRefresh
-refresh_min_shares_sharded(const PlannerConfig &config, Time now,
-                           std::vector<PlanningJob> slo,
-                           int *replan_failures, bool park_infeasible_hard,
-                           std::uint64_t *cost,
-                           const PlannerConcurrency &concurrency,
-                           ShardRoundStats *stats)
-{
-    return refresh_min_shares_impl(config, now, std::move(slo),
-                                   replan_failures, park_infeasible_hard,
-                                   cost, &concurrency, stats);
 }
 
 SchedulerDecision
@@ -430,8 +294,7 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
                  const PlanningMargin &margin, bool fixed_size,
                  int *replan_failures, PlanningRound *round,
                  const std::set<JobId> *demoted,
-                 std::vector<JobId> *hard_parked,
-                 const PlannerConcurrency *concurrency)
+                 std::vector<JobId> *hard_parked)
 {
     PlannerConfig config = base_config;
     const Time now = view.now();
@@ -490,18 +353,8 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
     // the cluster: an unmeetable hard SLO is parked for demotion.
     const bool park_hard =
         hard_parked != nullptr && view.fault_epoch() > 0;
-    // Sharded mode: the refresh and the allocation of one round share a
-    // single stats object, so the round emits one shard span set
-    // covering both phases.
-    ShardRoundStats shard_stats;
-    MinShareRefresh refresh =
-        concurrency != nullptr
-            ? refresh_min_shares_sharded(config, now, std::move(slo),
-                                         replan_failures, park_hard,
-                                         /*cost=*/nullptr, *concurrency,
-                                         &shard_stats)
-            : refresh_min_shares(config, now, std::move(slo),
-                                 replan_failures, park_hard);
+    MinShareRefresh refresh = refresh_min_shares(
+        config, now, std::move(slo), replan_failures, park_hard);
     // Jobs parked with an infinite deadline move to the best-effort
     // queue so Algorithm 2 can still feed them leftovers.
     for (PlanningJob &job : refresh.parked) {
@@ -510,15 +363,8 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
         best_effort.push_back(std::move(job));
     }
 
-    AllocationOutcome outcome =
-        concurrency != nullptr
-            ? run_allocation_sharded(config, now, refresh.slo,
-                                     refresh.min_shares, best_effort,
-                                     *concurrency, &shard_stats)
-            : run_allocation(config, now, refresh.slo, refresh.min_shares,
-                             best_effort);
-    if (concurrency != nullptr)
-        emit_shard_round(now, shard_stats);
+    AllocationOutcome outcome = run_allocation(
+        config, now, refresh.slo, refresh.min_shares, best_effort);
     SchedulerDecision decision;
     decision.gpus = std::move(outcome.gpus_now);
     return decision;

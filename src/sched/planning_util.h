@@ -167,24 +167,6 @@ MinShareRefresh refresh_min_shares(const PlannerConfig &config, Time now,
                                    std::uint64_t *cost = nullptr);
 
 /**
- * Shard-parallel formulation of refresh_min_shares (DESIGN.md §10).
- * Each shard speculatively fills its jobs (rank mod concurrency.shards)
- * against a private per-pod capacity slice in parallel; the sequential
- * merge adopts a speculative plan only under an exactness certificate
- * (the fill never clipped, and global availability cannot clip any
- * attempted level) and re-bids everything else classically — so plans,
- * parks, relaxations, and the accumulated @p cost are bit-identical to
- * refresh_min_shares for every input, shard count, and thread count.
- * @p stats, when non-null, accumulates per-shard cost units and
- * suppresses the built-in emit_shard_round (the caller owns emission).
- */
-MinShareRefresh refresh_min_shares_sharded(
-    const PlannerConfig &config, Time now, std::vector<PlanningJob> slo,
-    int *replan_failures, bool park_infeasible_hard, std::uint64_t *cost,
-    const PlannerConcurrency &concurrency,
-    ShardRoundStats *stats = nullptr);
-
-/**
  * Full elastic allocation pass: refresh minimum satisfactory shares
  * for active SLO jobs in deadline order, then run Algorithm 2 with
  * best-effort jobs appended. Jobs whose deadline became infeasible
@@ -195,10 +177,7 @@ MinShareRefresh refresh_min_shares_sharded(
  * served from the round cache instead of being rebuilt from the view.
  * Jobs in @p demoted plan as best-effort regardless of their spec;
  * hard-SLO jobs the refresh had to park (deadline unmeetable even
- * relaxed) are appended to @p hard_parked when given. With
- * @p concurrency, the refresh and allocation both run shard-parallel
- * (bit-identical decisions — see refresh_min_shares_sharded) and the
- * round emits one combined shard-telemetry span set.
+ * relaxed) are appended to @p hard_parked when given.
  */
 SchedulerDecision elastic_allocate(const ClusterView &view,
                                    const PlannerConfig &config,
@@ -208,8 +187,6 @@ SchedulerDecision elastic_allocate(const ClusterView &view,
                                    PlanningRound *round = nullptr,
                                    const std::set<JobId> *demoted = nullptr,
                                    std::vector<JobId> *hard_parked =
-                                       nullptr,
-                                   const PlannerConcurrency *concurrency =
                                        nullptr);
 
 }  // namespace ef

@@ -125,12 +125,10 @@ class Scheduler
     virtual std::vector<JobId> take_demotions() { return {}; }
 
     /**
-     * Request shard-parallel planning (DESIGN.md §10): split each
-     * planning round into @p shards per-pod shards and run the shard
-     * phase on @p threads worker threads. Decisions are bit-identical
-     * to single-threaded planning for any setting — this is purely an
-     * execution strategy. Default: ignored (policies without a sharded
-     * planner formulation plan as before). shards <= 0 disables.
+     * No-op, never called by the simulator: planning has a single
+     * sequential code path (DESIGN.md §10). Kept only because the
+     * end-to-end benchmark's forwarding scheduler (e2ebench/probe.h)
+     * overrides it; goes with that benchmark's next revision.
      */
     virtual void set_planner_concurrency(int shards, int threads)
     {

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "cluster/shard.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -66,20 +65,6 @@ Service::Service(ServiceConfig config, FaultInjector *faults)
     planner_.slot_seconds = config_.slot_seconds;
     planner_.direction = config_.direction;
     planner_.max_slots = config_.max_slots;
-    if (config_.planner_shards > 0) {
-        // Shard along pod boundaries of the canonical topology for
-        // this GPU total (DESIGN.md §10). Purely an execution
-        // strategy: every round commits bit-identical state.
-        sharded_ = true;
-        concurrency_.shard_gpus = shard_capacities(extract_pod_shards(
-            config_.total_gpus, config_.planner_shards));
-        concurrency_.shards =
-            static_cast<int>(concurrency_.shard_gpus.size());
-        if (config_.planner_threads > 1) {
-            pool_ = std::make_unique<ThreadPool>(config_.planner_threads);
-            concurrency_.pool = pool_.get();
-        }
-    }
 }
 
 void
@@ -323,14 +308,8 @@ Service::run_round(Time t)
     }
 
     std::uint64_t cost = 0;
-    ShardRoundStats shard_stats;
-    MinShareRefresh refresh =
-        sharded_ ? refresh_min_shares_sharded(planner_, t, std::move(slo),
-                                              &replan_failures_, false,
-                                              &cost, concurrency_,
-                                              &shard_stats)
-                 : refresh_min_shares(planner_, t, std::move(slo),
-                                      &replan_failures_, false, &cost);
+    MinShareRefresh refresh = refresh_min_shares(
+        planner_, t, std::move(slo), &replan_failures_, false, &cost);
     stats_.planning_cost += cost;
     if (config_.watchdog_budget > 0 && !escalated_ &&
         cost > config_.watchdog_budget) {
@@ -459,14 +438,8 @@ Service::run_round(Time t)
         best_effort.push_back(std::move(job));
     }
     AllocationOutcome outcome =
-        sharded_ ? run_allocation_sharded(planner_, t, alloc_slo, shares,
-                                          best_effort, concurrency_,
-                                          &shard_stats)
-                 : run_allocation(planner_, t, alloc_slo, shares,
-                                  best_effort);
+        run_allocation(planner_, t, alloc_slo, shares, best_effort);
     gpus_now_ = std::move(outcome.gpus_now);
-    if (sharded_)
-        emit_shard_round(t, shard_stats);
 
     ++stats_.rounds;
     if (!token)
@@ -573,10 +546,7 @@ Service::journal_append(recover::RecordKind kind, bool sync,
 std::uint64_t
 Service::config_fingerprint() const
 {
-    // Knobs that change decisions are load-bearing; execution-strategy
-    // knobs (planner_shards/threads) are deliberately excluded so a
-    // journal can be recovered under a different shard setting —
-    // rounds are bit-identical across them by construction.
+    // Every knob that changes decisions is load-bearing.
     Fnv1a h;
     h.str("ef.serve.v1");
     h.i64(static_cast<std::int64_t>(config_.total_gpus));

@@ -51,9 +51,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/admission.h"
-#include "core/planner_concurrency.h"
 #include "core/scaling_curve.h"
 #include "recover/log.h"
 #include "serve/governor.h"
@@ -110,15 +108,6 @@ struct ServiceConfig
      *  deterministic planning cost units (see AdmissionOutcome::cost);
      *  0 disables the watchdog. */
     std::uint64_t watchdog_budget = 0;
-
-    // --- shard-parallel planning (DESIGN.md §10) -----------------------
-    /** Planner shards per round; <= 0 plans single-threaded. Rounds,
-     *  verdicts, watchdog decisions, and state_hash() are bit-identical
-     *  for any setting. */
-    int planner_shards = 0;
-    /** Shard-phase worker threads (including the caller); <= 1 runs
-     *  shards inline. Only read when planner_shards is positive. */
-    int planner_threads = 1;
 };
 
 /** Monotonic counters of one service run. */
@@ -327,11 +316,6 @@ class Service
     PlannerConfig planner_;
     FaultInjector *faults_;
     ReplanGovernor governor_;
-    /** Shard worker pool (only when planner_threads > 1). */
-    std::unique_ptr<ThreadPool> pool_;
-    /** Sharding plan; shards <= 1 and no pool when disabled. */
-    PlannerConcurrency concurrency_;
-    bool sharded_ = false;
 
     Time now_ = 0.0;
     Time last_round_ = 0.0;

@@ -233,10 +233,6 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
 {
     EF_CHECK(scheduler_ != nullptr);
     scheduler_->bind(this);
-    if (config_.planner_shards > 0) {
-        scheduler_->set_planner_concurrency(config_.planner_shards,
-                                            config_.planner_threads);
-    }
 
     result_.scheduler_name = scheduler_->name();
     result_.trace_name = trace_.name;
@@ -642,8 +638,6 @@ Simulator::record_timelines()
 {
     result_.used_gpus.record(now_, placement_.used_gpus());
     record_fragmentation();
-    if (!config_.record_efficiency)
-        return;
     double ce = 0.0;
     for (const auto &[id, job_ptr] : jobs_) {
         const JobRt &job = *job_ptr;
@@ -947,9 +941,8 @@ std::uint64_t
 Simulator::config_fingerprint() const
 {
     // The shape a snapshot is only valid against. Deliberately absent:
-    // planner_shards/threads (decisions are bit-identical across shard
-    // settings, so recovery may change them) and the fault *rates*
-    // (the injector's RNG cursors are in the snapshot body).
+    // the fault *rates* (the injector's RNG cursors are in the
+    // snapshot body).
     Fnv1a h;
     h.str(trace_.name);
     h.u64(trace_.jobs.size());

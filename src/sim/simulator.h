@@ -121,8 +121,6 @@ struct SimConfig
      *  the run is then byte-identical to one without this member. */
     FaultConfig faults;
     NoiseConfig noise;
-    /** Record cluster-efficiency samples (Fig. 10). */
-    bool record_efficiency = true;
     /**
      * Merge all replan requests raised at one timestamp into a single
      * scheduler invocation (a completion burst or simultaneous
@@ -140,14 +138,12 @@ struct SimConfig
      *  admission, byte-identical to runs predating this knob. */
     ServiceModeConfig service;
     /**
-     * Shard-parallel planning (DESIGN.md §10): forwarded to the
-     * scheduler via Scheduler::set_planner_concurrency. shards <= 0
-     * keeps the classic single-threaded planner. Decisions — and
-     * RunResult::state_hash — are bit-identical for any setting.
+     * Ignored. Planning has a single sequential code path (DESIGN.md
+     * §10); these members remain only because the end-to-end benchmark
+     * (e2ebench/) still sets them, and go with its next revision.
      */
     int planner_shards = 0;
-    /** Shard-phase worker threads (including the caller); <= 1 runs
-     *  shards inline. Only read when planner_shards is positive. */
+    /** Ignored; see planner_shards. */
     int planner_threads = 1;
     /** Crash consistency (snapshot + journal); off by default. */
     DurabilityConfig durability;

@@ -7,11 +7,13 @@
  * Instances are generated from fixed seeds so failures reproduce.
  * Coverage spans best-effort-only, SLO-only, and mixed queues, both
  * fill directions for the minimum-share plans, and cluster sizes from
- * starved to abundant. Min-share plans come from run_admission over
+ * starved to abundant (up to 2048 GPUs, where the incremental
+ * allocator's skip certificates fire). Min-share plans come from run_admission over
  * the same state, exactly as elastic_allocate wires them.
  */
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -37,20 +39,32 @@ random_curve(std::mt19937 &rng)
     return ScalingCurve::from_pow2_table(std::move(table));
 }
 
+/** Ranges one random job is drawn from. */
+struct JobDraw
+{
+    double min_iterations = 10.0;
+    double max_iterations = 5000.0;
+    /** Deadline / single-GPU runtime, between "tight" and "slack". */
+    double min_slack = 0.3;
+    double max_slack = 4.0;
+};
+
 PlanningJob
-random_job(std::mt19937 &rng, JobId id, Time now, bool best_effort)
+random_job(std::mt19937 &rng, JobId id, Time now, bool best_effort,
+           const JobDraw &draw)
 {
     PlanningJob job;
     job.id = id;
     job.curve = random_curve(rng);
-    std::uniform_real_distribution<double> iters(10.0, 5000.0);
+    std::uniform_real_distribution<double> iters(draw.min_iterations,
+                                                 draw.max_iterations);
     job.remaining_iterations = iters(rng);
     if (!best_effort) {
-        // Deadline between "tight" and "slack" relative to the job's
-        // single-GPU runtime; admission filters the infeasible ones.
+        // Admission filters the infeasible deadlines.
         double solo = job.remaining_iterations /
                       job.curve.throughput(job.curve.min_workers());
-        std::uniform_real_distribution<double> factor(0.3, 4.0);
+        std::uniform_real_distribution<double> factor(draw.min_slack,
+                                                      draw.max_slack);
         job.deadline = now + solo * factor(rng);
     }
     return job;
@@ -64,13 +78,28 @@ struct Shape
     FillDirection direction = FillDirection::kEarliest;
 };
 
+/** How a test draws its jobs. */
+struct Draws
+{
+    JobDraw jobs;
+    /**
+     * When set, odd-numbered SLO jobs are drawn from this instead:
+     * mixing short tight jobs with long slack ones crowds the early
+     * tail slots (latest packing parks the short jobs' reservations
+     * just before their deadlines) where the long jobs' re-fills
+     * start, so both skip certificates fail and a wrongly taken fast
+     * path would change the outcome.
+     */
+    std::optional<JobDraw> odd_slo;
+};
+
 /**
  * Generate one instance from @p seed, run both implementations, and
  * compare. Returns false when admission rejected the SLO set (the
  * instance is skipped, not counted).
  */
 bool
-check_one(std::uint32_t seed, const Shape &shape)
+check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
 {
     std::mt19937 rng(seed);
     const Time now = 137.5;  // deliberately not slot-aligned
@@ -83,10 +112,16 @@ check_one(std::uint32_t seed, const Shape &shape)
     std::vector<PlanningJob> slo_jobs;
     std::vector<PlanningJob> best_effort_jobs;
     JobId next_id = 1;
-    for (int i = 0; i < shape.slo_jobs; ++i)
-        slo_jobs.push_back(random_job(rng, next_id++, now, false));
-    for (int j = 0; j < shape.best_effort_jobs; ++j)
-        best_effort_jobs.push_back(random_job(rng, next_id++, now, true));
+    for (int i = 0; i < shape.slo_jobs; ++i) {
+        const JobDraw &draw = i % 2 == 1 && draws.odd_slo.has_value()
+                                  ? *draws.odd_slo
+                                  : draws.jobs;
+        slo_jobs.push_back(random_job(rng, next_id++, now, false, draw));
+    }
+    for (int j = 0; j < shape.best_effort_jobs; ++j) {
+        best_effort_jobs.push_back(
+            random_job(rng, next_id++, now, true, draws.jobs));
+    }
 
     std::map<JobId, SlotPlan> min_shares;
     if (!slo_jobs.empty()) {
@@ -126,7 +161,7 @@ check_one(std::uint32_t seed, const Shape &shape)
 
 int
 run_shapes(const std::vector<Shape> &shapes, std::uint32_t seed_base,
-           int seeds_per_shape)
+           int seeds_per_shape, const Draws &draws = {})
 {
     int compared = 0;
     for (std::size_t s = 0; s < shapes.size(); ++s) {
@@ -134,7 +169,7 @@ run_shapes(const std::vector<Shape> &shapes, std::uint32_t seed_base,
             std::uint32_t seed =
                 seed_base + static_cast<std::uint32_t>(s) * 1000 +
                 static_cast<std::uint32_t>(k);
-            if (check_one(seed, shapes[s]))
+            if (check_one(seed, shapes[s], draws))
                 ++compared;
         }
     }
@@ -181,6 +216,48 @@ TEST(AllocatorEquivalence, MixedQueues)
     };
     int compared = run_shapes(shapes, 30'000, 25);
     EXPECT_GE(compared, 60) << "admission rejected too many instances "
+                            << "for the fuzz to be meaningful";
+}
+
+TEST(AllocatorEquivalence, AbundantClusters)
+{
+    // Underloaded clusters, where run_allocation's two skip
+    // certificates fire: tail windows keep >= max_useful GPUs free
+    // (unclipped re-fill fast path), and winners' plan edits leave
+    // >= the largest max_useful free in every changed slot (the
+    // per-winner affected scan is skipped outright). At 256 GPUs they
+    // hold for nearly every candidate and winner. Every deadline
+    // leaves at least its single-GPU runtime, so admission keeps sets
+    // this large.
+    std::vector<Shape> shapes = {
+        {40, 0, 256, FillDirection::kEarliest},
+        {40, 10, 256, FillDirection::kLatest},
+        {48, 0, 2048, FillDirection::kEarliest},
+        {48, 16, 2048, FillDirection::kLatest},
+    };
+    const Draws slack{{10.0, 5000.0, 1.0, 4.0}, std::nullopt};
+    int compared = run_shapes(shapes, 40'000, 25, slack);
+    EXPECT_GE(compared, 80) << "admission rejected too many instances "
+                            << "for the fuzz to be meaningful";
+}
+
+TEST(AllocatorEquivalence, CrowdedTails)
+{
+    // The boundary of both skip certificates: short tight jobs crowd
+    // the early tail slots, so availability there drops below the long
+    // jobs' max_useful. Forcing either certificate (taking the
+    // unclipped re-fill without its availability scan, or skipping the
+    // affected scan regardless of changed_min) diverges from the
+    // reference on these shapes.
+    std::vector<Shape> shapes = {
+        {10, 0, 16, FillDirection::kLatest},
+        {12, 0, 24, FillDirection::kLatest},
+        {16, 4, 32, FillDirection::kLatest},
+    };
+    const Draws tight_and_slack{{200.0, 2000.0, 0.5, 1.0},
+                                JobDraw{3000.0, 5000.0, 2.0, 4.0}};
+    int compared = run_shapes(shapes, 50'000, 100, tight_and_slack);
+    EXPECT_GE(compared, 40) << "admission rejected too many instances "
                             << "for the fuzz to be meaningful";
 }
 

@@ -35,8 +35,8 @@ read_file(const std::string &path)
 
 /** The scripted lifecycle the golden file was generated from: a
  *  crash-recovery replay (6 journal records, 2 rounds re-executed),
- *  then one job admitted via a shard-parallel replan (two planner
- *  shards), scaled 2 -> 4 GPUs, released, finished. Regenerate the
+ *  then one job admitted via a replan, scaled 2 -> 4 GPUs, released,
+ *  finished. Regenerate the
  *  golden by dumping chrome_trace_json(events, 3) for this
  *  sequence. */
 std::vector<obs::TraceEvent>
@@ -62,8 +62,6 @@ scripted_events()
     ev(0.9, EventKind::kRecoveryEnd, kInvalidJob, 2);
     ev(1.0, EventKind::kJobAdmit, 7);
     ev(1.0, EventKind::kReplanBegin, kInvalidJob, 1);
-    ev(1.0, EventKind::kShardPlan, kInvalidJob, 0, 120, 1.2);
-    ev(1.0, EventKind::kShardPlan, kInvalidJob, 1, 80, 1.2);
     ev(1.0, EventKind::kReplanEnd, kInvalidJob, 1, 1);
     ev(1.0, EventKind::kAllocChange, 7, 0, 0, 0.0, {0, 1});
     ev(2.5, EventKind::kScale, 7, 2, 4, 0.25);
@@ -93,18 +91,6 @@ TEST(ChromeTrace, ScriptedSpansHaveExpectedGeometry)
     // GPU 2 is held only by the 4-GPU interval.
     EXPECT_NE(json.find("\"name\":\"job 7\",\"ph\":\"X\",\"pid\":2,"
                         "\"tid\":2,\"ts\":2500000,\"dur\":2500000"),
-              std::string::npos);
-    // Each planner shard gets its own scheduler row (tids 3+s) with a
-    // complete span whose duration is the shard's cost units in µs.
-    EXPECT_NE(json.find("\"name\":\"shard 0\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"shard 1\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"shard_plan\",\"cat\":\"shard\","
-                        "\"ph\":\"X\",\"pid\":3,\"tid\":3,"
-                        "\"ts\":1000000,\"dur\":120"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"shard_plan\",\"cat\":\"shard\","
-                        "\"ph\":\"X\",\"pid\":3,\"tid\":4,"
-                        "\"ts\":1000000,\"dur\":80"),
               std::string::npos);
     // The recovery replay is an async span on the scheduler row,
     // annotated with the journal-record and replay-round counts.

@@ -5,8 +5,8 @@
  * durability.recover must finish with decisions and a
  * RunResult::state_hash bit-identical to an uninterrupted run. The
  * crash-at-every-round harness proves it exhaustively for scripted
- * kSchedCrash faults, across planner shard settings, through
- * multi-crash chains, and under rate-based crash soak.
+ * kSchedCrash faults, through multi-crash chains, and under
+ * rate-based crash soak.
  */
 #include <gtest/gtest.h>
 
@@ -142,57 +142,6 @@ TEST(CrashRecovery, CrashAtEveryRoundIsBitIdentical)
         expect_identical(baseline, recovered,
                          "crash at round " + std::to_string(n));
     }
-}
-
-TEST(CrashRecovery, ShardedPlannerRecoversIdentically)
-{
-    const Trace trace = small_trace(42);
-    SimConfig base = scripted_base();
-    base.planner_shards = 4;
-    const RunResult baseline = run_sim(trace, base);
-
-    // Same decisions as unsharded planning (DESIGN.md §10)...
-    const RunResult unsharded = run_sim(trace, scripted_base());
-    expect_identical(baseline, unsharded, "shards 4 vs 0");
-
-    // ...and crash+recover under shards=4 reproduces them.
-    const std::uint64_t mid = baseline.state_hash_samples / 2 + 1;
-    const std::string dir = fresh_dir("ef_crash_shards4");
-    SimConfig crash_base = empty_script_base();
-    crash_base.planner_shards = 4;
-    RunResult recovered = crash_then_recover(
-        trace, crash_base, dir, static_cast<std::int64_t>(mid));
-    expect_identical(baseline, recovered, "sharded recovery");
-}
-
-TEST(CrashRecovery, RecoveryMayChangeShardSetting)
-{
-    // planner_shards is an execution strategy, not state: a journal
-    // written under shards=0 recovers under shards=4 bit-identically.
-    const Trace trace = small_trace(42);
-    const SimConfig base = scripted_base();
-    const RunResult baseline = run_sim(trace, base);
-    const std::uint64_t mid = baseline.state_hash_samples / 2 + 1;
-
-    const std::string dir = fresh_dir("ef_crash_cross_shard");
-    SimConfig crash_config = empty_script_base();
-    crash_config.durability.journal_dir = dir;
-    crash_config.faults.script.push_back(
-        sched_crash_at_round(static_cast<std::int64_t>(mid)));
-    {
-        auto scheduler = make_scheduler("elasticflow");
-        Simulator sim(trace, scheduler.get(), crash_config);
-        sim.run();
-        ASSERT_TRUE(sim.crashed());
-    }
-    SimConfig recover_config = crash_config;
-    recover_config.durability.recover = true;
-    recover_config.planner_shards = 4;
-    auto scheduler = make_scheduler("elasticflow");
-    Simulator sim(trace, scheduler.get(), recover_config);
-    ASSERT_TRUE(sim.prepare_durability().ok());
-    RunResult recovered = sim.run();
-    expect_identical(baseline, recovered, "cross-shard recovery");
 }
 
 TEST(CrashRecovery, MultiCrashChainRecovers)

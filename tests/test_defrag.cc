@@ -3,7 +3,7 @@
  * ef::defrag — search-based background defragmentation (DESIGN.md
  * §14). Covers the fragmentation metrics, the SA planner's objective /
  * budget contract, the snapshot codec round-trip, and the simulator
- * integration: a defrag-enabled run must double-run, shard-sweep and
+ * integration: a defrag-enabled run must double-run and
  * crash-recover to byte-identical state hashes, a zero budget must be
  * byte-identical to defrag disabled, and on a churn-heavy trace defrag
  * must reduce fragmentation without costing deadline satisfaction.
@@ -244,20 +244,6 @@ TEST(DefragSim, DoubleRunsAreByteIdentical)
     EXPECT_EQ(a.state_hash_samples, b.state_hash_samples);
     EXPECT_EQ(a.defrag_moves, b.defrag_moves);
     EXPECT_DOUBLE_EQ(a.defrag_budget_spent, b.defrag_budget_spent);
-}
-
-TEST(DefragSim, ShardCountDoesNotChangeTheHash)
-{
-    Trace trace = churn_trace();
-    SimConfig sharded = defrag_config();
-    sharded.planner_shards = 4;
-    sharded.planner_threads = 4;
-    // elasticflow exercises the sharded planner; defrag must stay
-    // bit-identical across shard/thread settings.
-    RunResult a = run_churn(trace, "elasticflow", defrag_config());
-    RunResult b = run_churn(trace, "elasticflow", sharded);
-    EXPECT_EQ(a.state_hash, b.state_hash);
-    EXPECT_EQ(a.state_hash_samples, b.state_hash_samples);
 }
 
 TEST(DefragSim, ZeroBudgetIsByteIdenticalToDisabled)

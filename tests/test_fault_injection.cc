@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
 
 #include "cluster/placement.h"
 #include "cluster/topology.h"
@@ -134,13 +136,15 @@ TEST(FaultInjector, ScriptedCkptFailConsumedOnce)
 
 TEST(FaultScript, ParsesAllFields)
 {
-    std::vector<FaultEvent> script = parse_fault_script(
-        "time,type,target,duration,magnitude\n"
-        "100,server-crash,1,3600,0\n"
-        "200.5,gpu-fault,7,0,0\n"
-        "300,straggler,2,600,2.5\n"
-        "400,rpc-drop,0,0,3\n"
-        "500,ckpt-fail,-1,0,0\n");
+    std::vector<FaultEvent> script;
+    ASSERT_FALSE(parse_fault_script("time,type,target,duration,magnitude\n"
+                                    "100,server-crash,1,3600,0\n"
+                                    "200.5,gpu-fault,7,0,0\n"
+                                    "300,straggler,2,600,2.5\n"
+                                    "400,rpc-drop,0,0,3\n"
+                                    "500,ckpt-fail,-1,0,0\n",
+                                    &script)
+                     .has_value());
     ASSERT_EQ(script.size(), 5u);
     EXPECT_EQ(script[0].type, FaultType::kServerCrash);
     EXPECT_DOUBLE_EQ(script[0].duration_s, 3600.0);
@@ -154,9 +158,11 @@ TEST(FaultScript, ParsesAllFields)
 
 TEST(FaultScript, ParsesArrivalStorms)
 {
-    std::vector<FaultEvent> script = parse_fault_script(
-        "time,type,target,duration,magnitude\n"
-        "50,arrival-storm,-1,600,4\n");
+    std::vector<FaultEvent> script;
+    ASSERT_FALSE(parse_fault_script("time,type,target,duration,magnitude\n"
+                                    "50,arrival-storm,-1,600,4\n",
+                                    &script)
+                     .has_value());
     ASSERT_EQ(script.size(), 1u);
     EXPECT_EQ(script[0].type, FaultType::kArrivalStorm);
     EXPECT_DOUBLE_EQ(script[0].duration_s, 600.0);
@@ -181,20 +187,57 @@ TEST(FaultInjector, ArrivalStormsMultiplyAndCompound)
     EXPECT_DOUBLE_EQ(injector.arrival_rate_multiplier(99.9), 1.0);
 }
 
-TEST(FaultScriptDeathTest, MalformedRowsNameTheLine)
+/** The error parse_fault_script returns for @p text (none = ok). */
+std::optional<FaultScriptError>
+script_error(const std::string &text)
 {
-    EXPECT_DEATH(parse_fault_script("time,type,target\n"
-                                    "abc,server-crash,1\n"),
-                 "line 2");
-    EXPECT_DEATH(parse_fault_script("time,type,target\n"
-                                    "100,server-crash,1\n"
-                                    "200,martian-attack,1\n"),
-                 "line 3");
-    EXPECT_DEATH(parse_fault_script("time,type,target\n"
-                                    "100,server-crash\n"),
-                 "line 2");
-    EXPECT_DEATH(parse_fault_script("time,target\n100,1\n"),
-                 "time,type,target");
+    std::vector<FaultEvent> script;
+    return parse_fault_script(text, &script);
+}
+
+TEST(FaultScript, MalformedRowsNameTheLine)
+{
+    std::optional<FaultScriptError> error =
+        script_error("time,type,target\nabc,server-crash,1\n");
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->line, 2);
+    EXPECT_NE(error->to_string().find("line 2"), std::string::npos);
+    EXPECT_NE(error->message.find("not a number"), std::string::npos);
+
+    error = script_error("time,type,target\n"
+                         "100,server-crash,1\n"
+                         "200,martian-attack,1\n");
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->line, 3);
+    EXPECT_NE(error->to_string().find("line 3"), std::string::npos);
+    EXPECT_NE(error->message.find("martian-attack"), std::string::npos);
+
+    error = script_error("time,type,target\n100,server-crash\n");
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->line, 2);
+    EXPECT_NE(error->to_string().find("line 2"), std::string::npos);
+    EXPECT_NE(error->message.find("expected 3 fields, got 2"),
+              std::string::npos);
+
+    error = script_error("time,target\n100,1\n");
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->line, 1);
+    EXPECT_NE(error->message.find("time,type,target"), std::string::npos);
+    EXPECT_NE(error->message.find("'type'"), std::string::npos);
+}
+
+TEST(FaultScript, ErrorLeavesOutputUntouched)
+{
+    std::vector<FaultEvent> script = {
+        {1.0, FaultType::kGpuFault, 3, 0.0, 0.0}};
+    // strtod reads "nan", but a NaN time is not a number either.
+    EXPECT_TRUE(parse_fault_script("time,type,target\n"
+                                   "1,gpu-fault,1\n"
+                                   "nan,gpu-fault,2\n",
+                                   &script)
+                    .has_value());
+    ASSERT_EQ(script.size(), 1u);
+    EXPECT_EQ(script[0].target, 3);
 }
 
 TEST(PlacementGpuFaults, DownGpuIsSkippedByAllStrategies)

@@ -93,7 +93,7 @@ TEST(ThreadPool, ManyGenerationsStaySeparated)
 }
 
 /** Deterministic accumulation into index-owned slots, then a
- *  sequential fold — the exact usage pattern of the sharded planner. */
+ *  sequential fold — the usage pattern the pool's contract requires. */
 TEST(ThreadPool, IndexOwnedSlotsFoldDeterministically)
 {
     ThreadPool pool(4);

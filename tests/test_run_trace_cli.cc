@@ -4,7 +4,8 @@
  * values and malformed trace files go to stderr and exit 2 (scripts
  * depend on it), and the service-mode flags (--service,
  * --arrival-rate, --duration, in both "--flag v" and "--flag=v"
- * spellings) run clean. ext_service_soak follows the same contract.
+ * spellings) run clean. Malformed fault scripts exit 2 with a
+ * line-numbered diagnostic. ext_service_soak follows the same contract.
  */
 #include <gtest/gtest.h>
 
@@ -12,26 +13,34 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace ef {
 namespace {
 
-/** Exit status of `<binary> <args>` with output discarded. */
+/** Exit status of `<binary> <args>`. Stdout is discarded; stderr
+ *  lands in @p err when given, else is discarded too. */
 int
-run_binary(const std::string &binary, const std::string &args)
+run_binary(const std::string &binary, const std::string &args,
+           std::string *err = nullptr)
 {
-    const std::string command =
-        binary + " " + args + " >/dev/null 2>/dev/null";
+    const std::string err_path = testing::TempDir() + "/cli_stderr.txt";
+    const std::string command = binary + " " + args + " >/dev/null 2>" +
+                                (err != nullptr ? err_path : "/dev/null");
     const int raw = std::system(command.c_str());
     EXPECT_TRUE(WIFEXITED(raw)) << command;
+    if (err != nullptr) {
+        std::ifstream in(err_path);
+        err->assign(std::istreambuf_iterator<char>(in), {});
+    }
     return WEXITSTATUS(raw);
 }
 
 int
-run_cli(const std::string &args)
+run_cli(const std::string &args, std::string *err = nullptr)
 {
-    return run_binary(EF_RUN_TRACE_BIN, args);
+    return run_binary(EF_RUN_TRACE_BIN, args, err);
 }
 
 /** Write @p text to a temp trace file and return its path. */
@@ -107,6 +116,65 @@ TEST(RunTraceCli, MalformedTraceFilesExitTwo)
                   "submit_time,deadline,kind,requested_gpus\n")),
               2);
     EXPECT_EQ(run_cli("/nonexistent/trace.csv"), 2);
+}
+
+TEST(RunTraceCli, MalformedFaultScriptsExitTwoWithTheLine)
+{
+    const std::string trace = trace_file(
+        "cli_fault_trace.csv",
+        "id,name,user,model,global_batch,iterations,"
+        "submit_time,deadline,kind,requested_gpus\n"
+        "0,j0,u,ResNet50,128,100,0,inf,best-effort,1\n");
+    const struct
+    {
+        const char *name;
+        const char *text;
+        const char *expect;  ///< substring of the diagnostic
+    } cases[] = {
+        {"f_no_type.csv", "time,target\n100,1\n",
+         "fault script line 1: missing column 'type'"},
+        {"f_fields.csv", "time,type,target\n100,gpu-fault\n",
+         "fault script line 2: expected 3 fields, got 2"},
+        {"f_nan.csv", "time,type,target\n100,gpu-fault,1\nx,gpu-fault,1\n",
+         "fault script line 3: column 'time': 'x' is not a number"},
+        {"f_neg_time.csv", "time,type,target\n-1,gpu-fault,1\n",
+         "fault script line 2: negative time"},
+        {"f_neg_dur.csv",
+         "time,type,target,duration\n1,straggler,1,-600\n",
+         "fault script line 2: negative duration"},
+        {"f_neg_mag.csv",
+         "time,type,target,magnitude\n1,rpc-drop,1,-2\n",
+         "fault script line 2: negative magnitude"},
+        {"f_type.csv", "time,type,target\n1,martian-attack,1\n",
+         "fault script line 2: unknown fault type 'martian-attack'"},
+    };
+    std::string err;
+    for (const auto &c : cases) {
+        EXPECT_EQ(run_cli(trace + " --fault-script " +
+                              trace_file(c.name, c.text),
+                          &err),
+                  2)
+            << c.name;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.name << ": " << err;
+    }
+    EXPECT_EQ(
+        run_cli(trace + " --fault-script=/nonexistent/faults.csv", &err),
+        2);
+    EXPECT_NE(err.find("cannot open fault script"), std::string::npos)
+        << err;
+    // Standalone service mode reads the same flag.
+    EXPECT_EQ(run_cli("--service --arrival-rate=0.05 --duration=600 "
+                      "--fault-script " +
+                      trace_file("f_svc.csv",
+                                 "time,type,target\n1,gpu-fault\n")),
+              2);
+    // A well-formed script runs.
+    EXPECT_EQ(run_cli(trace + " --fault-script " +
+                      trace_file("f_ok.csv",
+                                 "time,type,target,duration,magnitude\n"
+                                 "100,straggler,0,600,2\n")),
+              0);
 }
 
 TEST(ServiceSoakCli, BadArgumentsExitTwo)

@@ -14,7 +14,7 @@
  *                    through locals bound to index-owned slots.
  *                    Captured-by-reference mutation of shared state
  *                    without a subscripted owned slot violates the
- *                    ThreadPool determinism contract (DESIGN.md §10).
+ *                    ThreadPool determinism contract (DESIGN.md §7).
  *   layering         Quoted includes in src/ must respect the library
  *                    DAG the build declares — each
  *                    `target_link_libraries(ef_<dir> ... ef_<dep> ...)`
