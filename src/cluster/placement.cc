@@ -128,7 +128,10 @@ PlacementManager::set_server_available(int server, bool available)
                      "server " << server
                                << " must be drained before going down");
     }
-    server_up_[static_cast<std::size_t>(server)] = available;
+    const auto s = static_cast<std::size_t>(server);
+    server_up_digest_.unseal(s, static_cast<bool>(server_up_[s]));
+    server_up_[s] = available;
+    server_up_digest_.seal(s, available);
 }
 
 bool
@@ -149,13 +152,17 @@ PlacementManager::set_gpu_available(GpuCount gpu, bool available)
                      "GPU " << gpu
                             << " must be released before going down");
         EF_CHECK_MSG(gpu_up_[g], "GPU " << gpu << " is already down");
+        gpu_up_digest_.unseal(g, true);
         gpu_up_[g] = false;
+        gpu_up_digest_.seal(g, false);
         --free_per_server_[s];
         ++down_per_server_[s];
         ++down_gpus_;
     } else {
         EF_CHECK_MSG(!gpu_up_[g], "GPU " << gpu << " is not down");
+        gpu_up_digest_.unseal(g, false);
         gpu_up_[g] = true;
+        gpu_up_digest_.seal(g, true);
         ++free_per_server_[s];
         --down_per_server_[s];
         --down_gpus_;
@@ -205,7 +212,7 @@ PlacementManager::assign(JobId job, std::vector<GpuCount> gpus)
                      "GPU " << g << " is already owned");
         EF_CHECK_MSG(gpu_up_[static_cast<std::size_t>(g)],
                      "GPU " << g << " is down");
-        gpu_owner_[static_cast<std::size_t>(g)] = job;
+        set_owner(g, job);
         --free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
     }
     job_gpus_[job] = std::move(gpus);
@@ -217,10 +224,19 @@ PlacementManager::unassign(JobId job)
     auto it = job_gpus_.find(job);
     EF_CHECK(it != job_gpus_.end());
     for (GpuCount g : it->second) {
-        gpu_owner_[static_cast<std::size_t>(g)] = kInvalidJob;
+        set_owner(g, kInvalidJob);
         ++free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
     }
     job_gpus_.erase(it);
+}
+
+void
+PlacementManager::set_owner(GpuCount gpu, JobId owner)
+{
+    const auto g = static_cast<std::size_t>(gpu);
+    owner_digest_.unseal(g, gpu_owner_[g]);
+    gpu_owner_[g] = owner;
+    owner_digest_.seal(g, owner);
 }
 
 bool
@@ -228,6 +244,12 @@ PlacementManager::rebuild()
 {
     // Everything validate() would abort on is a rejection here: a
     // decoded table is input, not a programming error.
+    const auto gpus = static_cast<std::size_t>(topology_->total_gpus());
+    if (gpu_owner_.size() != gpus || gpu_up_.size() != gpus ||
+        server_up_.size() !=
+            static_cast<std::size_t>(topology_->num_servers())) {
+        return false;  // tables are sized by the topology
+    }
     job_gpus_.clear();
     std::fill(free_per_server_.begin(), free_per_server_.end(), 0);
     std::fill(down_per_server_.begin(), down_per_server_.end(), 0);
@@ -781,15 +803,12 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
         }
     }
 
-    // Apply: rebuild ownership from the new map.
-    std::vector<JobId> old_jobs = placed_jobs();
-    for (JobId job : old_jobs)
-        unassign(job);
-    for (auto &[job, gpus] : new_gpus) {
-        if (job == new_job)
-            continue;
-        assign(job, gpus);
-    }
+    // Apply: only the movers change owners. Release them all before
+    // reassigning, so exchanges between movers commit in one step.
+    for (const Migration &m : result->migrations)
+        unassign(m.job);
+    for (const Migration &m : result->migrations)
+        assign(m.job, m.to);
     result->ok = true;
     result->gpus = new_gpus.at(new_job);
     assign(new_job, result->gpus);

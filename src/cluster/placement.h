@@ -21,6 +21,7 @@
 
 #include "cluster/topology.h"
 #include "common/types.h"
+#include "recover/fields.h"
 
 namespace ef {
 
@@ -139,19 +140,21 @@ class PlacementManager
     void release(JobId job);
 
     /**
-     * Persistent state (recover/fields.h): per-GPU (owner, available)
-     * rows, then per-server availability. Both tables are sized by the
-     * topology, never by snapshot bytes; everything else is derived
-     * and rebuilt on decode.
+     * Persistent state (recover/fields.h): the per-GPU owner and
+     * availability tables, then per-server availability. Every row is
+     * sealed, so each table hashes as one digest that assign, unassign
+     * and the availability setters keep current — a state hash costs
+     * O(1) here, not O(GPUs). A decoded table must match the topology's
+     * size; everything else is derived and rebuilt on decode.
      */
     template <class V>
     void
     fields(V &v)
     {
-        for (std::size_t g = 0; g < gpu_owner_.size(); ++g)
-            v(gpu_owner_[g], gpu_up_[g]);
-        for (std::size_t s = 0; s < server_up_.size(); ++s)
-            v(server_up_[s]);
+        const auto sealed = [](const auto &) { return false; };
+        v.split(gpu_owner_, sealed, owner_digest_);
+        v.split(gpu_up_, sealed, gpu_up_digest_);
+        v.split(server_up_, sealed, server_up_digest_);
         v.after_decode([this] { return rebuild(); });
     }
 
@@ -165,6 +168,8 @@ class PlacementManager
     std::vector<GpuCount> take_from_server(int server, GpuCount count);
     void assign(JobId job, std::vector<GpuCount> gpus);
     void unassign(JobId job);
+    /** The one write path of gpu_owner_ (keeps owner_digest_). */
+    void set_owner(GpuCount gpu, JobId owner);
 
     std::optional<std::vector<GpuCount>>
     try_direct(GpuCount size, PlacementStrategy strategy) const;
@@ -186,6 +191,10 @@ class PlacementManager
     std::vector<bool> gpu_up_;                  // size total_gpus
     std::vector<GpuCount> down_per_server_;
     GpuCount down_gpus_ = 0;
+    /** Hash caches of the three tables above (recover::SplitCache). */
+    recover::SplitCache owner_digest_;
+    recover::SplitCache gpu_up_digest_;
+    recover::SplitCache server_up_digest_;
 };
 
 }  // namespace ef

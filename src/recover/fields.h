@@ -37,7 +37,20 @@
  *                           (kBadRecord);
  *     v.opaque(save, load)  journal-only blob owned by a polymorphic
  *                           object: save(&blob) / load(blob), where
- *                           load's false is a kStateMismatch.
+ *                           load's false is a kStateMismatch;
+ *     v.split(c, live, s)   a table c whose elements are sealed (their
+ *                           hashed fields never change again) or live
+ *                           (live(e) true). It hashes as the wrapping
+ *                           sum of the sealed elements' digests, each
+ *                           taken with its index, then the live
+ *                           elements in index order; the wire carries
+ *                           c as a container. s is the table's
+ *                           SplitCache: the hasher reads the sum and the
+ *                           live indices from it instead of walking c,
+ *                           so a hash costs O(live elements). The owner
+ *                           keeps s current at every transition;
+ *                           decoding c rebuilds s.live from live(e) and
+ *                           drops the sum.
  *
  * Values map the same way to hash and wire: bool as one byte, integers
  * and enums as 64 bits (enums range-checked on decode against
@@ -46,16 +59,18 @@
  * state (journal only). Containers — std::vector, std::deque, std::set,
  * std::map — carry their length, which decoding bounds by the payload
  * left (a vector is sized up front only once its length fits), and set
- * and map keys must strictly increase. A std::vector<T *> is a fixed
- * table of existing objects: its decoded length must equal its size.
+ * and map keys must strictly increase.
  *
  * The visitors are plain templates: no virtual dispatch, no
  * std::function, no copies, so the hash inlines into the loop a
- * hand-written one would be.
+ * hand-written one would be. recomputed_digest() is the same hash with
+ * every SplitCache ignored — each split table walked in full — and is
+ * the oracle the caches are tested against.
  */
 #ifndef EF_RECOVER_FIELDS_H_
 #define EF_RECOVER_FIELDS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <random>
@@ -101,6 +116,9 @@ concept Word = std::is_integral_v<T> || std::is_enum_v<T>;
 
 }  // namespace kind
 
+template <class T>
+std::uint64_t element_digest(std::size_t i, const T &e);
+
 /**
  * Emitter<Fnv1a> (Hasher) folds the hashed fields into an FNV-1a
  * digest; Emitter<Encoder> (Writer) appends every field to an Encoder.
@@ -115,7 +133,11 @@ class Emitter
     static constexpr bool kHash = std::is_same_v<Sink, Fnv1a>;
 
   public:
-    explicit Emitter(Sink &sink) : sink_(sink) {}
+    /** @p recompute: walk split() tables in full, ignoring their
+     *  caches (hashing only). */
+    explicit Emitter(Sink &sink, bool recompute = false)
+        : sink_(sink), recompute_(recompute)
+    {}
 
     template <class... T>
     void operator()(T &&...x) { (put(x), ...); }
@@ -151,8 +173,31 @@ class Emitter
                 digest(*x);
         } else {
             Fnv1a sub;
-            Emitter(sub).put(x);
+            Emitter(sub, recompute_).put(x);
             sink_.u64(sub.digest());
+        }
+    }
+
+    template <class C, class P, class S>
+    void
+    split(C &c, P &&live, S &cache)
+    {
+        if constexpr (!kHash) {
+            put(c);
+        } else if (recompute_) {
+            sink_.u64(sealed_sum(c, live));
+            for (std::size_t i = 0; i < c.size(); ++i) {
+                if (live(c[i]))
+                    put(c[i]);
+            }
+        } else {
+            if (!cache.valid) {
+                cache.sealed = sealed_sum(c, live);
+                cache.valid = true;
+            }
+            sink_.u64(cache.sealed);
+            for (std::uint32_t i : cache.live)
+                put(c[i]);
         }
     }
 
@@ -199,6 +244,18 @@ class Emitter
     }
 
   private:
+    template <class C, class P>
+    static std::uint64_t
+    sealed_sum(C &c, P &live)
+    {
+        std::uint64_t sum = 0;
+        for (std::size_t i = 0; i < c.size(); ++i) {
+            if (!live(c[i]))
+                sum += element_digest(i, c[i]);
+        }
+        return sum;
+    }
+
     template <class T>
     void
     items(const T &x)
@@ -207,9 +264,6 @@ class Emitter
             if constexpr (kind::Map<T>) {
                 put(e.first);
                 put(e.second);
-            } else if constexpr (kind::Pointer<
-                                     typename T::value_type>) {
-                put(*e);  // a fixed table: the objects, not pointers
             } else {
                 put(e);
             }
@@ -226,10 +280,69 @@ class Emitter
     }
 
     Sink &sink_;
+    bool recompute_;
 };
 
 using Hasher = Emitter<Fnv1a>;
 using Writer = Emitter<Encoder>;
+
+/** Digest of element @p e at index @p i of a split() table: what the
+ *  table's sealed sum adds for it. */
+template <class T>
+std::uint64_t
+element_digest(std::size_t i, const T &e)
+{
+    Fnv1a h;
+    Hasher v(h);
+    v.put(static_cast<std::uint64_t>(i));
+    v.put(e);
+    return h.digest();
+}
+
+/**
+ * Transient cache behind v.split(): which elements of a table are
+ * live, and the wrapping sum of the sealed ones' digests. Its owner
+ * keeps it current at every transition: unseal() an element before a
+ * sealed element's hashed fields change, seal() it once they are
+ * final, and set_live() it on entering or leaving the live set. The
+ * sum is filled lazily by the first hash, so building the owner hashes
+ * nothing; until then seal() and unseal() are no-ops. Never journaled.
+ */
+struct SplitCache
+{
+    /** Indices of the live elements, ascending. */
+    std::vector<std::uint32_t> live;
+    /** Wrapping sum of the sealed elements' element_digest()s. */
+    std::uint64_t sealed = 0;
+    bool valid = false;
+
+    template <class T>
+    void
+    seal(std::size_t i, const T &e)
+    {
+        if (valid)
+            sealed += element_digest(i, e);
+    }
+
+    template <class T>
+    void
+    unseal(std::size_t i, const T &e)
+    {
+        if (valid)
+            sealed -= element_digest(i, e);
+    }
+
+    void
+    set_live(std::size_t i, bool on)
+    {
+        const auto idx = static_cast<std::uint32_t>(i);
+        auto at = std::lower_bound(live.begin(), live.end(), idx);
+        if (on && (at == live.end() || *at != idx))
+            live.insert(at, idx);
+        else if (!on && at != live.end() && *at == idx)
+            live.erase(at);
+    }
+};
 
 /** Fewest bytes one T can take on the wire: the encoding of a
  *  default-constructed T (empty containers, empty strings). */
@@ -291,6 +404,20 @@ class Reader
             fail();
     }
 
+    template <class C, class P, class S>
+    void
+    split(C &c, P &&live, S &cache)
+    {
+        field(c);
+        if (!ok())
+            return;
+        cache = S{};
+        for (std::size_t i = 0; i < c.size(); ++i) {
+            if (live(c[i]))
+                cache.live.push_back(static_cast<std::uint32_t>(i));
+        }
+    }
+
     template <class S, class L>
     void
     opaque(S &&, L &&load)
@@ -344,14 +471,6 @@ class Reader
             std::uint64_t n = 0;
             if (!dec_.count(&n))
                 return;
-            if constexpr (kind::Pointer<typename U::value_type>) {
-                // A fixed table of existing objects: decode in place.
-                if (n != x.size())
-                    return fail();
-                for (auto &e : x)
-                    field(*e);
-                return;
-            }
             x.clear();
             if constexpr (requires { x.reserve(n); }) {
                 // A count that fits the payload can size the vector up
@@ -409,6 +528,17 @@ digest(const T &obj)
 {
     Fnv1a h;
     Hasher(h).put(obj);
+    return h.digest();
+}
+
+/** digest() with every split() table walked in full instead of read
+ *  from its SplitCache: the oracle the caches must agree with. */
+template <class T>
+std::uint64_t
+recomputed_digest(const T &obj)
+{
+    Fnv1a h;
+    Hasher(h, /*recompute=*/true).put(obj);
     return h.digest();
 }
 

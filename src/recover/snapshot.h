@@ -28,8 +28,10 @@ namespace ef::recover {
 
 /** "EFSN" little-endian: ElasticFlow SNapshot. */
 constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
-/** 2: payloads follow each type's fields() order (recover/fields.h). */
-constexpr std::uint32_t kSnapshotVersion = 2;
+/** 2: payloads follow each type's fields() order (recover/fields.h).
+ *  3: split() tables (the placement's GPU and server columns) carry
+ *  their length. */
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /**
  * Atomically replace `path` with a snapshot wrapping `payload`.

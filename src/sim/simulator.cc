@@ -154,11 +154,21 @@ void
 Simulator::fields(V &v)
 {
     v(now_, next_seq_, fault_epoch_);
-    v.each(submit_order_);
+    // Jobs not yet arrived, dropped or finished never change again:
+    // they hash as one sealed sum, and each sample walks only the
+    // active jobs, in submission order (DESIGN.md §7).
+    v.split(jobs_, [](const JobRt &job) { return job.active(); }, active_);
     v.after_decode([this] {
-        for (const auto &[id, job] : jobs_) {
-            if (job->id != id)
+        // The table is the trace's, slot for slot.
+        if (jobs_.size() != trace_.jobs.size())
+            return false;
+        arrived_ = 0;
+        admitted_ = 0;
+        for (std::size_t i = 0; i < jobs_.size(); ++i) {
+            if (jobs_[i].id != trace_.jobs[i].id)
                 return false;
+            arrived_ += jobs_[i].arrived ? 1 : 0;
+            admitted_ += jobs_[i].outcome.admitted ? 1 : 0;
         }
         return true;
     });
@@ -166,13 +176,14 @@ Simulator::fields(V &v)
     // topology-dependent throughput, so they are part of the contract.
     v(placement_);
     v.after_decode([this] {
-        // Every placed GPU belongs to a known job, and each job holds
+        // Every placed GPU belongs to an active job, and each job holds
         // exactly its gpus count.
         std::size_t placed = 0;
-        for (const auto &[id, job] : jobs_) {
-            const GpuCount held =
-                placement_.is_placed(id) ? placement_.size_of(id) : 0;
-            if (held != job->gpus)
+        for (const JobRt &job : jobs_) {
+            const GpuCount held = placement_.is_placed(job.id)
+                                      ? placement_.size_of(job.id)
+                                      : 0;
+            if (held != job.gpus || (held > 0 && !job.active()))
                 return false;
             placed += held > 0 ? 1 : 0;
         }
@@ -183,7 +194,7 @@ Simulator::fields(V &v)
         v(service_queue_);
     v.after_decode([this] {
         for (JobId id : service_queue_) {
-            if (jobs_.count(id) == 0)
+            if (find(id) == nullptr)
                 return false;
         }
         return true;
@@ -238,25 +249,31 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
     result_.trace_name = trace_.name;
     result_.total_gpus = topology_.total_gpus();
 
+    jobs_.reserve(trace_.jobs.size());
+    slot_of_id_.reserve(trace_.jobs.size());
     for (const JobSpec &spec : trace_.jobs) {
-        EF_FATAL_IF(jobs_.count(spec.id) > 0,
-                    "duplicate job id " << spec.id << " in trace");
-        auto job = std::make_unique<JobRt>();
-        job->id = spec.id;
-        job->spec = spec;
-        job->curve = curve_for(spec);
-        job->outcome.spec = spec;
+        slot_of_id_.emplace_back(spec.id,
+                                 static_cast<std::uint32_t>(jobs_.size()));
+        JobRt &job = jobs_.emplace_back();
+        job.id = spec.id;
+        job.spec = spec;
+        job.curve = curve_for(spec);
+        job.outcome.spec = spec;
         if (config_.noise.throughput_error > 0.0) {
             // Deterministic per-job factor in [1 - e, 1 + e].
             Rng noise_rng(0x9e3779b9u ^
                           static_cast<std::uint64_t>(spec.id) * 2654435761u);
-            job->noise_factor = 1.0 + noise_rng.uniform_real(
-                                          -config_.noise.throughput_error,
-                                          config_.noise.throughput_error);
+            job.noise_factor = 1.0 + noise_rng.uniform_real(
+                                         -config_.noise.throughput_error,
+                                         config_.noise.throughput_error);
         }
-        submit_order_.push_back(job.get());
-        jobs_.emplace(spec.id, std::move(job));
     }
+    std::sort(slot_of_id_.begin(), slot_of_id_.end());
+    const auto dup = std::adjacent_find(
+        slot_of_id_.begin(), slot_of_id_.end(),
+        [](const auto &a, const auto &b) { return a.first == b.first; });
+    EF_FATAL_IF(dup != slot_of_id_.end(),
+                "duplicate job id " << dup->first << " in trace");
     FaultConfig effective = config_.faults;
     if (config_.failures.enabled) {
         EF_FATAL_IF(config_.failures.server_mtbf_s <= 0.0,
@@ -291,20 +308,43 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
 
 Simulator::~Simulator() = default;
 
-Simulator::JobRt &
-Simulator::rt(JobId id)
+const Simulator::JobRt *
+Simulator::find(JobId id) const
 {
-    auto it = jobs_.find(id);
-    EF_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-    return *it->second;
+    if (slot_of_id_.empty())
+        return nullptr;
+    // Probe where a dense id range puts @p id first — exact for traces
+    // numbered consecutively, the common case — then binary search.
+    const auto probe = static_cast<std::uint64_t>(id) -
+                       static_cast<std::uint64_t>(slot_of_id_.front().first);
+    if (probe < slot_of_id_.size() && slot_of_id_[probe].first == id)
+        return &jobs_[slot_of_id_[probe].second];
+    const auto at = std::lower_bound(
+        slot_of_id_.begin(), slot_of_id_.end(), id,
+        [](const auto &entry, JobId key) { return entry.first < key; });
+    if (at == slot_of_id_.end() || at->first != id)
+        return nullptr;
+    return &jobs_[at->second];
 }
 
 const Simulator::JobRt &
 Simulator::rt(JobId id) const
 {
-    auto it = jobs_.find(id);
-    EF_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-    return *it->second;
+    const JobRt *job = find(id);
+    EF_CHECK_MSG(job != nullptr, "unknown job " << id);
+    return *job;
+}
+
+Simulator::JobRt &
+Simulator::rt(JobId id)
+{
+    return const_cast<JobRt &>(std::as_const(*this).rt(id));
+}
+
+std::size_t
+Simulator::slot_of(const JobRt &job) const
+{
+    return static_cast<std::size_t>(&job - jobs_.data());
 }
 
 GpuCount
@@ -318,10 +358,9 @@ std::vector<JobId>
 Simulator::active_jobs() const
 {
     std::vector<JobId> active;
-    for (const JobRt *job : submit_order_) {
-        if (job->active())
-            active.push_back(job->id);
-    }
+    active.reserve(active_.live.size());
+    for (std::uint32_t slot : active_.live)
+        active.push_back(jobs_[slot].id);
     return active;
 }
 
@@ -367,18 +406,21 @@ void
 Simulator::advance_progress(Time to)
 {
     EF_CHECK(to >= now_);
-    for (auto &[id, job_ptr] : jobs_) {
-        JobRt &job = *job_ptr;
+    // Only placed jobs accrue anything. An unplaced job's clock stays
+    // where it stopped, and restarts at now_ when it gains GPUs
+    // (apply_resize).
+    for (std::uint32_t slot : active_.live) {
+        JobRt &job = jobs_[slot];
+        if (job.gpus <= 0)
+            continue;
         Time t0 = job.last_update;
         if (to <= t0) {
             continue;
         }
-        if (job.gpus > 0) {
-            job.attained_gpu_seconds +=
-                static_cast<double>(job.gpus) * (to - t0);
-            job.outcome.gpu_seconds = job.attained_gpu_seconds;
-        }
-        if (job.state == JobState::kRunning && job.gpus > 0) {
+        job.attained_gpu_seconds +=
+            static_cast<double>(job.gpus) * (to - t0);
+        job.outcome.gpu_seconds = job.attained_gpu_seconds;
+        if (job.state == JobState::kRunning) {
             Time start = std::max(t0, job.progress_resume);
             if (to > start) {
                 job.executed += job.current_tpt * (to - start);
@@ -553,6 +595,8 @@ Simulator::apply_resize(JobRt &job, GpuCount desired)
 
     job.gpus = desired;
     job.state = JobState::kRunning;
+    if (old == 0)
+        job.last_update = now_;  // progress accrues from here on
     ++job.outcome.scaling_events;
     // Scaling checkpoints state — unless the checkpoint write itself
     // fails, in which case the previous checkpoint stays the restore
@@ -615,15 +659,15 @@ Simulator::apply_decision(const SchedulerDecision &decision)
 
     // Shrinks and suspensions first to free capacity, then growths
     // (largest first so compact placements are found while space is
-    // contiguous).
+    // contiguous). Resizing never changes the active set.
     std::vector<JobId> grows;
-    for (JobId id : active_jobs()) {
-        JobRt &job = rt(id);
-        GpuCount desired = decision.of(id);
+    for (std::uint32_t slot : active_.live) {
+        JobRt &job = jobs_[slot];
+        GpuCount desired = decision.of(job.id);
         if (desired < job.gpus)
             apply_resize(job, desired);
         else if (desired > job.gpus)
-            grows.push_back(id);
+            grows.push_back(job.id);
     }
     std::stable_sort(grows.begin(), grows.end(),
                      [&decision](JobId a, JobId b) {
@@ -638,9 +682,9 @@ Simulator::record_timelines()
 {
     result_.used_gpus.record(now_, placement_.used_gpus());
     record_fragmentation();
-    double ce = 0.0;
-    for (const auto &[id, job_ptr] : jobs_) {
-        const JobRt &job = *job_ptr;
+    std::vector<std::pair<JobId, double>> per_job;
+    for (std::uint32_t slot : active_.live) {
+        const JobRt &job = jobs_[slot];
         if (job.state != JobState::kRunning || job.gpus <= 0)
             continue;
         GpuCount base = job.curve.min_workers();
@@ -649,8 +693,14 @@ Simulator::record_timelines()
         // Eq. 8: each of the job's GPUs contributes its per-GPU
         // throughput relative to the 1-GPU rate; summed over the job
         // that is simply T_actual(g) / T(1).
-        ce += job.current_tpt / per_gpu_base;
+        per_job.emplace_back(job.id, job.current_tpt / per_gpu_base);
     }
+    // Summed in ascending job id, the order the Fig. 10 series has
+    // always used: floating-point addition is order-sensitive.
+    std::sort(per_job.begin(), per_job.end());
+    double ce = 0.0;
+    for (const auto &[id, share] : per_job)
+        ce += share;
     const double efficiency =
         ce / static_cast<double>(topology_.total_gpus());
     result_.cluster_efficiency.record(now_, efficiency);
@@ -666,11 +716,7 @@ Simulator::record_timelines()
 bool
 Simulator::any_nonterminal_jobs() const
 {
-    for (const auto &[id, job] : jobs_) {
-        if (job->active())
-            return true;
-    }
-    return false;
+    return !active_.live.empty();
 }
 
 void
@@ -739,7 +785,7 @@ Simulator::queue_scripted_faults()
                                             : fault_->gpu_repair_s();
             break;
           case FaultType::kStraggler:
-            EF_FATAL_IF(jobs_.count(static_cast<JobId>(ev.target)) == 0,
+            EF_FATAL_IF(find(static_cast<JobId>(ev.target)) == nullptr,
                         "scripted straggler targets unknown job "
                             << ev.target);
             event.kind = Event::kStragglerStart;
@@ -897,8 +943,11 @@ void
 Simulator::handle_straggler_end(JobId id)
 {
     JobRt &job = rt(id);
-    if (job.straggler_factor <= 1.0 || now_ < job.straggler_until)
-        return;  // stale event (a newer window superseded this one)
+    // Stale: a newer window superseded this one, or the job finished
+    // (a finished job never changes again; DESIGN.md §7).
+    if (!job.active() || job.straggler_factor <= 1.0 ||
+        now_ < job.straggler_until)
+        return;
     job.straggler_factor = 1.0;
     job.straggler_until = -kTimeInfinity;
     obs::emit({now_, obs::EventKind::kStragglerEnd, id});
@@ -923,6 +972,12 @@ std::uint64_t
 Simulator::state_hash() const
 {
     return recover::digest(*this);
+}
+
+std::uint64_t
+Simulator::recomputed_state_hash() const
+{
+    return recover::recomputed_digest(*this);
 }
 
 void
@@ -1216,8 +1271,7 @@ Simulator::flush_replan()
         ++result_.replans_elided;
         if (obs::tracing()) {
             obs::emit({now_, obs::EventKind::kReplanBegin, kInvalidJob,
-                       static_cast<std::int64_t>(
-                           active_jobs().size())});
+                       static_cast<std::int64_t>(active_.live.size())});
             obs::emit({now_, obs::EventKind::kReplanEnd, kInvalidJob,
                        /*executed=*/0, /*resizes=*/0});
         }
@@ -1228,7 +1282,7 @@ Simulator::flush_replan()
     }
     if (obs::tracing()) {
         obs::emit({now_, obs::EventKind::kReplanBegin, kInvalidJob,
-                   static_cast<std::int64_t>(active_jobs().size())});
+                   static_cast<std::int64_t>(active_.live.size())});
     }
     const std::size_t log_before = result_.allocation_log.size();
     SchedulerDecision decision = scheduler_->allocate();
@@ -1252,10 +1306,8 @@ Simulator::flush_replan()
                          since_last);
         }
         std::int64_t waiting = 0;
-        for (const auto &[id, job] : jobs_) {
-            if (job->active() && job->state == JobState::kWaiting)
-                ++waiting;
-        }
+        for (std::uint32_t slot : active_.live)
+            waiting += jobs_[slot].state == JobState::kWaiting ? 1 : 0;
         obs::observe("sim.queue_depth", kQueueDepthEdges,
                      static_cast<double>(waiting));
         obs::gauge_set("sim.queue_depth_last",
@@ -1305,19 +1357,24 @@ Simulator::maybe_defrag()
 {
     if (defrag_ == nullptr || !defrag_->try_begin_round(now_))
         return;
-    // Eligible movers: running jobs currently holding GPUs. jobs_ is
-    // ordered, so the list ascends by id as the planner requires.
+    // Eligible movers: running jobs currently holding GPUs, ascending
+    // by id as the planner requires.
     std::vector<defrag::DefragJob> eligible;
-    for (const auto &[id, job] : jobs_) {
-        if (job->state != JobState::kRunning || job->gpus <= 0 ||
-            !placement_.is_placed(id))
+    for (std::uint32_t slot : active_.live) {
+        const JobRt &job = jobs_[slot];
+        if (job.state != JobState::kRunning || job.gpus <= 0 ||
+            !placement_.is_placed(job.id))
             continue;
         defrag::DefragJob dj;
-        dj.id = id;
-        dj.model = job->spec.model;
-        dj.global_batch = job->spec.global_batch;
+        dj.id = job.id;
+        dj.model = job.spec.model;
+        dj.global_batch = job.spec.global_batch;
         eligible.push_back(dj);
     }
+    std::sort(eligible.begin(), eligible.end(),
+              [](const defrag::DefragJob &a, const defrag::DefragJob &b) {
+                  return a.id < b.id;
+              });
     ++result_.defrag_rounds;
     const defrag::DefragPlan plan =
         defrag_->plan_round(placement_, eligible);
@@ -1394,28 +1451,28 @@ Simulator::apply_admission(JobId id, bool admitted)
 {
     journal_append(recover::RecordKind::kVerdict, id, now_, admitted);
     JobRt &job = rt(id);
+    EF_CHECK_MSG(!job.arrived, "second verdict for job " << id);
+    const std::size_t slot = slot_of(job);
+    active_.unseal(slot, job);  // leaves the not-yet-arrived jobs
     job.arrived = true;
     job.outcome.admitted = admitted;
     if (!admitted) {
         job.state = JobState::kDropped;
+        active_.seal(slot, job);
         obs::emit({now_, obs::EventKind::kJobReject, id});
         obs::count("sim.jobs.rejected");
         EF_DEBUG("job " << id << " dropped at submission");
     } else {
         job.state = JobState::kWaiting;
+        active_.set_live(slot, true);
         obs::emit({now_, obs::EventKind::kJobAdmit, id});
         obs::count("sim.jobs.admitted");
     }
 
-    std::size_t submitted = 0, accepted = 0;
-    for (const auto &[jid, j] : jobs_) {
-        if (j->arrived) {
-            ++submitted;
-            accepted += j->outcome.admitted ? 1 : 0;
-        }
-    }
-    result_.submitted_jobs.record(now_, static_cast<double>(submitted));
-    result_.admitted_jobs.record(now_, static_cast<double>(accepted));
+    ++arrived_;
+    admitted_ += admitted ? 1 : 0;
+    result_.submitted_jobs.record(now_, static_cast<double>(arrived_));
+    result_.admitted_jobs.record(now_, static_cast<double>(admitted_));
 }
 
 void
@@ -1553,6 +1610,9 @@ Simulator::handle_completion_check(JobId id)
     placement_.release(id);
     job.gpus = 0;
     job.current_tpt = 0.0;
+    const std::size_t slot = slot_of(job);
+    active_.set_live(slot, false);
+    active_.seal(slot, job);  // finished: never changes again
     if (obs::tracing()) {
         obs::emit({now_, obs::EventKind::kAllocChange, id, held});
         obs::emit({now_, obs::EventKind::kJobFinish, id, held});
@@ -1576,11 +1636,7 @@ Simulator::handle_tick()
 bool
 Simulator::work_pending() const
 {
-    for (const auto &[id, job] : jobs_) {
-        if (!job->arrived || job->active())
-            return true;
-    }
-    return false;
+    return arrived_ < jobs_.size() || !active_.live.empty();
 }
 
 RunResult
@@ -1592,9 +1648,9 @@ Simulator::run()
         EF_FATAL_IF(!st.ok(), "durability: " << st.to_string());
     }
     if (!recovered_) {
-        for (const JobRt *job : submit_order_) {
-            push_event(Event{job->spec.submit_time, next_seq_++,
-                             Event::kArrival, job->id});
+        for (const JobRt &job : jobs_) {
+            push_event(Event{job.spec.submit_time, next_seq_++,
+                             Event::kArrival, job.id});
         }
         if (fault_ != nullptr) {
             if (fault_->server_crashes_enabled()) {
@@ -1693,8 +1749,7 @@ Simulator::run()
     }
 
     result_.jobs.clear();
-    for (JobRt *job_ptr : submit_order_) {
-        JobRt &job = *job_ptr;
+    for (JobRt &job : jobs_) {
         job.outcome.gpu_seconds = job.attained_gpu_seconds;
         result_.jobs.push_back(job.outcome);
         if (job.outcome.finished) {

@@ -19,14 +19,15 @@
 #define EF_SIM_SIMULATOR_H_
 
 #include <deque>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.h"
 #include "common/rng.h"
 #include "defrag/defrag.h"
 #include "fault/fault.h"
+#include "recover/fields.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
 #include "serve/governor.h"
@@ -214,8 +215,17 @@ class Simulator : public ClusterView
      * identical digests, otherwise a hidden nondeterminism source
      * crept in. Scheduler-internal state is not hashed directly: every
      * decision it makes lands in the allocations, which are.
+     *
+     * Incremental (DESIGN.md §7): jobs that have not arrived, were
+     * dropped or finished enter as one sealed sum kept at their
+     * transitions, and the GPU tables as digests PlacementManager
+     * keeps, so a sample costs O(active jobs).
      */
     std::uint64_t state_hash() const;
+
+    /** state_hash() recomputed from every job and GPU row, ignoring
+     *  the incremental caches: the oracle tests hold it to. */
+    std::uint64_t recomputed_state_hash() const;
 
     /**
      * Persistent state (recover/fields.h): the one list the state
@@ -337,6 +347,10 @@ class Simulator : public ClusterView
 
     JobRt &rt(JobId id);
     const JobRt &rt(JobId id) const;
+    /** The job with id @p id, or null when the trace has none. */
+    const JobRt *find(JobId id) const;
+    /** Index of @p job in jobs_. */
+    std::size_t slot_of(const JobRt &job) const;
 
     Trace trace_;
     Scheduler *scheduler_;
@@ -352,9 +366,21 @@ class Simulator : public ClusterView
     /** Pending events, a binary heap under event_after. */
     std::vector<Event> events_;
 
-    std::map<JobId, std::unique_ptr<JobRt>> jobs_;
-    /** jobs_ in trace (submission) order. */
-    std::vector<JobRt *> submit_order_;
+    /** The job table in trace (submission) order, one slot per
+     *  trace job (a decoded snapshot must match it slot for slot). */
+    std::vector<JobRt> jobs_;
+    /** (id, slot in jobs_), ascending by id: the index rt() searches. */
+    std::vector<std::pair<JobId, std::uint32_t>> slot_of_id_;
+    /**
+     * The active jobs (arrived, not dropped or finished) as ascending
+     * slots — every per-event and per-round walk visits only these —
+     * and the state hash's sealed sum over all other jobs. Updated at
+     * verdicts and completions; rebuilt when a snapshot is decoded.
+     */
+    recover::SplitCache active_;
+    /** Jobs that arrived / were admitted so far (rebuilt on decode). */
+    std::size_t arrived_ = 0;
+    std::size_t admitted_ = 0;
 
     bool tick_armed_ = false;
     /** A replan request is waiting for the current timestamp to drain. */

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/check.h"
@@ -48,6 +49,7 @@ try_parse_trace_csv(const std::string &text, const TopologySpec &topology,
     Trace trace;
     trace.name = name;
     trace.topology = topology;
+    std::map<JobId, int> id_line;  // each id's first line
     for (std::size_t r = 0; r < table.rows.size(); ++r) {
         // Header is line 1, so data row r lives on line r + 2.
         const int line = static_cast<int>(r) + 2;
@@ -70,6 +72,15 @@ try_parse_trace_csv(const std::string &text, const TopologySpec &topology,
         JobSpec job;
         if (!parse_number(cell("id"), &job.id))
             return nan("id");
+        // Negative ids are reserved: kInvalidJob (-1) marks a free GPU.
+        if (job.id < 0)
+            return bad("job id " + std::to_string(job.id) + " is negative");
+        const auto [first, fresh] = id_line.emplace(job.id, line);
+        if (!fresh) {
+            return bad("duplicate job id " + std::to_string(job.id) +
+                       " (first on line " + std::to_string(first->second) +
+                       ")");
+        }
         job.name = cell("name");
         if (table.column_index("user") >= 0)
             job.user = cell("user");

@@ -38,8 +38,9 @@ struct TraceError
 
 /**
  * Load a CSV trace file with the given topology. Every problem — an
- * unreadable file, a missing column, a malformed row, an unknown model
- * or job kind, non-positive sizes, or no jobs at all — is returned as
+ * unreadable file, a missing column, a malformed row, a negative or
+ * duplicate job id, an unknown model or job kind, non-positive sizes,
+ * or no jobs at all — is returned as
  * a line-numbered TraceError (the first one found) instead of
  * aborting.
  */

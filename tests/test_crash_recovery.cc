@@ -59,6 +59,21 @@ run_sim(const Trace &trace, const SimConfig &config)
 }
 
 /**
+ * prepare_durability() on a simulator whose incremental hash caches
+ * were filled for its initial state first: a restore must reset them,
+ * or the sealed sum would still describe the jobs as they were before
+ * it. The restored state's hash must equal the full recompute.
+ */
+void
+restore_over_filled_caches(Simulator &sim, const std::string &what)
+{
+    (void)sim.state_hash();
+    const recover::Status st = sim.prepare_durability();
+    ASSERT_TRUE(st.ok()) << what << ": " << st.to_string();
+    EXPECT_EQ(sim.state_hash(), sim.recomputed_state_hash()) << what;
+}
+
+/**
  * Crash at round `n`, recover, and return the recovered result. The
  * scripted sched-crash entries live in the injector's armed-sched
  * list, which is deliberately outside state_fingerprint(), so the
@@ -81,10 +96,11 @@ crash_then_recover(const Trace &trace, const SimConfig &base,
     recover_config.durability.recover = true;
     auto scheduler = make_scheduler("elasticflow");
     Simulator sim(trace, scheduler.get(), recover_config);
-    recover::Status st = sim.prepare_durability();
-    EXPECT_TRUE(st.ok()) << st.to_string();
+    restore_over_filled_caches(sim, "round " + std::to_string(round));
     RunResult result = sim.run();
     EXPECT_FALSE(sim.crashed()) << "round " << round;
+    EXPECT_EQ(sim.state_hash(), sim.recomputed_state_hash())
+        << "round " << round;
     return result;
 }
 
@@ -168,7 +184,8 @@ TEST(CrashRecovery, MultiCrashChainRecovers)
     for (int attempt = 0; attempt < 8; ++attempt) {
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(trace, scheduler.get(), config);
-        ASSERT_TRUE(sim.prepare_durability().ok());
+        restore_over_filled_caches(sim,
+                                   "attempt " + std::to_string(attempt));
         final_result = sim.run();
         if (!sim.crashed())
             break;
@@ -199,7 +216,8 @@ TEST(CrashRecovery, RateBasedCrashSoak)
     for (int attempt = 0; attempt < 200; ++attempt) {
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(trace, scheduler.get(), config);
-        ASSERT_TRUE(sim.prepare_durability().ok());
+        restore_over_filled_caches(sim,
+                                   "attempt " + std::to_string(attempt));
         final_result = sim.run();
         if (!sim.crashed()) {
             finished = true;
@@ -236,7 +254,9 @@ TEST(CrashRecovery, FrequentSnapshotsStillIdentical)
     recover_config.durability.recover = true;
     auto scheduler = make_scheduler("elasticflow");
     Simulator sim(trace, scheduler.get(), recover_config);
-    ASSERT_TRUE(sim.prepare_durability().ok());
+    // A mid-run snapshot: the restored sealed sum differs from the
+    // initial state's.
+    restore_over_filled_caches(sim, "snapshot_every=1");
     RunResult recovered = sim.run();
     expect_identical(baseline, recovered, "snapshot_every=1");
 }

@@ -11,6 +11,7 @@
 
 #include "cluster/placement.h"
 #include "common/rng.h"
+#include "recover/fields.h"
 
 namespace ef {
 namespace {
@@ -239,6 +240,124 @@ TEST_F(PlacementTest, MultiServerBuddyStaysRackLocalUnderChurn)
             manager_.release(*it);
             live.erase(it);
         }
+    }
+}
+
+/** The kept ownership digests agree with hashing every GPU and
+ *  server row from scratch. */
+void
+expect_digest_current(const PlacementManager &manager,
+                      const std::string &after)
+{
+    EXPECT_EQ(recover::digest(manager), recover::recomputed_digest(manager))
+        << "after " << after;
+}
+
+TEST_F(PlacementTest, OwnershipDigestTracksEveryMutation)
+{
+    const std::uint64_t empty = recover::digest(manager_);  // fills caches
+    fill_servers_to_seven(&manager_, topo_);
+    expect_digest_current(manager_, "first-fit places and releases");
+
+    PlacementResult placed = manager_.place(
+        999, 2, PlacementStrategy::kBestFitCompact, true);
+    ASSERT_TRUE(placed.ok);
+    ASSERT_FALSE(placed.migrations.empty());
+    expect_digest_current(manager_, "a place that migrates");
+
+    for (JobId job : manager_.placed_jobs())
+        manager_.release(job);
+    EXPECT_EQ(recover::digest(manager_), empty);
+    expect_digest_current(manager_, "releasing everything");
+
+    // No server has four idle GPUs once job 200 lets go of its two, so
+    // growing it repacks.
+    fill_servers_to_seven(&manager_, topo_);
+    PlacementResult grown = manager_.resize(
+        200, 4, PlacementStrategy::kBestFitCompact, true);
+    ASSERT_TRUE(grown.ok);
+    ASSERT_FALSE(grown.migrations.empty());
+    expect_digest_current(manager_, "a resize that migrates");
+    ASSERT_TRUE(manager_
+                    .resize(200, 1, PlacementStrategy::kBestFitCompact,
+                            true)
+                    .ok);
+    expect_digest_current(manager_, "a shrink");
+
+    // Availability round trips restore the digest exactly.
+    const std::uint64_t placed_digest = recover::digest(manager_);
+    GpuCount idle = 0;
+    while (manager_.owner_of(idle) != kInvalidJob)
+        ++idle;
+    manager_.set_gpu_available(idle, false);
+    expect_digest_current(manager_, "a GPU going down");
+    EXPECT_NE(recover::digest(manager_), placed_digest);
+    manager_.set_gpu_available(idle, true);
+    EXPECT_EQ(recover::digest(manager_), placed_digest);
+
+    const int server = topo_.num_servers() - 1;
+    for (JobId job : manager_.placed_jobs()) {
+        if (topo_.server_of(manager_.gpus_of(job).front()) == server)
+            manager_.release(job);
+    }
+    ASSERT_EQ(manager_.free_in_server(server), topo_.gpus_per_server());
+    manager_.set_server_available(server, false);
+    expect_digest_current(manager_, "a server going down");
+    manager_.set_server_available(server, true);
+    expect_digest_current(manager_, "a server coming back");
+
+    for (JobId job : manager_.placed_jobs())
+        manager_.release(job);
+    EXPECT_EQ(recover::digest(manager_), empty);
+    expect_digest_current(manager_, "releasing everything");
+}
+
+TEST_F(PlacementTest, OwnershipDigestUnderRandomChurn)
+{
+    (void)recover::digest(manager_);
+    Rng rng(99);
+    std::set<JobId> live;
+    std::set<GpuCount> down;
+    JobId next = 0;
+    for (int step = 0; step < 600; ++step) {
+        const double op = rng.uniform_real(0.0, 1.0);
+        if (op < 0.45 || live.empty()) {
+            const GpuCount size = GpuCount(1) << rng.uniform_int(0, 4);
+            if (manager_.place(next, size, PlacementStrategy::kBestFitCompact,
+                               true)
+                    .ok) {
+                live.insert(next);
+            }
+            ++next;
+        } else if (op < 0.65) {
+            auto it = live.begin();
+            std::advance(it, rng.uniform_int(
+                                 0, static_cast<std::int64_t>(
+                                        live.size()) - 1));
+            const GpuCount size = GpuCount(1) << rng.uniform_int(0, 5);
+            manager_.resize(*it, size, PlacementStrategy::kBestFitCompact,
+                            true);
+        } else if (op < 0.85) {
+            auto it = live.begin();
+            std::advance(it, rng.uniform_int(
+                                 0, static_cast<std::int64_t>(
+                                        live.size()) - 1));
+            manager_.release(*it);
+            live.erase(it);
+        } else {
+            const GpuCount gpu = static_cast<GpuCount>(
+                rng.uniform_int(0, topo_.total_gpus() - 1));
+            if (down.count(gpu) > 0) {
+                manager_.set_gpu_available(gpu, true);
+                down.erase(gpu);
+            } else if (manager_.owner_of(gpu) == kInvalidJob) {
+                manager_.set_gpu_available(gpu, false);
+                down.insert(gpu);
+            }
+        }
+        ASSERT_EQ(recover::digest(manager_),
+                  recover::recomputed_digest(manager_))
+            << "step " << step;
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * CLI contract tests for the run_trace driver: unknown flags, bad flag
- * values and malformed trace files go to stderr and exit 2 (scripts
+ * values and malformed trace files (bad job ids included) go to
+ * stderr and exit 2 (scripts
  * depend on it), and the service-mode flags (--service,
  * --arrival-rate, --duration, in both "--flag v" and "--flag=v"
  * spellings) run clean. Malformed fault scripts exit 2 with a
@@ -116,6 +117,39 @@ TEST(RunTraceCli, MalformedTraceFilesExitTwo)
                   "submit_time,deadline,kind,requested_gpus\n")),
               2);
     EXPECT_EQ(run_cli("/nonexistent/trace.csv"), 2);
+}
+
+TEST(RunTraceCli, BadJobIdsExitTwoWithTheLine)
+{
+    const std::string header = "id,name,user,model,global_batch,iterations,"
+                               "submit_time,deadline,kind,requested_gpus\n";
+    const std::string row = ",j,u,ResNet50,128,100,0,inf,best-effort,1\n";
+    const struct
+    {
+        const char *name;
+        std::string text;
+        const char *expect;  ///< substring of the diagnostic
+    } cases[] = {
+        // The simulator's constructor aborts on a duplicate, so the
+        // loader must reject it first.
+        {"ids_dup.csv", header + "0" + row + "1" + row + "0" + row,
+         "trace line 4: duplicate job id 0 (first on line 2)"},
+        // -1 is kInvalidJob, the placement's free-GPU marker.
+        {"ids_minus_one.csv", header + "0" + row + "-1" + row,
+         "trace line 3: job id -1 is negative"},
+        {"ids_negative.csv", header + "-7" + row,
+         "trace line 2: job id -7 is negative"},
+    };
+    std::string err;
+    for (const auto &c : cases) {
+        EXPECT_EQ(run_cli(trace_file(c.name, c.text), &err), 2) << c.name;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.name << ": " << err;
+    }
+    // Ids need not be dense or in submission order.
+    EXPECT_EQ(run_cli(trace_file("ids_sparse.csv",
+                                 header + "9000" + row + "3" + row)),
+              0);
 }
 
 TEST(RunTraceCli, MalformedFaultScriptsExitTwoWithTheLine)

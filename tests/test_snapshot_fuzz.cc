@@ -162,31 +162,43 @@ simulator_payload()
     return payload;
 }
 
+/** Little-endian u64 at @p at. */
+std::uint64_t
+word(const std::string &p, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int b = 7; b >= 0; --b)
+        v = v << 8 | static_cast<unsigned char>(p[at + b]);
+    return v;
+}
+
 /**
- * Offset of the placement table — 64 (owner i64, up u8) rows, then 8
- * server bytes — found by shape: owners are -1 or a job id, flags are
- * 0/1, and some GPU is owned.
+ * Offset of the placement's owner column — a 64 count, then 64 owners
+ * (i64), then the availability column (a 64 count, 64 u8 flags) and
+ * the server column (an 8 count, 8 u8 flags) — found by shape: owners
+ * are -1 or a job id, flags are 0/1, and some GPU is owned.
  */
+constexpr std::size_t kUp = 8 + 64 * 8;  // availability column
+constexpr std::size_t kServers = kUp + 8 + 64;
+
 std::size_t
 gpu_table(const std::string &p)
 {
-    const auto byte = [&](std::size_t at) {
-        return static_cast<unsigned char>(p[at]);
-    };
     std::vector<std::size_t> hits;
-    for (std::size_t at = 0; at + 64 * 9 + 8 <= p.size(); ++at) {
-        bool shaped = true;
+    for (std::size_t at = 0; at + kServers + 8 + 8 <= p.size(); ++at) {
+        bool shaped = word(p, at) == 64 && word(p, at + kUp) == 64 &&
+                      word(p, at + kServers) == 8;
         bool owned = false;
-        for (std::size_t row = at; row < at + 64 * 9 && shaped; row += 9) {
-            std::uint64_t owner = 0;
-            for (int b = 7; b >= 0; --b)
-                owner = owner << 8 | byte(row + b);
+        for (std::size_t g = 0; g < 64 && shaped; ++g) {
+            const std::uint64_t owner = word(p, at + 8 + 8 * g);
             shaped = (owner == ~UINT64_C(0) || owner < 1000) &&
-                     byte(row + 8) <= 1;
+                     static_cast<unsigned char>(p[at + kUp + 8 + g]) <= 1;
             owned = owned || owner < 1000;
         }
-        for (std::size_t s = 0; s < 8 && shaped; ++s)
-            shaped = byte(at + 64 * 9 + s) <= 1;
+        for (std::size_t s = 0; s < 8 && shaped; ++s) {
+            shaped = static_cast<unsigned char>(
+                         p[at + kServers + 8 + s]) <= 1;
+        }
         if (shaped && owned)
             hits.push_back(at);
     }
@@ -194,15 +206,24 @@ gpu_table(const std::string &p)
     return hits.empty() ? 0 : hits.front();
 }
 
-/** Offset of the first owned row of @p table (or, with @p owned
- *  false, the first free and up one). */
+/** Offset of the availability flag of the GPU whose owner is at
+ *  @p owner in @p table. */
+std::size_t
+up_flag(std::size_t table, std::size_t owner)
+{
+    return table + kUp + 8 + (owner - table - 8) / 8;
+}
+
+/** Offset of the owner of the first owned GPU of @p table (or, with
+ *  @p owned false, the first free and up one). */
 std::size_t
 first_row(const std::string &p, std::size_t table, bool owned)
 {
-    std::size_t row = table;
-    while ((p[row] != '\xff') != owned || (!owned && p[row + 8] != 1))
-        row += 9;
-    return row;
+    std::size_t g = 0;
+    while ((p[table + 8 + 8 * g] != '\xff') != owned ||
+           (!owned && p[up_flag(table, table + 8 + 8 * g)] != 1))
+        ++g;
+    return table + 8 + 8 * g;
 }
 
 TEST(SnapshotFuzz, SimulatorPayloads)
@@ -218,7 +239,7 @@ TEST(SnapshotFuzz, InconsistentGpuTableIsBadRecord)
     const std::size_t owned = first_row(payload, table, true);
 
     std::string down = payload;
-    down[owned + 8] = 0;  // an owned GPU marked down
+    down[up_flag(table, owned)] = 0;  // an owned GPU marked down
     EXPECT_EQ(recover_simulator(down).code, ErrorCode::kBadRecord);
 
     // Hand a free, healthy GPU to the owner of another: that job now
