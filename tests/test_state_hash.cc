@@ -116,6 +116,23 @@ simulator_service_mode()
     return run_once("elasticflow", 42, config);
 }
 
+/** A multi-rack cluster (8 racks of 8 servers) with server failures:
+ *  repacks run with servers down, so they pin the down-server sentinel
+ *  bins and matching across more than two racks. */
+RunResult
+multi_rack_server_failures()
+{
+    TraceGenConfig gen = testbed_large_preset();
+    gen.topology = TopologySpec::with_total_gpus(512);
+    Trace trace = TraceGenerator::generate(gen);
+    SimConfig config;
+    config.failures.enabled = true;
+    config.failures.server_mtbf_s = 2.0 * kDay;
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(trace, scheduler.get(), config);
+    return sim.run();
+}
+
 /**
  * Digest of what a run decided, independent of how the simulator
  * represents its state: every placement change in the allocation log,
@@ -357,9 +374,10 @@ TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
 
 /**
  * Pinned decisions: the allocation log and per-job outcomes of the
- * three simulator runs above. Unlike the state-hash pins, these do not
- * depend on how the hash composes the simulator's state, so they must
- * only move when a decision does.
+ * three simulator runs above, plus a multi-rack run with server
+ * failures, the only pin whose repacks run with servers down. Unlike
+ * the state-hash pins, these do not depend on how the hash composes the
+ * simulator's state, so they must only move when a decision does.
  */
 TEST(StateHash, PinnedDecisions)
 {
@@ -375,6 +393,8 @@ TEST(StateHash, PinnedDecisions)
          churn_with_faults_and_defrag, UINT64_C(0x60ad6cce35888f5e)},
         {"simulator service mode", simulator_service_mode,
          UINT64_C(0xe2f0fcd0e9a73ef6)},
+        {"multi-rack server failures", multi_rack_server_failures,
+         UINT64_C(0x87c6c9143db0709b)},
     };
     for (const Pin &pin : pins) {
         SCOPED_TRACE(pin.name);
