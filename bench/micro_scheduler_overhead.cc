@@ -81,10 +81,12 @@ BENCHMARK(BM_ResourceAllocation)->Arg(8)->Arg(32);
  * degenerates (slot 0 saturates on minimum shares alone and the loop
  * exits immediately).
  */
-enum class AllocMode { kReference, kIncremental };
+/** Which of a pair of equivalent implementations a benchmark times:
+ *  the optimized one or the in-tree reference it is checked against. */
+enum class Impl { kReference, kIncremental };
 
 void
-BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
+BM_ResourceAllocationLarge(benchmark::State &state, Impl mode)
 {
     const int num_jobs = static_cast<int>(state.range(0));
     const GpuCount gpus = static_cast<GpuCount>(state.range(1));
@@ -100,11 +102,11 @@ BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
     }
     for (auto _ : state) {
         switch (mode) {
-          case AllocMode::kReference:
+          case Impl::kReference:
             benchmark::DoNotOptimize(run_allocation_reference(
                 config, 0.0, jobs, admission.plans, {}));
             break;
-          case AllocMode::kIncremental:
+          case Impl::kIncremental:
             benchmark::DoNotOptimize(run_allocation(
                 config, 0.0, jobs, admission.plans, {}));
             break;
@@ -112,32 +114,45 @@ BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
     }
 }
 BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, incremental,
-                  AllocMode::kIncremental)
+                  Impl::kIncremental)
     ->Args({1000, 2048})
     ->Args({1000, 16384})
     ->Args({1000, 65536})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, reference,
-                  AllocMode::kReference)
+                  Impl::kReference)
     ->Args({1000, 2048})
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * Random place/release churn with migrating buddy placement, 200 steps
+ * per 128 GPUs so the cluster fills up and repacks at every size.
+ * `reference` serves the same requests through the original global
+ * bin-to-server matching (place_reference).
+ */
 void
-BM_BuddyPlacementChurn(benchmark::State &state)
+BM_BuddyPlacementChurn(benchmark::State &state, Impl mode)
 {
-    Topology topo(TopologySpec::testbed_128());
+    const GpuCount gpus = static_cast<GpuCount>(state.range(0));
+    Topology topo(TopologySpec::with_total_gpus(gpus));
+    const int steps = 200 * (gpus / 128);
     Rng rng(5);
     for (auto _ : state) {
         PlacementManager manager(&topo);
         std::vector<JobId> live;
         JobId next = 0;
-        for (int step = 0; step < 200; ++step) {
+        for (int step = 0; step < steps; ++step) {
             if (live.empty() || rng.flip(0.6)) {
                 GpuCount size = GpuCount(1) << rng.uniform_int(0, 4);
                 if (size <= manager.idle_gpus()) {
-                    benchmark::DoNotOptimize(manager.place(
-                        next, size,
-                        PlacementStrategy::kBestFitCompact, true));
+                    benchmark::DoNotOptimize(
+                        mode == Impl::kIncremental
+                            ? manager.place(next, size,
+                                            PlacementStrategy::kBestFitCompact,
+                                            true)
+                            : manager.place_reference(
+                                  next, size,
+                                  PlacementStrategy::kBestFitCompact, true));
                     live.push_back(next);
                 }
                 ++next;
@@ -153,7 +168,14 @@ BM_BuddyPlacementChurn(benchmark::State &state)
         }
     }
 }
-BENCHMARK(BM_BuddyPlacementChurn);
+BENCHMARK_CAPTURE(BM_BuddyPlacementChurn, incremental, Impl::kIncremental)
+    ->Arg(128)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuddyPlacementChurn, reference, Impl::kReference)
+    ->Arg(128)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_PerfModelThroughput(benchmark::State &state)

@@ -183,25 +183,6 @@ PlacementManager::owner_of(GpuCount gpu) const
     return gpu_owner_[static_cast<std::size_t>(gpu)];
 }
 
-std::vector<GpuCount>
-PlacementManager::take_from_server(int server, GpuCount count)
-{
-    std::vector<GpuCount> taken;
-    GpuCount base = topology_->first_gpu_of_server(server);
-    for (GpuCount g = base;
-         g < base + topology_->gpus_per_server() &&
-         static_cast<GpuCount>(taken.size()) < count;
-         ++g) {
-        if (gpu_owner_[static_cast<std::size_t>(g)] == kInvalidJob &&
-            gpu_up_[static_cast<std::size_t>(g)]) {
-            taken.push_back(g);
-        }
-    }
-    EF_CHECK_MSG(static_cast<GpuCount>(taken.size()) == count,
-                 "server " << server << " lacks " << count << " free GPUs");
-    return taken;
-}
-
 void
 PlacementManager::assign(JobId job, std::vector<GpuCount> gpus)
 {
@@ -476,9 +457,49 @@ PlacementManager::try_scatter(GpuCount size) const
     return gpus;
 }
 
+namespace {
+
+/** (job, GPUs) pairs in ascending job id. */
+using JobGpus = std::vector<std::pair<JobId, GpuCount>>;
+
+/** Call fn(server, first index, count) for each server's run of the
+ *  sorted ids @p gpus, in ascending server order. */
+template <class Fn>
+void
+for_each_server_run(const Topology &topology,
+                    const std::vector<GpuCount> &gpus, Fn fn)
+{
+    for (std::size_t i = 0; i < gpus.size();) {
+        const int s = topology.server_of(gpus[i]);
+        std::size_t j = i + 1;
+        while (j < gpus.size() && topology.server_of(gpus[j]) == s)
+            ++j;
+        fn(s, i, j - i);
+        i = j;
+    }
+}
+
+}  // namespace
+
+/**
+ * The abstract layout of a buddy repack: which jobs go in which server
+ * bin, before bins are matched to physical servers. Bins are grouped
+ * per rack: rack r owns bins [r * servers_per_rack, (r + 1) *
+ * servers_per_rack), and a bin is only ever matched to a server of its
+ * own rack.
+ */
+struct PlacementManager::BinPacking
+{
+    /** bins[b]: the jobs in bin b and their GPUs there. */
+    std::vector<JobGpus> bins;
+    /** down_bins[k]: the empty sentinel bin reserved in the rack of the
+     *  k-th down server (ascending server index). */
+    std::vector<int> down_bins;
+};
+
 bool
-PlacementManager::repack_with(JobId new_job, GpuCount size,
-                              PlacementResult *result)
+PlacementManager::pack_bins(JobId new_job, GpuCount size,
+                            BinPacking *pack) const
 {
     const GpuCount per_server = topology_->gpus_per_server();
     if (!is_power_of_two(size) || !is_power_of_two(per_server))
@@ -533,14 +554,12 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
             --rack_free[static_cast<std::size_t>(
                 topology_->rack_of_server(srv))];
     }
-    // bin_jobs[b]: GPUs of each job in abstract server bin b. Bins are
-    // grouped per rack: rack r owns bins [r*spr, (r+1)*spr).
-    std::vector<std::map<JobId, GpuCount>> bin_jobs(
-        static_cast<std::size_t>(n));
+    auto &bin_jobs = pack->bins;
+    bin_jobs.assign(static_cast<std::size_t>(n), {});
     std::vector<GpuCount> bin_used(static_cast<std::size_t>(n), 0);
     // Reserve one sentinel bin per down server (nothing packs there;
-    // the matching below pins it onto the down server itself).
-    std::vector<int> down_bins;
+    // the matching pins it onto the down server itself).
+    pack->down_bins.clear();
     for (int srv = 0; srv < n; ++srv) {
         if (server_up_[static_cast<std::size_t>(srv)])
             continue;
@@ -549,7 +568,7 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
              ++b) {
             if (bin_used[static_cast<std::size_t>(b)] == 0) {
                 bin_used[static_cast<std::size_t>(b)] = per_server;
-                down_bins.push_back(b);
+                pack->down_bins.push_back(b);
                 break;
             }
         }
@@ -586,7 +605,8 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
         int remaining = big.servers;
         if (best_rack >= 0) {
             for (int b : bins_of_rack(best_rack, big.servers)) {
-                bin_jobs[static_cast<std::size_t>(b)][big.job] = per_server;
+                bin_jobs[static_cast<std::size_t>(b)].emplace_back(
+                    big.job, per_server);
                 bin_used[static_cast<std::size_t>(b)] = per_server;
                 --remaining;
             }
@@ -609,8 +629,8 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
                 int take = std::min(
                     remaining, rack_free[static_cast<std::size_t>(r_most)]);
                 for (int b : bins_of_rack(r_most, take)) {
-                    bin_jobs[static_cast<std::size_t>(b)][big.job] =
-                        per_server;
+                    bin_jobs[static_cast<std::size_t>(b)].emplace_back(
+                        big.job, per_server);
                     bin_used[static_cast<std::size_t>(b)] = per_server;
                     --remaining;
                 }
@@ -657,9 +677,202 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
             best_bin = bins_of_rack(best_rack, 1).front();
             rack_free[static_cast<std::size_t>(best_rack)] -= 1;
         }
-        bin_jobs[static_cast<std::size_t>(best_bin)][item.id] += item.size;
+        bin_jobs[static_cast<std::size_t>(best_bin)].emplace_back(item.id,
+                                                                  item.size);
         bin_used[static_cast<std::size_t>(best_bin)] += item.size;
     }
+    // A job appears at most once per bin, so each bin sorts by job id.
+    for (auto &bin : bin_jobs)
+        std::sort(bin.begin(), bin.end());
+    return true;
+}
+
+bool
+PlacementManager::repack_with(JobId new_job, GpuCount size,
+                              PlacementResult *result)
+{
+    BinPacking pack;
+    if (!pack_bins(new_job, size, &pack))
+        return false;
+    const int n = topology_->num_servers();
+    const int spr = topology_->spec().servers_per_rack;
+    const GpuCount per_server = topology_->gpus_per_server();
+
+    // on_server[s]: (job, GPUs the job holds in server s), ascending
+    // job id.
+    std::vector<JobGpus> on_server(static_cast<std::size_t>(n));
+    for (const auto &[job, gpus] : job_gpus_) {
+        const JobId id = job;
+        for_each_server_run(
+            *topology_, gpus, [&](int s, std::size_t, std::size_t count) {
+                on_server[static_cast<std::size_t>(s)].emplace_back(
+                    id, static_cast<GpuCount>(count));
+            });
+    }
+
+    // Match abstract bins to physical servers within each rack,
+    // maximizing overlap with the current layout so as few jobs as
+    // possible actually move. Sentinel bins are pinned to the down
+    // servers first: down_bins[k] sits in the k-th down server's rack.
+    std::vector<int> bin_to_server(static_cast<std::size_t>(n), -1);
+    std::vector<int> server_to_bin(static_cast<std::size_t>(n), -1);
+    {
+        std::size_t k = 0;
+        for (int srv = 0; srv < n; ++srv) {
+            if (server_up_[static_cast<std::size_t>(srv)])
+                continue;
+            const int b = pack.down_bins[k++];
+            bin_to_server[static_cast<std::size_t>(b)] = srv;
+            server_to_bin[static_cast<std::size_t>(srv)] = b;
+        }
+    }
+    // The overlaps never change while a rack is matched, so compute the
+    // rack's spr x spr matrix once (each entry a merge of two job-sorted
+    // lists), then run the greedy on it: the strictly largest overlap
+    // wins, ties to the lowest bin, then the lowest server. Racks are
+    // independent, so this makes exactly the global greedy's picks
+    // (DESIGN.md §5, "Placement").
+    std::vector<GpuCount> overlap(static_cast<std::size_t>(spr * spr));
+    for (int first = 0; first < n; first += spr) {
+        for (int i = 0; i < spr; ++i) {
+            const JobGpus &bin =
+                pack.bins[static_cast<std::size_t>(first + i)];
+            for (int j = 0; j < spr; ++j) {
+                const JobGpus &cur =
+                    on_server[static_cast<std::size_t>(first + j)];
+                GpuCount sum = 0;
+                auto a = bin.begin();
+                auto c = cur.begin();
+                while (a != bin.end() && c != cur.end()) {
+                    if (a->first < c->first) {
+                        ++a;
+                    } else if (c->first < a->first) {
+                        ++c;
+                    } else {
+                        sum += std::min(a->second, c->second);
+                        ++a;
+                        ++c;
+                    }
+                }
+                overlap[static_cast<std::size_t>(i * spr + j)] = sum;
+            }
+        }
+        for (;;) {
+            int best_i = -1, best_j = -1;
+            GpuCount best_overlap = -1;
+            for (int i = 0; i < spr; ++i) {
+                if (bin_to_server[static_cast<std::size_t>(first + i)] >= 0)
+                    continue;
+                for (int j = 0; j < spr; ++j) {
+                    if (server_to_bin[static_cast<std::size_t>(first + j)] >=
+                        0) {
+                        continue;
+                    }
+                    const GpuCount o =
+                        overlap[static_cast<std::size_t>(i * spr + j)];
+                    if (o > best_overlap) {
+                        best_overlap = o;
+                        best_i = i;
+                        best_j = j;
+                    }
+                }
+            }
+            if (best_i < 0)
+                break;  // every bin of the rack is matched
+            bin_to_server[static_cast<std::size_t>(first + best_i)] =
+                first + best_j;
+            server_to_bin[static_cast<std::size_t>(first + best_j)] =
+                first + best_i;
+        }
+    }
+
+    // Dense job index: every placed job plus the new one, ascending id.
+    std::vector<JobId> ids;
+    ids.reserve(job_gpus_.size() + 1);
+    for (const auto &[job, gpus] : job_gpus_)
+        ids.push_back(job);
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), new_job), new_job);
+    auto index_of = [&ids](JobId job) {
+        return static_cast<std::size_t>(
+            std::lower_bound(ids.begin(), ids.end(), job) - ids.begin());
+    };
+
+    // desired[k]: (server, GPUs still to hand out) of job ids[k] under
+    // the new packing, ascending server.
+    std::vector<std::vector<std::pair<int, GpuCount>>> desired(ids.size());
+    for (int s = 0; s < n; ++s) {
+        const int b = server_to_bin[static_cast<std::size_t>(s)];
+        EF_CHECK_MSG(b >= 0, "repack left server " << s << " unmatched");
+        for (const auto &[job, cnt] : pack.bins[static_cast<std::size_t>(b)])
+            desired[index_of(job)].emplace_back(s, cnt);
+    }
+
+    // Materialize GPU ids: first let each job keep the ids it already
+    // owns in servers where it stays (a two-pointer walk over its sorted
+    // GPUs and its desired servers), then hand out the rest.
+    std::vector<JobId> new_owner(gpu_owner_.size(), kInvalidJob);
+    for (const auto &[job, gpus] : job_gpus_) {
+        auto &want = desired[index_of(job)];
+        auto w = want.begin();
+        for (GpuCount g : gpus) {
+            const int s = topology_->server_of(g);
+            while (w != want.end() && w->first < s)
+                ++w;
+            if (w != want.end() && w->first == s && w->second > 0) {
+                new_owner[static_cast<std::size_t>(g)] = job;
+                --w->second;
+            }
+        }
+    }
+    // A job that still needs GPUs lost some of its own, so it moves
+    // (the new job always does). Its remaining demands pull from GPUs
+    // still unowned in the new map, in job then server order, which
+    // also lists the migrations in job order.
+    result->migrations.clear();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        const JobId job = ids[k];
+        std::vector<GpuCount> to;
+        for (auto [s, need] : desired[k]) {
+            GpuCount base = topology_->first_gpu_of_server(s);
+            for (GpuCount g = base; g < base + per_server && need > 0; ++g) {
+                if (new_owner[static_cast<std::size_t>(g)] == kInvalidJob) {
+                    new_owner[static_cast<std::size_t>(g)] = job;
+                    to.push_back(g);
+                    --need;
+                }
+            }
+            EF_CHECK_MSG(need == 0, "repack accounting failed");
+        }
+        if (job == new_job) {
+            std::sort(to.begin(), to.end());
+            result->gpus = std::move(to);
+        } else if (!to.empty()) {
+            const std::vector<GpuCount> &from = job_gpus_.at(job);
+            for (GpuCount g : from) {
+                if (new_owner[static_cast<std::size_t>(g)] == job)
+                    to.push_back(g);
+            }
+            std::sort(to.begin(), to.end());
+            result->migrations.push_back(Migration{job, from, std::move(to)});
+        }
+    }
+    commit_repack(new_job, result);
+    return true;
+}
+
+bool
+PlacementManager::repack_with_reference(JobId new_job, GpuCount size,
+                                        PlacementResult *result)
+{
+    BinPacking pack;
+    if (!pack_bins(new_job, size, &pack))
+        return false;
+    const auto &bin_jobs = pack.bins;
+    const auto &down_bins = pack.down_bins;
+    const int n = topology_->num_servers();
+    const int servers_per_rack = topology_->spec().servers_per_rack;
+    const GpuCount per_server = topology_->gpus_per_server();
+
     // current_in[job][server] = GPUs job currently holds in server.
     std::map<JobId, std::vector<GpuCount>> current_in;
     for (const auto &[job, gpus] : job_gpus_) {
@@ -761,7 +974,6 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
                 new_owner[static_cast<std::size_t>(g)] = job;
                 new_gpus[job].push_back(g);
                 ++kept_per_server[static_cast<std::size_t>(s)];
-                row[static_cast<std::size_t>(s)] -= 0;  // tracked below
             }
         }
         for (int s = 0; s < n; ++s) {
@@ -802,22 +1014,45 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
             result->migrations.push_back(std::move(m));
         }
     }
+    result->gpus = new_gpus.at(new_job);
+    commit_repack(new_job, result);
+    return true;
+}
 
-    // Apply: only the movers change owners. Release them all before
+void
+PlacementManager::commit_repack(JobId new_job, PlacementResult *result)
+{
+    // Only the movers change owners. Release them all before
     // reassigning, so exchanges between movers commit in one step.
     for (const Migration &m : result->migrations)
         unassign(m.job);
     for (const Migration &m : result->migrations)
         assign(m.job, m.to);
     result->ok = true;
-    result->gpus = new_gpus.at(new_job);
     assign(new_job, result->gpus);
-    return true;
 }
 
 PlacementResult
 PlacementManager::place(JobId job, GpuCount size, PlacementStrategy strategy,
                         bool allow_migration)
+{
+    return place_via(job, size, strategy, allow_migration,
+                     &PlacementManager::repack_with);
+}
+
+PlacementResult
+PlacementManager::place_reference(JobId job, GpuCount size,
+                                  PlacementStrategy strategy,
+                                  bool allow_migration)
+{
+    return place_via(job, size, strategy, allow_migration,
+                     &PlacementManager::repack_with_reference);
+}
+
+PlacementResult
+PlacementManager::place_via(JobId job, GpuCount size,
+                            PlacementStrategy strategy, bool allow_migration,
+                            Repack repack)
 {
     EF_CHECK_MSG(!is_placed(job), "job " << job << " is already placed");
     EF_CHECK_MSG(size > 0, "placement size must be positive");
@@ -829,6 +1064,8 @@ PlacementManager::place(JobId job, GpuCount size, PlacementStrategy strategy,
     }
 
     auto direct = try_direct(size, strategy);
+    if (direct.has_value())
+        std::sort(direct->begin(), direct->end());
     if (strategy == PlacementStrategy::kBestFitCompact && allow_migration) {
         // Buddy defragmentation: if the direct placement would span
         // more servers than a compact one (or fails outright), repack
@@ -843,7 +1080,7 @@ PlacementManager::place(JobId job, GpuCount size, PlacementStrategy strategy,
             direct.has_value() &&
             topology_->server_span(*direct) <= compact_span &&
             topology_->rack_span(*direct) <= compact_racks;
-        if (!direct_compact && repack_with(job, size, &result)) {
+        if (!direct_compact && (this->*repack)(job, size, &result)) {
             obs::count("cluster.repacks");
             obs::count("cluster.migrations",
                        result.migrations.size());
@@ -854,7 +1091,6 @@ PlacementManager::place(JobId job, GpuCount size, PlacementStrategy strategy,
         result.ok = true;
         result.gpus = std::move(*direct);
         assign(job, result.gpus);
-        std::sort(result.gpus.begin(), result.gpus.end());
         return result;
     }
     obs::count("cluster.place_failures");
@@ -864,6 +1100,24 @@ PlacementManager::place(JobId job, GpuCount size, PlacementStrategy strategy,
 PlacementResult
 PlacementManager::resize(JobId job, GpuCount new_size,
                          PlacementStrategy strategy, bool allow_migration)
+{
+    return resize_via(job, new_size, strategy, allow_migration,
+                      &PlacementManager::repack_with);
+}
+
+PlacementResult
+PlacementManager::resize_reference(JobId job, GpuCount new_size,
+                                   PlacementStrategy strategy,
+                                   bool allow_migration)
+{
+    return resize_via(job, new_size, strategy, allow_migration,
+                      &PlacementManager::repack_with_reference);
+}
+
+PlacementResult
+PlacementManager::resize_via(JobId job, GpuCount new_size,
+                             PlacementStrategy strategy,
+                             bool allow_migration, Repack repack)
 {
     EF_CHECK(is_placed(job));
     EF_CHECK(new_size > 0);
@@ -879,21 +1133,26 @@ PlacementManager::resize(JobId job, GpuCount new_size,
 
     if (new_size < old_size) {
         // Shrink: keep GPUs from the servers where the job is densest,
-        // so the remaining placement is as compact as possible.
-        std::map<int, std::vector<GpuCount>> by_server;
-        for (GpuCount g : current)
-            by_server[topology_->server_of(g)].push_back(g);
-        std::vector<std::pair<int, std::vector<GpuCount>>> groups(
-            by_server.begin(), by_server.end());
-        std::stable_sort(groups.begin(), groups.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.second.size() > b.second.size();
+        // so the remaining placement is as compact as possible. The
+        // stable sort breaks ties by ascending server.
+        struct Run { std::size_t begin, size; };
+        std::vector<Run> runs;
+        for_each_server_run(*topology_, current,
+                            [&](int, std::size_t begin, std::size_t count) {
+                                runs.push_back(Run{begin, count});
+                            });
+        std::stable_sort(runs.begin(), runs.end(),
+                         [](const Run &a, const Run &b) {
+                             return a.size > b.size;
                          });
         std::vector<GpuCount> keep;
-        for (const auto &[server, gpus] : groups) {
-            for (GpuCount g : gpus) {
-                if (static_cast<GpuCount>(keep.size()) < new_size)
-                    keep.push_back(g);
+        keep.reserve(static_cast<std::size_t>(new_size));
+        for (const Run &run : runs) {
+            for (std::size_t i = run.begin;
+                 i < run.begin + run.size &&
+                 static_cast<GpuCount>(keep.size()) < new_size;
+                 ++i) {
+                keep.push_back(current[i]);
             }
         }
         unassign(job);
@@ -907,7 +1166,7 @@ PlacementManager::resize(JobId job, GpuCount new_size,
     // Grow: free the current GPUs, then place fresh (possibly with
     // migration); restore the old placement if that fails.
     unassign(job);
-    result = place(job, new_size, strategy, allow_migration);
+    result = place_via(job, new_size, strategy, allow_migration, repack);
     if (!result.ok) {
         assign(job, current);
     }

@@ -127,6 +127,19 @@ class PlacementManager
                            bool allow_migration);
 
     /**
+     * place() and resize() through repack_with_reference, the original
+     * global bin-to-server matching over per-job server rows. Kept as
+     * the oracle of tests/test_placement_equivalence.cc and the
+     * micro-benchmark's baseline; nothing selects it at run time.
+     */
+    PlacementResult place_reference(JobId job, GpuCount size,
+                                    PlacementStrategy strategy,
+                                    bool allow_migration);
+    PlacementResult resize_reference(JobId job, GpuCount new_size,
+                                     PlacementStrategy strategy,
+                                     bool allow_migration);
+
+    /**
      * Atomically relocate a batch of placed jobs (background
      * defragmentation commit path). Every move's `from` must match the
      * job's current GPUs and every `to` must keep the job's size; the
@@ -165,7 +178,6 @@ class PlacementManager
     /** Re-derive the per-job lists and per-server counters from the
      *  per-GPU and per-server tables; false on an inconsistent table. */
     bool rebuild();
-    std::vector<GpuCount> take_from_server(int server, GpuCount count);
     void assign(JobId job, std::vector<GpuCount> gpus);
     void unassign(JobId job);
     /** The one write path of gpu_owner_ (keeps owner_digest_). */
@@ -179,8 +191,28 @@ class PlacementManager
     std::optional<std::vector<GpuCount>> try_first_fit(GpuCount size) const;
     std::optional<std::vector<GpuCount>> try_scatter(GpuCount size) const;
 
-    /** Full buddy repack; fills result on success. */
+    /** One of the two repack implementations below. */
+    using Repack = bool (PlacementManager::*)(JobId, GpuCount,
+                                              PlacementResult *);
+    PlacementResult place_via(JobId job, GpuCount size,
+                              PlacementStrategy strategy,
+                              bool allow_migration, Repack repack);
+    PlacementResult resize_via(JobId job, GpuCount new_size,
+                               PlacementStrategy strategy,
+                               bool allow_migration, Repack repack);
+
+    struct BinPacking;
+    /** The packing half of a buddy repack: jobs into abstract server
+     *  bins; false when the repack does not apply or cannot pack. */
+    bool pack_bins(JobId new_job, GpuCount size, BinPacking *pack) const;
+    /** Full buddy repack; fills result on success. Matches bins to
+     *  servers per rack over a precomputed overlap matrix. */
     bool repack_with(JobId new_job, GpuCount size, PlacementResult *result);
+    /** The same repack by the original global greedy (the oracle). */
+    bool repack_with_reference(JobId new_job, GpuCount size,
+                               PlacementResult *result);
+    /** Apply result->migrations, then assign the new job its GPUs. */
+    void commit_repack(JobId new_job, PlacementResult *result);
 
     const Topology *topology_;
     std::vector<JobId> gpu_owner_;              // size total_gpus

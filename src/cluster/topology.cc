@@ -1,7 +1,6 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/check.h"
 
@@ -72,49 +71,37 @@ Topology::Topology(TopologySpec spec) : spec_(spec)
     total_gpus_ = num_servers_ * spec_.gpus_per_server;
 }
 
+namespace {
+
+/** Distinct values of @p key over sorted ids whose key never
+ *  decreases, counted as runs. */
+template <class Key>
 int
-Topology::server_of(GpuCount gpu) const
+count_runs(const std::vector<GpuCount> &gpus, Key key)
 {
-    EF_CHECK(gpu >= 0 && gpu < total_gpus_);
-    return gpu / spec_.gpus_per_server;
+    EF_DCHECK(std::is_sorted(gpus.begin(), gpus.end()));
+    int runs = 0;
+    int last = -1;
+    for (GpuCount g : gpus) {
+        const int k = key(g);
+        runs += k != last;
+        last = k;
+    }
+    return runs;
 }
 
-int
-Topology::rack_of(GpuCount gpu) const
-{
-    return rack_of_server(server_of(gpu));
-}
-
-int
-Topology::rack_of_server(int server) const
-{
-    EF_CHECK(server >= 0 && server < num_servers_);
-    return server / spec_.servers_per_rack;
-}
-
-GpuCount
-Topology::first_gpu_of_server(int server) const
-{
-    EF_CHECK(server >= 0 && server < num_servers_);
-    return server * spec_.gpus_per_server;
-}
+}  // namespace
 
 int
 Topology::server_span(const std::vector<GpuCount> &gpus) const
 {
-    std::set<int> servers;
-    for (GpuCount g : gpus)
-        servers.insert(server_of(g));
-    return static_cast<int>(servers.size());
+    return count_runs(gpus, [this](GpuCount g) { return server_of(g); });
 }
 
 int
 Topology::rack_span(const std::vector<GpuCount> &gpus) const
 {
-    std::set<int> racks;
-    for (GpuCount g : gpus)
-        racks.insert(rack_of(g));
-    return static_cast<int>(racks.size());
+    return count_runs(gpus, [this](GpuCount g) { return rack_of(g); });
 }
 
 CommLevel

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 
 namespace ef {
@@ -90,20 +91,36 @@ class Topology
     int gpus_per_server() const { return spec_.gpus_per_server; }
 
     /** Server index of a GPU id. */
-    int server_of(GpuCount gpu) const;
+    int
+    server_of(GpuCount gpu) const
+    {
+        EF_CHECK(gpu >= 0 && gpu < total_gpus_);
+        return gpu / spec_.gpus_per_server;
+    }
     /** Rack index of a GPU id. */
-    int rack_of(GpuCount gpu) const;
+    int rack_of(GpuCount gpu) const { return rack_of_server(server_of(gpu)); }
     /** Rack index of a server. */
-    int rack_of_server(int server) const;
+    int
+    rack_of_server(int server) const
+    {
+        EF_CHECK(server >= 0 && server < num_servers_);
+        return server / spec_.servers_per_rack;
+    }
     /** First GPU id of a server. */
-    GpuCount first_gpu_of_server(int server) const;
+    GpuCount
+    first_gpu_of_server(int server) const
+    {
+        EF_CHECK(server >= 0 && server < num_servers_);
+        return server * spec_.gpus_per_server;
+    }
 
-    /** Number of distinct servers a GPU set touches. */
+    /** Number of distinct servers a sorted GPU set touches. */
     int server_span(const std::vector<GpuCount> &gpus) const;
-    /** Number of distinct racks a GPU set touches. */
+    /** Number of distinct racks a sorted GPU set touches. */
     int rack_span(const std::vector<GpuCount> &gpus) const;
 
-    /** Communication level of a worker set (worst link in use). */
+    /** Communication level of a sorted worker set (worst link in
+     *  use). */
     CommLevel comm_level(const std::vector<GpuCount> &gpus) const;
 
     /**

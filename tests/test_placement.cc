@@ -137,6 +137,66 @@ TEST_F(PlacementTest, MigrationDefragments)
     manager_.validate();
 }
 
+/**
+ * Testbed 32 with 2 idle GPUs in server 0 and 3 in server 2: no server
+ * fits a 4-GPU job, so best-fit falls back to fullest-first and
+ * returns server 2's GPUs before server 0's.
+ */
+void
+fragment_testbed_32(PlacementManager *manager)
+{
+    const std::pair<JobId, GpuCount> fills[] = {
+        {1, 4}, {2, 2}, {90, 2}, {3, 8}, {4, 4}, {5, 1}, {91, 3}, {6, 8}};
+    for (const auto &[job, size] : fills) {
+        ASSERT_TRUE(
+            manager->place(job, size, PlacementStrategy::kFirstFit, false)
+                .ok);
+    }
+    manager->release(90);  // GPUs 6-7
+    manager->release(91);  // GPUs 21-23
+}
+
+TEST(PlacementFallback, FullestFirstIdsComeBackSorted)
+{
+    Topology topo(TopologySpec::testbed_32());
+    PlacementManager manager(&topo);
+    fragment_testbed_32(&manager);
+    PlacementResult r =
+        manager.place(99, 4, PlacementStrategy::kBestFitCompact, false);
+    ASSERT_TRUE(r.ok);
+    const std::vector<GpuCount> want = {6, 21, 22, 23};
+    EXPECT_EQ(r.gpus, want);
+    EXPECT_EQ(manager.gpus_of(99), want);
+    EXPECT_EQ(topo.server_span(r.gpus), 2);
+    EXPECT_TRUE(r.migrations.empty());
+    manager.validate();
+}
+
+TEST(PlacementFallback, SpreadFallbackStillTriggersRepack)
+{
+    // The fallback spans two servers where one would do, so a migrating
+    // place repacks — with either repack — and the job lands compact.
+    Topology topo(TopologySpec::testbed_32());
+    PlacementManager fast(&topo);
+    PlacementManager ref(&topo);
+    fragment_testbed_32(&fast);
+    fragment_testbed_32(&ref);
+    PlacementResult a =
+        fast.place(99, 4, PlacementStrategy::kBestFitCompact, true);
+    PlacementResult b =
+        ref.place_reference(99, 4, PlacementStrategy::kBestFitCompact, true);
+    ASSERT_TRUE(a.ok);
+    EXPECT_EQ(fast.server_span(99), 1);
+    EXPECT_FALSE(a.migrations.empty());
+    EXPECT_EQ(a.gpus, b.gpus);
+    ASSERT_EQ(a.migrations.size(), b.migrations.size());
+    for (std::size_t i = 0; i < a.migrations.size(); ++i) {
+        EXPECT_EQ(a.migrations[i].job, b.migrations[i].job);
+        EXPECT_EQ(a.migrations[i].to, b.migrations[i].to);
+    }
+    fast.validate();
+}
+
 TEST_F(PlacementTest, ResizeShrinkKeepsDensestServers)
 {
     ASSERT_TRUE(manager_.place(1, 16, PlacementStrategy::kBestFitCompact,
@@ -146,6 +206,33 @@ TEST_F(PlacementTest, ResizeShrinkKeepsDensestServers)
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(manager_.server_span(1), 1);
     manager_.validate();
+}
+
+TEST(PlacementShrink, DensestServerFirstThenLowestServer)
+{
+    // Job 9 holds 2 GPUs in server 0, 4 in server 1 and 2 in server 2.
+    Topology topo(TopologySpec::testbed_32());
+    PlacementManager manager(&topo);
+    const std::pair<JobId, GpuCount> fills[] = {
+        {1, 6}, {90, 2}, {2, 4}, {91, 4}, {92, 2}, {3, 6}, {4, 8}};
+    for (const auto &[job, size] : fills) {
+        ASSERT_TRUE(
+            manager.place(job, size, PlacementStrategy::kFirstFit, false)
+                .ok);
+    }
+    for (JobId hold : {90, 91, 92})
+        manager.release(hold);
+    ASSERT_TRUE(
+        manager.place(9, 8, PlacementStrategy::kFirstFit, false).ok);
+    ASSERT_EQ(manager.gpus_of(9),
+              (std::vector<GpuCount>{6, 7, 12, 13, 14, 15, 16, 17}));
+    // Server 1's four stay; the tie between servers 0 and 2 goes to 0.
+    PlacementResult r =
+        manager.resize(9, 5, PlacementStrategy::kBestFitCompact, true);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.gpus, (std::vector<GpuCount>{6, 12, 13, 14, 15}));
+    EXPECT_EQ(manager.gpus_of(9), r.gpus);
+    manager.validate();
 }
 
 TEST_F(PlacementTest, ResizeGrowRestoresOnFailure)

@@ -5,7 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <set>
+#include <vector>
+
 #include "cluster/topology.h"
+#include "common/rng.h"
 
 namespace ef {
 namespace {
@@ -44,6 +49,51 @@ TEST(Topology, SpanAndCommLevel)
     EXPECT_EQ(topo.server_span({0, 1, 8, 16}), 3);
     EXPECT_EQ(topo.rack_span({0, 1, 8, 16}), 1);
     EXPECT_EQ(topo.rack_span({0, 127}), 2);
+}
+
+TEST(Topology, SpansCountDistinctServersAndRacksOfSortedIds)
+{
+    Topology topo(TopologySpec::testbed_128());
+    EXPECT_EQ(topo.server_span({}), 0);
+    EXPECT_EQ(topo.rack_span({}), 0);
+    EXPECT_EQ(topo.server_span({37}), 1);
+    EXPECT_EQ(topo.rack_span({37}), 1);
+    EXPECT_EQ(topo.server_span({8, 9, 10, 11, 12, 13, 14, 15}), 1);
+    EXPECT_EQ(topo.rack_span({8, 9, 10, 11, 12, 13, 14, 15}), 1);
+    // Last GPU of rack 0 and first of rack 1 are adjacent ids.
+    EXPECT_EQ(topo.server_span({0, 8, 63, 64, 127}), 5);
+    EXPECT_EQ(topo.rack_span({0, 8, 63, 64, 127}), 2);
+    EXPECT_EQ(topo.server_span({63, 64}), 2);
+    EXPECT_EQ(topo.rack_span({63, 64}), 2);
+}
+
+TEST(Topology, SpansAt2048GpusMatchDistinctCounts)
+{
+    Topology topo(TopologySpec::with_total_gpus(2048));
+    ASSERT_EQ(topo.num_servers(), 256);
+    ASSERT_EQ(topo.num_racks(), 32);
+    std::vector<GpuCount> all(2048);
+    std::iota(all.begin(), all.end(), 0);
+    EXPECT_EQ(topo.server_span(all), 256);
+    EXPECT_EQ(topo.rack_span(all), 32);
+
+    // Random sorted subsets against a std::set of the same ids.
+    Rng rng(2048);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<GpuCount> gpus;
+        const double keep = rng.uniform_real(0.0, 0.05);
+        for (GpuCount g = 0; g < topo.total_gpus(); ++g) {
+            if (rng.flip(keep))
+                gpus.push_back(g);
+        }
+        std::set<int> servers, racks;
+        for (GpuCount g : gpus) {
+            servers.insert(topo.server_of(g));
+            racks.insert(topo.rack_of(g));
+        }
+        EXPECT_EQ(topo.server_span(gpus), static_cast<int>(servers.size()));
+        EXPECT_EQ(topo.rack_span(gpus), static_cast<int>(racks.size()));
+    }
 }
 
 TEST(Topology, CompactCommLevel)
