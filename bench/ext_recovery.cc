@@ -1,9 +1,10 @@
 /**
  * @file
  * Micro benchmarks (google-benchmark) for the durable control plane
- * (DESIGN.md §12): the cost of writing one full-state snapshot, and a
- * complete recovery — snapshot load plus journal-tail replay — on the
- * 2048-GPU / 1000-job fixture. Both are also compiled into
+ * (DESIGN.md §12): the cost of one cadence checkpoint (a history
+ * segment plus a journal head) and of one base, both encoded from a
+ * mid-run state, and a complete recovery — chain load plus journal
+ * replay — on the 2048-GPU / 1000-job fixture. Both are also compiled into
  * micro_scheduler_overhead (with EF_BENCH_NO_MAIN) so recovery cost is
  * recorded into BENCH_sched.json and stays visible in the repo's perf
  * trajectory.
@@ -11,11 +12,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/check.h"
+#include "fault/fault.h"
 #include "recover/log.h"
-#include "recover/snapshot.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 #include "workload/trace_gen.h"
@@ -75,32 +77,79 @@ copy_file(const std::string &from, const std::string &to)
     std::fclose(out);
 }
 
-/** Writing one full-state snapshot (serialize was paid by the owner;
- *  this is the durable path: atomic replace + fsync + journal
- *  truncation) for the 2048-GPU / 1000-job state. */
+/**
+ * The fixture run stopped by a scheduler crash at its middle round: a
+ * simulator holding a loaded mid-run state, and a log under
+ * @p dir + "_out" that has written one base of it.
+ */
+struct MidRun
+{
+    std::unique_ptr<Scheduler> scheduler;
+    std::unique_ptr<Simulator> sim;
+    recover::DurableLog log;
+
+    explicit MidRun(const std::string &dir)
+    {
+        const RunResult whole = record_journal(dir);
+        SimConfig config;
+        FaultEvent crash;
+        crash.type = FaultType::kSchedCrash;
+        crash.target =
+            static_cast<std::int64_t>(whole.state_hash_samples / 2);
+        config.faults.script.push_back(crash);
+        config.durability.journal_dir = dir;
+        config.durability.snapshot_every = 1u << 30;
+        scheduler = make_scheduler("elasticflow");
+        sim = std::make_unique<Simulator>(big_trace(), scheduler.get(),
+                                          config);
+        sim->run();
+        EF_CHECK_MSG(sim->crashed(), "bench fixture did not stop mid-run");
+        std::uint64_t bytes = 0;
+        EF_CHECK_MSG(log.open(dir + "_out").ok() &&
+                         recover::write_checkpoint(log, 0, *sim, true,
+                                                   &bytes)
+                             .ok(),
+                     "bench base write failed");
+    }
+
+    /** One checkpoint; returns its encoded bytes. */
+    std::uint64_t
+    checkpoint(bool base)
+    {
+        std::uint64_t bytes = 0;
+        EF_CHECK_MSG(
+            recover::write_checkpoint(log, 0, *sim, base, &bytes).ok(),
+            "bench checkpoint write failed");
+        return bytes;
+    }
+};
+
+/** One cadence checkpoint of the mid-run 2048-GPU / 1000-job state:
+ *  encode the segment (empty here: nothing froze since the last one)
+ *  and the head, append, replace the journal. */
 void
 BM_SnapshotWrite(benchmark::State &state)
 {
-    const std::string dir = "bench_recovery_snap";
-    record_journal(dir);
-    std::string payload;
-    recover::Status st = recover::read_snapshot_file(
-        recover::DurableLog::snapshot_path(dir), &payload);
-    EF_CHECK_MSG(st.ok(), "bench snapshot read failed");
-
-    recover::DurableLog log;
-    EF_CHECK_MSG(log.open(dir + "_out").ok(),
-                 "bench snapshot dir failed");
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(log.write_snapshot(payload));
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(payload.size()));
-    state.counters["snapshot_bytes"] =
-        static_cast<double>(payload.size());
+    MidRun run("bench_recovery_snap");
+    std::uint64_t bytes = 0;
+    for (auto _ : state)
+        bytes = run.checkpoint(false);
+    state.counters["checkpoint_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_SnapshotWrite)->Unit(benchmark::kMillisecond);
+
+/** One base of the same state: a full encode, an atomic replace of the
+ *  snapshot file and a journal restart. */
+void
+BM_SnapshotBase(benchmark::State &state)
+{
+    MidRun run("bench_recovery_base");
+    std::uint64_t bytes = 0;
+    for (auto _ : state)
+        bytes = run.checkpoint(true);
+    state.counters["base_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SnapshotBase)->Unit(benchmark::kMillisecond);
 
 /** A complete recovery of the 2048-GPU / 1000-job run: load the base
  *  snapshot, then re-execute and hash-verify every journaled round

@@ -69,12 +69,14 @@ class StepSeries
                                  std::size_t buckets) const;
 
     /** Persistent state (recover/fields.h); journal only. Storage is
-     *  canonical, so decode takes the vectors as they are. */
+     *  canonical, so decode takes the vectors as they are. Both only
+     *  grow, except that record() may overwrite the last sample, which
+     *  the append() tag allows for. */
     template <class V>
     void
     fields(V &v)
     {
-        v.journal(times_, values_);
+        v.append(times_, values_);
         v.after_decode([this] { return canonical(); });
     }
 

@@ -28,6 +28,39 @@ error_code_name(ErrorCode code)
     return "unknown";
 }
 
+std::uint64_t
+checksum(const void *data, std::size_t len)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    const auto step = [](std::uint64_t &h, std::uint64_t w) {
+        h = std::rotl((h ^ w) * kMul, 29);
+    };
+    const std::uint64_t seed = 0x6a09e667f3bcc908ULL ^ (len * kMul);
+    std::uint64_t lane[4] = {seed, seed + 1, seed + 2, seed + 3};
+    std::size_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+        for (int k = 0; k < 4; ++k)
+            step(lane[k], load_le(p + i + 8 * k, 8));
+    }
+    int k = 0;
+    for (; i + 8 <= len; i += 8)
+        step(lane[k++], load_le(p + i, 8));
+    if (i < len)
+        step(lane[k], load_le(p + i, len - i));
+    std::uint64_t h = lane[0];
+    for (k = 1; k < 4; ++k)
+        step(h, lane[k]);
+    // Murmur3's 64-bit finaliser: every input bit reaches every
+    // output bit.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
 std::string
 Status::to_string() const
 {

@@ -13,9 +13,11 @@
 #ifndef EF_RECOVER_CODEC_H_
 #define EF_RECOVER_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ef::recover {
@@ -29,7 +31,7 @@ enum class ErrorCode {
     kBadMagic,
     /** Magic matched but the format version is unsupported. */
     kBadVersion,
-    /** Stored FNV-1a checksum does not match the payload bytes. */
+    /** Stored checksum does not match the payload bytes. */
     kChecksumMismatch,
     /** File ends mid-record or mid-field (torn write). */
     kTruncated,
@@ -39,8 +41,40 @@ enum class ErrorCode {
     kStateMismatch,
 };
 
+/** Little-endian value of the @p n <= 8 bytes at @p p, zero-padded. */
+inline std::uint64_t
+load_le(const std::uint8_t *p, std::size_t n)
+{
+    std::uint64_t w = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&w, p, n);
+    } else {
+        for (std::size_t b = 0; b < n; ++b)
+            w |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+    }
+    return w;
+}
+
 /** Stable lowercase name for an ErrorCode ("checksum-mismatch", ...). */
 const char *error_code_name(ErrorCode code);
+
+/**
+ * Checksum of every durable byte (snapshot sections and journal
+ * records). It reads the input as little-endian 8-byte words, so the
+ * value does not depend on the host's byte order, into four lanes
+ * (word i to lane i mod 4) that run independently, then folds the
+ * lanes. The length seeds every lane, and the last 0-7 bytes enter as
+ * one zero-padded word. Each step — a word into its lane, a lane into
+ * the fold — is a bijection of the running state, so any change
+ * confined to one word is always detected.
+ */
+std::uint64_t checksum(const void *data, std::size_t len);
+
+inline std::uint64_t
+checksum(const std::string &bytes)
+{
+    return checksum(bytes.data(), bytes.size());
+}
 
 /**
  * Typed result of a durability operation. `record` and `offset` locate
@@ -131,7 +165,7 @@ class Decoder
 {
   public:
     /** Reads @p bytes, which must outlive the decoder. */
-    explicit Decoder(const std::string &bytes)
+    explicit Decoder(std::string_view bytes)
         : data_(reinterpret_cast<const std::uint8_t *>(bytes.data())),
           size_(bytes.size())
     {
@@ -140,6 +174,18 @@ class Decoder
     bool ok() const { return ok_; }
     std::size_t remaining() const { return size_ - pos_; }
     bool empty() const { return pos_ == size_; }
+    /** Bytes consumed so far. */
+    std::size_t position() const { return pos_; }
+
+    /** Step over @p n bytes. */
+    bool skip(std::size_t n) { return take(n); }
+
+    /** The next @p n bytes, stepped over; null on underrun. */
+    const std::uint8_t *
+    bytes(std::size_t n)
+    {
+        return take(n) ? data_ + pos_ - n : nullptr;
+    }
 
     bool
     u8(std::uint8_t *v)
@@ -155,11 +201,7 @@ class Decoder
     {
         if (!take(4))
             return false;
-        std::uint32_t out = 0;
-        for (int i = 0; i < 4; ++i)
-            out |= static_cast<std::uint32_t>(data_[pos_ - 4 + i])
-                   << (8 * i);
-        *v = out;
+        *v = static_cast<std::uint32_t>(load_le(data_ + pos_ - 4, 4));
         return true;
     }
 
@@ -168,11 +210,7 @@ class Decoder
     {
         if (!take(8))
             return false;
-        std::uint64_t out = 0;
-        for (int i = 0; i < 8; ++i)
-            out |= static_cast<std::uint64_t>(data_[pos_ - 8 + i])
-                   << (8 * i);
-        *v = out;
+        *v = load_le(data_ + pos_ - 8, 8);
         return true;
     }
 

@@ -50,7 +50,33 @@
  *                           so a hash costs O(live elements). The owner
  *                           keeps s current at every transition;
  *                           decoding c rebuilds s.live from live(e) and
- *                           drops the sum.
+ *                           drops the sum. Sealed rows whose fields
+ *                           never change again are frozen
+ *                           (SplitCache::freeze): history segments
+ *                           carry them once.
+ *
+ *     v.append(c, ...)      journal-only containers that only grow at
+ *                           the back, apart from their last element,
+ *                           which may still be overwritten (StepSeries).
+ *
+ * A checkpoint is written in three sections (DESIGN.md §12), each by
+ * one Writer mode and read back by the matching Reader mode:
+ *
+ *     Section::kBase     every field: the full encode;
+ *     Section::kSegment  what became final since the previous segment:
+ *                        the split() rows frozen since, and the new
+ *                        tail of each append() container, starting at
+ *                        its last element already written;
+ *     Section::kHead     everything else: every other field, plus the
+ *                        split() rows that are live or changed since
+ *                        the base.
+ *
+ * Restoring a base, its segments in order and then the latest head
+ * gives the state a full encode would. The sections follow the path of
+ * member structs from the root; inside a pointer, a container or a
+ * split() row every value is written in full. after_decode hooks run
+ * in the base and head sections only, where everything listed before
+ * them is final.
  *
  * Values map the same way to hash and wire: bool as one byte, integers
  * and enums as 64 bits (enums range-checked on decode against
@@ -72,6 +98,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <random>
 #include <sstream>
@@ -80,6 +107,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "recover/codec.h"
 
@@ -114,18 +142,40 @@ concept Bool =
 template <class T>
 concept Word = std::is_integral_v<T> || std::is_enum_v<T>;
 
+/** A struct with its own fields() list. */
+template <class T>
+concept Record = std::is_class_v<T> && !std::is_same_v<T, std::string> &&
+                 // ef-lint: allow(nondet: names ef::Rng's engine type)
+                 !std::is_same_v<T, std::mt19937_64> && !Pointer<T> &&
+                 !Container<T> && !Bool<T>;
+
 }  // namespace kind
 
 template <class T>
 std::uint64_t element_digest(std::size_t i, const T &e);
 
+/** Which part of a checkpoint a Writer or Reader handles. */
+enum class Section {
+    kBase,     ///< every field
+    kSegment,  ///< split() rows frozen and append() tails grown since
+    kHead,     ///< the rest: other fields, live and changed split() rows
+};
+
+/**
+ * Length of each append() container at the previous base or segment,
+ * in visit order: the chain writer's cursors (DurableLog keeps them;
+ * never journaled).
+ */
+using Tails = std::vector<std::uint64_t>;
+
 /**
  * Emitter<Fnv1a> (Hasher) folds the hashed fields into an FNV-1a
- * digest; Emitter<Encoder> (Writer) appends every field to an Encoder.
- * Both walk the list in order and map values the same way; they differ
- * only where the tags do — the hasher skips journal-only fields and
- * presence bytes, hashes each() containers without their length, and
- * folds digest() fields as a sub-digest.
+ * digest; Emitter<Encoder> (Writer) appends the fields of one
+ * checkpoint Section to an Encoder. Both walk the list in order and
+ * map values the same way; they differ only where the tags do — the
+ * hasher skips journal-only fields and presence bytes, hashes each()
+ * containers without their length, and folds digest() fields as a
+ * sub-digest.
  */
 template <class Sink>
 class Emitter
@@ -139,8 +189,19 @@ class Emitter
         : sink_(sink), recompute_(recompute)
     {}
 
+    /**
+     * A Writer of @p section. With @p tails it writes for a chain and
+     * moves the chain's marks past what it wrote: a base restarts the
+     * tails and every SplitCache, a segment advances the tails and
+     * empties the frozen lists.
+     */
+    Emitter(Sink &sink, Section section, Tails *tails)
+        requires(!kHash)
+        : sink_(sink), recompute_(false), section_(section), tails_(tails)
+    {}
+
     template <class... T>
-    void operator()(T &&...x) { (put(x), ...); }
+    void operator()(T &&...x) { (part(x), ...); }
     template <class F>
     void after_decode(F &&) {}
 
@@ -149,7 +210,7 @@ class Emitter
     journal(T &&...x)
     {
         if constexpr (!kHash)
-            (put(x), ...);
+            (part(x), ...);
     }
 
     template <class... T>
@@ -159,7 +220,7 @@ class Emitter
         if constexpr (kHash)
             (items(x), ...);
         else
-            (put(x), ...);
+            (part(x), ...);
     }
 
     template <class T>
@@ -167,7 +228,7 @@ class Emitter
     digest(T &x)
     {
         if constexpr (!kHash) {
-            put(x);
+            part(x);
         } else if constexpr (kind::Pointer<T>) {
             if (x != nullptr)
                 digest(*x);
@@ -178,19 +239,27 @@ class Emitter
         }
     }
 
+    template <class... T>
+    void
+    append(T &&...x)
+    {
+        if constexpr (!kHash)
+            (tail(x), ...);
+    }
+
     template <class C, class P, class S>
     void
     split(C &c, P &&live, S &cache)
     {
-        if constexpr (!kHash) {
-            put(c);
-        } else if (recompute_) {
-            sink_.u64(sealed_sum(c, live));
-            for (std::size_t i = 0; i < c.size(); ++i) {
-                if (live(c[i]))
-                    put(c[i]);
+        if constexpr (kHash) {
+            if (recompute_) {
+                sink_.u64(sealed_sum(c, live));
+                for (std::size_t i = 0; i < c.size(); ++i) {
+                    if (live(c[i]))
+                        put(c[i]);
+                }
+                return;
             }
-        } else {
             if (!cache.valid) {
                 cache.sealed = sealed_sum(c, live);
                 cache.valid = true;
@@ -198,6 +267,16 @@ class Emitter
             sink_.u64(cache.sealed);
             for (std::uint32_t i : cache.live)
                 put(c[i]);
+        } else if (section_ == Section::kBase) {
+            put(c);
+            if (tails_ != nullptr)
+                cache.restart();
+        } else if (section_ == Section::kSegment) {
+            rows(c, cache.frozen);
+            if (tails_ != nullptr)
+                cache.frozen.clear();
+        } else {
+            rows(c, cache.head_rows());
         }
     }
 
@@ -206,6 +285,8 @@ class Emitter
     opaque(S &&save, L &&)
     {
         if constexpr (!kHash) {
+            if (section_ == Section::kSegment)
+                return;
             std::string blob;
             save(&blob);
             sink_.str(blob);
@@ -244,6 +325,73 @@ class Emitter
     }
 
   private:
+    /** One listed field, as the section wants it: member structs are
+     *  walked in the same section, other values written in full by the
+     *  head and skipped by a segment. */
+    template <class T>
+    void
+    part(const T &x)
+    {
+        using U = kind::Bare<T>;
+        if (kHash || section_ == Section::kBase)
+            put(x);
+        else if constexpr (kind::Record<U>)
+            const_cast<U &>(x).fields(*this);
+        else if (section_ == Section::kHead)
+            full(x);
+    }
+
+    /** @p x written whole, as a base would. */
+    template <class T>
+    void
+    full(const T &x)
+    {
+        const Section section = section_;
+        Tails *tails = tails_;
+        section_ = Section::kBase;
+        tails_ = nullptr;
+        put(x);
+        section_ = section;
+        tails_ = tails;
+    }
+
+    /** Rows @p at of table @p c, each with its index. */
+    template <class C>
+    void
+    rows(const C &c, const std::vector<std::uint32_t> &at)
+    {
+        sink_.u64(at.size());
+        for (std::uint32_t i : at) {
+            sink_.u64(i);
+            full(c[i]);
+        }
+    }
+
+    /** An append() container: whole in a base; in a segment, from the
+     *  last element already written (it may have been overwritten
+     *  since) to the end; nothing in a head. */
+    template <class C>
+    void
+    tail(const C &c)
+    {
+        if (section_ == Section::kBase) {
+            put(c);
+            if (tails_ != nullptr)
+                tails_->push_back(c.size());
+        } else if (section_ == Section::kSegment) {
+            EF_CHECK_MSG(tails_ != nullptr && next_tail_ < tails_->size(),
+                         "a segment needs the tails of its base");
+            std::uint64_t &mark = (*tails_)[next_tail_++];
+            EF_CHECK_MSG(c.size() >= mark, "an append() container shrank");
+            const std::uint64_t start = mark > 0 ? mark - 1 : 0;
+            sink_.u64(start);
+            sink_.u64(c.size() - start);
+            for (std::size_t i = start; i < c.size(); ++i)
+                full(c[i]);
+            mark = c.size();
+        }
+    }
+
     template <class C, class P>
     static std::uint64_t
     sealed_sum(C &c, P &live)
@@ -281,6 +429,10 @@ class Emitter
 
     Sink &sink_;
     bool recompute_;
+    Section section_ = Section::kBase;
+    Tails *tails_ = nullptr;
+    /** Index into *tails_ of the next append() container. */
+    std::size_t next_tail_ = 0;
 };
 
 using Hasher = Emitter<Fnv1a>;
@@ -304,9 +456,16 @@ element_digest(std::size_t i, const T &e)
  * live, and the wrapping sum of the sealed ones' digests. Its owner
  * keeps it current at every transition: unseal() an element before a
  * sealed element's hashed fields change, seal() it once they are
- * final, and set_live() it on entering or leaving the live set. The
- * sum is filled lazily by the first hash, so building the owner hashes
- * nothing; until then seal() and unseal() are no-ops. Never journaled.
+ * settled — or freeze() it when no field of it will ever change again
+ * — and set_live() it on entering or leaving the live set. The sum is
+ * filled lazily by the first hash, so building the owner hashes
+ * nothing; until then seal() and unseal() leave it alone.
+ *
+ * It also tells a checkpoint chain which rows to write: the rows
+ * frozen since the last history segment go into the next one, and a
+ * journal head carries the live rows plus the rows changed since the
+ * last base (unsealed or taken out of the live set, and not frozen
+ * since). Never journaled.
  */
 struct SplitCache
 {
@@ -315,6 +474,11 @@ struct SplitCache
     /** Wrapping sum of the sealed elements' element_digest()s. */
     std::uint64_t sealed = 0;
     bool valid = false;
+    /** Rows frozen since the last segment, in freeze order. */
+    std::vector<std::uint32_t> frozen;
+    /** Rows changed since the last base and not frozen since. */
+    std::vector<std::uint32_t> changed;
+    std::vector<bool> is_changed;
 
     template <class T>
     void
@@ -330,6 +494,20 @@ struct SplitCache
     {
         if (valid)
             sealed -= element_digest(i, e);
+        touch(i);
+    }
+
+    /** seal() for good: row @p i is final. */
+    template <class T>
+    void
+    freeze(std::size_t i, const T &e)
+    {
+        seal(i, e);
+        if (i < is_changed.size() && is_changed[i]) {
+            is_changed[i] = false;
+            changed.erase(std::find(changed.begin(), changed.end(), i));
+        }
+        frozen.push_back(static_cast<std::uint32_t>(i));
     }
 
     void
@@ -337,10 +515,47 @@ struct SplitCache
     {
         const auto idx = static_cast<std::uint32_t>(i);
         auto at = std::lower_bound(live.begin(), live.end(), idx);
-        if (on && (at == live.end() || *at != idx))
+        if (on && (at == live.end() || *at != idx)) {
             live.insert(at, idx);
-        else if (!on && at != live.end() && *at == idx)
+        } else if (!on && at != live.end() && *at == idx) {
             live.erase(at);
+            touch(i);
+        }
+    }
+
+    /** The rows a journal head carries, ascending. */
+    std::vector<std::uint32_t>
+    head_rows() const
+    {
+        std::vector<std::uint32_t> rows(changed);
+        std::sort(rows.begin(), rows.end());
+        std::vector<std::uint32_t> out;
+        out.reserve(rows.size() + live.size());
+        std::set_union(live.begin(), live.end(), rows.begin(), rows.end(),
+                       std::back_inserter(out));
+        return out;
+    }
+
+    /** A base was written: nothing has changed since. */
+    void
+    restart()
+    {
+        frozen.clear();
+        for (std::uint32_t i : changed)
+            is_changed[i] = false;
+        changed.clear();
+    }
+
+  private:
+    void
+    touch(std::size_t i)
+    {
+        if (i >= is_changed.size())
+            is_changed.resize(i + 1);
+        if (!is_changed[i]) {
+            is_changed[i] = true;
+            changed.push_back(static_cast<std::uint32_t>(i));
+        }
     }
 };
 
@@ -359,24 +574,29 @@ min_wire_bytes()
 }
 
 /**
- * Decodes every field in place, in list order. The first failure is
- * sticky: later reads are no-ops and status() reports it, so a
- * fields() list never tests for errors itself.
+ * Decodes the fields of one checkpoint Section in place, in list
+ * order. The first failure is sticky: later reads are no-ops and
+ * status() reports it, so a fields() list never tests for errors
+ * itself.
  */
 class Reader
 {
   public:
-    explicit Reader(Decoder &dec) : dec_(dec) {}
+    explicit Reader(Decoder &dec, Section section = Section::kBase)
+        : dec_(dec), section_(section)
+    {}
 
     // Both tags (and each/digest) are journaled: each is one field.
     template <class... T>
-    void operator()(T &&...x) { (field(x), ...); }
+    void operator()(T &&...x) { (part(x), ...); }
     template <class... T>
-    void journal(T &&...x) { (field(x), ...); }
+    void journal(T &&...x) { (part(x), ...); }
     template <class... T>
-    void each(T &&...x) { (field(x), ...); }
+    void each(T &&...x) { (part(x), ...); }
     template <class T>
-    void digest(T &x) { field(x); }
+    void digest(T &x) { part(x); }
+    template <class... T>
+    void append(T &&...x) { (tail(x), ...); }
 
     bool ok() const { return status_.ok() && dec_.ok(); }
 
@@ -400,7 +620,7 @@ class Reader
     void
     after_decode(F &&valid)
     {
-        if (ok() && !valid())
+        if (section_ != Section::kSegment && ok() && !valid())
             fail();
     }
 
@@ -408,7 +628,22 @@ class Reader
     void
     split(C &c, P &&live, S &cache)
     {
-        field(c);
+        if (section_ == Section::kBase) {
+            field(c);
+        } else if (ok()) {
+            // Rows by index, each decoded whole over the one there.
+            std::uint64_t n = 0;
+            if (!dec_.count(&n))
+                return;
+            for (std::uint64_t k = 0; k < n && ok(); ++k) {
+                std::uint64_t i = 0;
+                if (!dec_.u64(&i))
+                    return;
+                if (i >= c.size())
+                    return fail();
+                full(c[i]);
+            }
+        }
         if (!ok())
             return;
         cache = S{};
@@ -422,6 +657,8 @@ class Reader
     void
     opaque(S &&, L &&load)
     {
+        if (section_ == Section::kSegment)
+            return;
         std::string blob;
         if (dec_.str(&blob) && ok() && !load(blob))
             fail(ErrorCode::kStateMismatch);
@@ -472,38 +709,116 @@ class Reader
             if (!dec_.count(&n))
                 return;
             x.clear();
-            if constexpr (requires { x.reserve(n); }) {
-                // A count that fits the payload can size the vector up
-                // front.
-                if (n > dec_.remaining() /
-                            min_wire_bytes<typename U::value_type>())
-                    return fail();
-                x.reserve(n);
-            }
-            for (std::uint64_t i = 0; i < n && ok(); ++i) {
-                if constexpr (kind::Map<U> || kind::Set<U>) {
-                    typename U::key_type key{};
-                    field(key);
-                    auto at = x.end();
-                    if constexpr (kind::Map<U>) {
-                        typename U::mapped_type value{};
-                        field(value);
-                        if (ok())
-                            at = x.emplace_hint(x.end(), key,
-                                                std::move(value));
-                    } else if (ok()) {
-                        at = x.emplace_hint(x.end(), key);
-                    }
-                    // Keys strictly increase: each entry is new and last.
-                    if (ok() &&
-                        (x.size() != i + 1 || std::next(at) != x.end()))
-                        fail();
-                } else {
-                    field(x.emplace_back());
-                }
-            }
+            elements(x, n);
         } else {
             x.fields(*this);
+        }
+    }
+
+  private:
+    /** One listed field, as its section holds it (see Emitter::part). */
+    template <class T>
+    void
+    part(T &&x)
+    {
+        using U = kind::Bare<T>;
+        if (section_ == Section::kBase)
+            field(x);
+        else if constexpr (kind::Record<U>)
+            x.fields(*this);
+        else if (section_ == Section::kHead)
+            full(x);
+    }
+
+    /** @p x decoded whole, as from a base. */
+    template <class T>
+    void
+    full(T &&x)
+    {
+        const Section section = section_;
+        section_ = Section::kBase;
+        field(std::forward<T>(x));
+        section_ = section;
+    }
+
+    /** An append() container: whole from a base; from a segment, its
+     *  tail replaces everything from the tail's start on. */
+    template <class C>
+    void
+    tail(C &c)
+    {
+        if (section_ == Section::kBase) {
+            field(c);
+        } else if (section_ == Section::kSegment && ok()) {
+            std::uint64_t start = 0;
+            std::uint64_t n = 0;
+            if (!dec_.u64(&start) || !dec_.count(&n))
+                return;
+            if (start > c.size())
+                return fail();
+            c.erase(c.begin() + static_cast<std::ptrdiff_t>(start),
+                    c.end());
+            section_ = Section::kBase;
+            elements(c, n);
+            section_ = Section::kSegment;
+        }
+    }
+
+    /** Append @p n elements read from the wire to @p x. */
+    template <class U>
+    void
+    elements(U &x, std::uint64_t n)
+    {
+        if constexpr (requires { x.reserve(n); }) {
+            // A count that fits the payload can size the vector up
+            // front — geometrically, as segment tails append to it.
+            if (n > dec_.remaining() /
+                        min_wire_bytes<typename U::value_type>())
+                return fail();
+            if (x.size() + n > x.capacity())
+                x.reserve(std::max<std::size_t>(x.size() + n,
+                                                2 * x.capacity()));
+        }
+        const std::size_t before = x.size();
+        using E = typename U::value_type;
+        if constexpr (requires { x.data(); } &&
+                      ((kind::Word<E> && !kind::Bool<E> &&
+                        !std::is_enum_v<E>) ||
+                       std::is_floating_point_v<E>)) {
+            // A run of 64-bit values: one bounds check for all of them.
+            const std::uint8_t *p = dec_.bytes(8 * n);
+            if (p == nullptr)
+                return;
+            x.resize(before + n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint64_t raw = load_le(p + 8 * i, 8);
+                if constexpr (std::is_floating_point_v<E>)
+                    std::memcpy(&x[before + i], &raw, sizeof(raw));
+                else
+                    x[before + i] = static_cast<E>(raw);
+            }
+            return;
+        }
+        for (std::uint64_t i = 0; i < n && ok(); ++i) {
+            if constexpr (kind::Map<U> || kind::Set<U>) {
+                typename U::key_type key{};
+                field(key);
+                auto at = x.end();
+                if constexpr (kind::Map<U>) {
+                    typename U::mapped_type value{};
+                    field(value);
+                    if (ok())
+                        at = x.emplace_hint(x.end(), key, std::move(value));
+                } else if (ok()) {
+                    at = x.emplace_hint(x.end(), key);
+                }
+                // Keys strictly increase: each entry is new and last.
+                if (ok() &&
+                    (x.size() != before + i + 1 || std::next(at) != x.end()))
+                    fail();
+            } else {
+                field(x.emplace_back());
+            }
         }
     }
 
@@ -518,6 +833,7 @@ class Reader
     }
 
     Decoder &dec_;
+    Section section_;
     Status status_;
 };
 
@@ -542,52 +858,50 @@ recomputed_digest(const T &obj)
     return h.digest();
 }
 
-/** Bytes of @p fields, in order (a snapshot payload or journal record
- *  body). */
+/**
+ * Bytes of section @p section of @p fields, in order. With @p tails
+ * the chain's marks advance past what was written (see Emitter).
+ */
+template <class... T>
+std::string
+encode_section(Section section, Tails *tails, const T &...fields)
+{
+    Encoder enc;
+    Writer(enc, section, tails).journal(fields...);
+    return enc.take();
+}
+
+/** Bytes of @p fields, in order (a base or a journal record body). */
 template <class... T>
 std::string
 encode(const T &...fields)
 {
-    Encoder enc;
-    Writer(enc).journal(fields...);
-    return enc.take();
+    return encode_section(Section::kBase, nullptr, fields...);
 }
 
 /**
- * Decode @p fields in place from @p bytes, which must hold exactly
- * them (inverse of encode()). On failure the fields are partially
- * overwritten and must not be used.
+ * Decode section @p section of @p fields in place from @p bytes, which
+ * must hold exactly it (inverse of encode_section()). On failure the
+ * fields are partially overwritten and must not be used.
  */
 template <class... T>
 Status
-decode(const std::string &bytes, T &...fields)
+decode_section(std::string_view bytes, Section section, T &...fields)
 {
     Decoder dec(bytes);
-    Reader v(dec);
+    Reader v(dec, section);
     v.journal(fields...);
     if (v.ok() && !dec.empty())
         v.fail();
     return v.status();
 }
 
-/** Decode a snapshot payload, encode(fingerprint, obj): one taken under
- *  another configuration fingerprint is a typed kStateMismatch. */
-template <class T>
+/** decode_section() of a base: the inverse of encode(). */
+template <class... T>
 Status
-restore_snapshot(const std::string &payload, std::uint64_t fingerprint,
-                 T &obj)
+decode(std::string_view bytes, T &...fields)
 {
-    std::uint64_t stored = 0;
-    if (!Decoder(payload).u64(&stored)) {
-        return Status::error(ErrorCode::kBadRecord,
-                             "snapshot payload is malformed");
-    }
-    if (stored != fingerprint) {
-        return Status::error(ErrorCode::kStateMismatch,
-                             "snapshot was taken with a different trace, "
-                             "scheduler, or configuration");
-    }
-    return decode(payload, stored, obj);
+    return decode_section(bytes, Section::kBase, fields...);
 }
 
 }  // namespace ef::recover

@@ -37,7 +37,8 @@ ensure_dir(const std::string &dir)
 }
 
 Status
-read_whole_file(const std::string &path, std::string *out)
+read_whole_file(const std::string &path, std::string *out,
+                std::size_t spare)
 {
     out->clear();
     std::FILE *f = std::fopen(path.c_str(), "rb");
@@ -45,6 +46,13 @@ read_whole_file(const std::string &path, std::string *out)
         return Status::error(ErrorCode::kIoError,
                              "cannot open '" + path +
                                  "': " + std::strerror(errno));
+    // One read of the whole file when its size is known up front.
+    struct stat info;
+    if (::fstat(fileno(f), &info) == 0 && info.st_size > 0) {
+        out->reserve(static_cast<std::size_t>(info.st_size) + spare);
+        out->resize(static_cast<std::size_t>(info.st_size));
+        out->resize(std::fread(out->data(), 1, out->size(), f));
+    }
     char buf[1 << 16];
     std::size_t n = 0;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
@@ -78,6 +86,16 @@ fsync_parent_dir(const std::string &path)
         return Status::error(ErrorCode::kIoError,
                              "fsync of directory '" + dir +
                                  "' failed: " + std::strerror(errno));
+    return Status{};
+}
+
+Status
+truncate_file(const std::string &path, std::uint64_t bytes)
+{
+    if (::truncate(path.c_str(), static_cast<off_t>(bytes)) != 0)
+        return Status::error(ErrorCode::kIoError,
+                             "cannot truncate '" + path +
+                                 "': " + std::strerror(errno));
     return Status{};
 }
 

@@ -9,6 +9,7 @@
 #ifndef EF_RECOVER_FILE_UTIL_H_
 #define EF_RECOVER_FILE_UTIL_H_
 
+#include <cstdint>
 #include <string>
 
 #include "recover/codec.h"
@@ -18,11 +19,16 @@ namespace ef::recover {
 /** Create `dir` (and parents) if missing. */
 Status ensure_dir(const std::string &dir);
 
-/** Read the whole file into `*out` (binary, no size limit checks). */
-Status read_whole_file(const std::string &path, std::string *out);
+/** Read the whole file into `*out` (binary, no size limit checks),
+ *  leaving room for @p spare more bytes. */
+Status read_whole_file(const std::string &path, std::string *out,
+                       std::size_t spare = 0);
 
 /** fsync the directory containing `path` so renames/creates persist. */
 Status fsync_parent_dir(const std::string &path);
+
+/** Cut the file at `path` down to its first `bytes` bytes. */
+Status truncate_file(const std::string &path, std::uint64_t bytes);
 
 /** True when a file exists at `path`. */
 bool file_exists(const std::string &path);

@@ -5,7 +5,6 @@
 
 #include <unistd.h>
 
-#include "common/hash.h"
 #include "recover/file_util.h"
 
 namespace ef::recover {
@@ -15,12 +14,20 @@ namespace {
 /** Sanity cap on a single record: corrupt lengths fail fast. */
 constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
-std::uint64_t
-payload_checksum(const std::string &payload)
+/** Frame + payload of one record. */
+std::string
+record_bytes(RecordKind kind, const std::string &body)
 {
-    Fnv1a sum;
-    sum.bytes(payload.data(), payload.size());
-    return sum.digest();
+    std::string payload;
+    payload.reserve(body.size() + 1);
+    payload.push_back(static_cast<char>(kind));
+    payload.append(body);
+    Encoder frame;
+    frame.u32(static_cast<std::uint32_t>(payload.size()));
+    frame.u64(checksum(payload));
+    std::string bytes = frame.take();
+    bytes.append(payload);
+    return bytes;
 }
 
 }  // namespace
@@ -43,6 +50,8 @@ record_kind_name(RecordKind kind)
         return "advance";
     case RecordKind::kDefrag:
         return "defrag";
+    case RecordKind::kHead:
+        return "head";
     }
     return "unknown";
 }
@@ -102,9 +111,8 @@ read_journal(const std::string &path, JournalContents *out)
                 index, static_cast<std::int64_t>(offset));
             return Status{};
         }
-        std::string payload =
-            bytes.substr(bytes.size() - dec.remaining(), len);
-        if (payload_checksum(payload) != checksum) {
+        const char *payload = bytes.data() + dec.position();
+        if (recover::checksum(payload, len) != checksum) {
             out->tail = Status::error(
                 ErrorCode::kChecksumMismatch,
                 "journal '" + path + "' record checksum mismatch; " +
@@ -113,12 +121,7 @@ read_journal(const std::string &path, JournalContents *out)
                 index, static_cast<std::int64_t>(offset));
             return Status{};
         }
-        // Advance the decoder past the payload we just took.
-        {
-            std::uint8_t scratch = 0;
-            for (std::uint32_t i = 0; i < len; ++i)
-                dec.u8(&scratch);
-        }
+        dec.skip(len);
         JournalRecord rec;
         std::uint8_t kind_byte = static_cast<std::uint8_t>(payload[0]);
         rec.kind = static_cast<RecordKind>(kind_byte);
@@ -130,7 +133,7 @@ read_journal(const std::string &path, JournalContents *out)
                 index, static_cast<std::int64_t>(offset));
             return Status{};
         }
-        rec.body = payload.substr(1);
+        rec.body.assign(payload + 1, len - 1);
         out->records.push_back(std::move(rec));
         out->valid_bytes = bytes.size() - dec.remaining();
         ++index;
@@ -153,15 +156,10 @@ JournalWriter::close()
 }
 
 Status
-JournalWriter::open(const std::string &path, bool truncate,
-                    std::uint64_t existing_bytes)
+JournalWriter::reopen(const std::string &path, std::uint64_t existing_bytes)
 {
     close();
     path_ = path;
-    records_ = 0;
-    if (truncate)
-        return truncate_all();
-
     file_ = std::fopen(path.c_str(), "r+b");
     if (file_ == nullptr)
         return Status::error(ErrorCode::kIoError,
@@ -182,27 +180,38 @@ JournalWriter::open(const std::string &path, bool truncate,
 }
 
 Status
-JournalWriter::truncate_all()
+JournalWriter::restart(const std::string &path, const std::string &head)
 {
-    if (file_ != nullptr) {
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-    file_ = std::fopen(path_.c_str(), "wb");
+    close();
+    path_ = path;
+    const std::string tmp = path + ".tmp";
+    file_ = std::fopen(tmp.c_str(), "wb");
     if (file_ == nullptr)
         return Status::error(ErrorCode::kIoError,
-                             "cannot create journal '" + path_ +
+                             "cannot create journal '" + tmp +
                                  "': " + std::strerror(errno));
-    records_ = 0;
     Encoder header;
     header.u32(kJournalMagic);
     header.u32(kJournalVersion);
-    if (std::fwrite(header.data().data(), 1, header.size(), file_) !=
-        header.size())
+    std::string bytes = header.take();
+    bytes.append(record_bytes(RecordKind::kHead, head));
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+        close();
         return Status::error(ErrorCode::kIoError,
-                             "short write to journal '" + path_ +
+                             "short write to journal '" + tmp +
                                  "': " + std::strerror(errno));
-    return commit();
+    }
+    Status st = commit();
+    if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+        st = Status::error(ErrorCode::kIoError,
+                           "cannot rename '" + tmp + "' to '" + path +
+                               "': " + std::strerror(errno));
+    }
+    if (st.ok())
+        st = fsync_parent_dir(path);
+    if (!st.ok())
+        close();
+    return st;
 }
 
 Status
@@ -211,22 +220,11 @@ JournalWriter::append(RecordKind kind, const std::string &body)
     if (file_ == nullptr)
         return Status::error(ErrorCode::kIoError,
                              "journal '" + path_ + "' is not open");
-    std::string payload;
-    payload.reserve(body.size() + 1);
-    payload.push_back(static_cast<char>(kind));
-    payload.append(body);
-
-    Encoder frame;
-    frame.u32(static_cast<std::uint32_t>(payload.size()));
-    frame.u64(payload_checksum(payload));
-    if (std::fwrite(frame.data().data(), 1, frame.size(), file_) !=
-            frame.size() ||
-        std::fwrite(payload.data(), 1, payload.size(), file_) !=
-            payload.size())
+    const std::string bytes = record_bytes(kind, body);
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size())
         return Status::error(ErrorCode::kIoError,
                              "short write to journal '" + path_ +
                                  "': " + std::strerror(errno));
-    ++records_;
     return Status{};
 }
 

@@ -6,10 +6,13 @@
  * File layout:
  *
  *     [u32 magic "EFJL"] [u32 version]
- *     repeated: [u32 payload_len] [u64 fnv1a(payload)] [payload]
+ *     repeated: [u32 payload_len] [u64 checksum(payload)] [payload]
  *
  * where payload[0] is a RecordKind byte and the rest is a
- * recover::Encoder body owned by the record's producer. Records become
+ * recover::Encoder body owned by the record's producer. The first
+ * record is a kHead written together with the file header, which is
+ * replaced as a whole (temp file, fsync, rename) at every checkpoint;
+ * later records are appended in place. Records become
  * durable only at commit() (fflush + fsync); a crash between appends
  * leaves a torn tail that the reader detects by checksum/length and
  * discards, returning every record up to the last valid boundary plus
@@ -31,8 +34,9 @@ namespace ef::recover {
 
 /** "EFJL" little-endian: ElasticFlow JournaL. */
 constexpr std::uint32_t kJournalMagic = 0x4c4a4645u;
-/** 2: record bodies use the recover/fields.h value encoding. */
-constexpr std::uint32_t kJournalVersion = 2;
+/** 2: record bodies use the recover/fields.h value encoding.
+ *  3: word-at-a-time checksums; the first record is a kHead. */
+constexpr std::uint32_t kJournalVersion = 3;
 
 /**
  * Record kinds shared by the simulator and the serve-mode front end.
@@ -57,6 +61,12 @@ enum class RecordKind : std::uint8_t {
     kAdvance = 6,
     /** A committed background-defrag move batch (DESIGN.md §14). */
     kDefrag = 7,
+    /**
+     * First record of every journal: the snapshot chain it pairs with
+     * (generation, segment count, bytes, last checksum), then the live
+     * state of the checkpoint (DESIGN.md §12).
+     */
+    kHead = 8,
 };
 
 /** Stable lowercase name ("round-commit", ...) for diagnostics. */
@@ -103,26 +113,26 @@ class JournalWriter
     JournalWriter &operator=(const JournalWriter &) = delete;
 
     /**
-     * Open `path` for appending. With `truncate` the file is restarted
-     * with a fresh header; otherwise it must already hold a valid
-     * header and `existing_bytes` says where appending resumes (the
-     * caller got it from read_journal's valid_bytes, so a torn tail is
-     * chopped off before new records land).
+     * Reopen `path` for appending after a recovery load:
+     * `existing_bytes` (read_journal's valid_bytes) says where
+     * appending resumes, so a torn tail is chopped off before new
+     * records land.
      */
-    Status open(const std::string &path, bool truncate,
-                std::uint64_t existing_bytes = 0);
+    Status reopen(const std::string &path, std::uint64_t existing_bytes);
+
+    /**
+     * Atomically replace `path` with a fresh journal whose first
+     * record is the kHead @p head: written to `<path>.tmp`, fsync'd,
+     * renamed over `path`, directory fsync'd. The rename is a
+     * checkpoint's commit point; appends continue in the new file.
+     */
+    Status restart(const std::string &path, const std::string &head);
 
     /** Buffer one record (kind + body). Durable only after commit(). */
     Status append(RecordKind kind, const std::string &body);
 
     /** Commit point: flush + fsync everything appended so far. */
     Status commit();
-
-    /** Restart the journal empty (after a snapshot subsumed it). */
-    Status truncate_all();
-
-    /** Records appended since open()/truncate_all(). */
-    std::uint64_t records() const { return records_; }
 
     bool is_open() const { return file_ != nullptr; }
 
@@ -131,7 +141,6 @@ class JournalWriter
   private:
     std::FILE *file_ = nullptr;
     std::string path_;
-    std::uint64_t records_ = 0;
 };
 
 }  // namespace ef::recover

@@ -498,17 +498,18 @@ Service::maybe_snapshot()
 recover::Status
 Service::write_snapshot()
 {
-    const std::string payload =
-        recover::encode(config_fingerprint(), *this);
-    recover::Status st = durable_->write_snapshot(payload);
+    // Bases only: the service has no split() or append() state, so a
+    // segment would be empty and its head a full encode.
+    std::uint64_t bytes = 0;
+    recover::Status st = recover::write_checkpoint(
+        *durable_, config_fingerprint(), *this, /*base=*/true, &bytes);
     if (!st.ok())
         return st;
     snapshot_round_ = stats_.rounds;
     obs::count("recover.snapshots");
-    obs::count("recover.snapshot_bytes",
-               static_cast<std::uint64_t>(payload.size()));
+    obs::count("recover.snapshot_bytes", bytes);
     obs::gauge_set("recover.snapshot_bytes_last",
-                   static_cast<double>(payload.size()));
+                   static_cast<double>(bytes));
     return st;
 }
 
@@ -624,6 +625,7 @@ Service::bind_durability(const std::string &dir,
                 "service durability needs snapshot_every >= 1");
     snapshot_every_ = snapshot_every;
     std::uint64_t journal_valid_bytes = 0;
+    recover::ChainTip tip;
     if (recover) {
         std::string snapshot;
         recover::JournalContents tail;
@@ -636,8 +638,8 @@ Service::bind_durability(const std::string &dir,
             EF_INFO("service recovery: discarding torn journal tail ("
                     << tail.tail.to_string() << ")");
         }
-        st = recover::restore_snapshot(snapshot, config_fingerprint(),
-                                       *this);
+        st = recover::restore_checkpoint(snapshot, config_fingerprint(),
+                                         *this, &tip);
         if (!st.ok())
             return st;
         // Pre-scan the tail: verdicts and round commits become the
@@ -693,12 +695,11 @@ Service::bind_durability(const std::string &dir,
     }
     durable_ = std::make_unique<recover::DurableLog>();
     // On recovery, reopen the journal for *append* at its last valid
-    // byte: the old snapshot + full journal stays a complete recovery
-    // image until the fresh snapshot below atomically subsumes it. A
-    // plain (truncating) open would leave a crash window in which the
-    // replayed tail was lost.
+    // byte: the old base + full journal stays a complete recovery
+    // image until the fresh base below subsumes it. A plain open
+    // would leave a crash window in which the replayed tail was lost.
     recover::Status st =
-        recover ? durable_->open_existing(dir, journal_valid_bytes)
+        recover ? durable_->open_existing(dir, tip, journal_valid_bytes)
                 : durable_->open(dir);
     if (!st.ok()) {
         durable_.reset();

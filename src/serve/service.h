@@ -235,8 +235,9 @@ class Service
      * @p recover false the directory is initialised fresh: a base
      * snapshot is written and every subsequent submission, external
      * advance, verdict, and round commit is journaled with fsync'd
-     * commit points; a fresh snapshot truncates the journal every
-     * @p snapshot_every committed rounds. With @p recover true the
+     * commit points; every @p snapshot_every committed rounds a new
+     * base replaces the snapshot and restarts the journal (the
+     * service writes no history segments). With @p recover true the
      * last snapshot is loaded and the journal tail replayed through
      * the normal code paths: verdicts whose kVerdict record reached
      * the journal before the crash are suppressed (they were already

@@ -144,7 +144,8 @@ struct RunResult
     void
     fields(V &v)
     {
-        v.journal(allocation_log, used_gpus, cluster_efficiency,
+        v.append(allocation_log);
+        v.journal(used_gpus, cluster_efficiency,
                   submitted_jobs, admitted_jobs, buddy_fragmentation,
                   span_excess, makespan, placement_failures,
                   replans_attempted, replans_coalesced, replans_elided,

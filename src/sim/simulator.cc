@@ -304,6 +304,7 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
         defrag_ = std::make_unique<defrag::Defragmenter>(
             config_.defrag, &topology_, &perf_);
     }
+    fingerprint_ = compute_fingerprint();
 }
 
 Simulator::~Simulator() = default;
@@ -993,7 +994,7 @@ Simulator::audit_state(bool terminal)
 }
 
 std::uint64_t
-Simulator::config_fingerprint() const
+Simulator::compute_fingerprint() const
 {
     // The shape a snapshot is only valid against. Deliberately absent:
     // the fault *rates* (the injector's RNG cursors are in the
@@ -1028,8 +1029,8 @@ Simulator::recover_state(const std::string &snapshot,
     using recover::RecordKind;
     using recover::Status;
 
-    Status st =
-        recover::restore_snapshot(snapshot, config_fingerprint(), *this);
+    Status st = recover::restore_checkpoint(snapshot, fingerprint_, *this,
+                                            &recovered_tip_);
     if (!st.ok())
         return st;
 
@@ -1084,16 +1085,16 @@ Simulator::finish_recovery()
 {
     // Re-anchor the log at the recovered state. The journal is
     // reopened for *append* (keeping the replayed records) and the
-    // fresh snapshot deferred to the next event-loop boundary: the
-    // replay exhausts inside commit_round, mid-flush_replan, where a
-    // snapshot would capture a state the uninterrupted run never
+    // fresh base deferred to the next event-loop boundary: the replay
+    // exhausts inside commit_round, mid-flush_replan, where a
+    // checkpoint would capture a state the uninterrupted run never
     // holds at a boundary (same argument as the cadence deferral).
-    // Until that snapshot lands, old snapshot + full journal is still
-    // a complete recovery image, so a crash here loses nothing.
+    // Until that base lands, the old chain + full journal is still a
+    // complete recovery image, so a crash here loses nothing.
     durable_ = std::make_unique<recover::DurableLog>();
-    recover::Status st =
-        durable_->open_existing(config_.durability.journal_dir,
-                                recovered_journal_bytes_);
+    recover::Status st = durable_->open_existing(
+        config_.durability.journal_dir, recovered_tip_,
+        recovered_journal_bytes_);
     EF_FATAL_IF(!st.ok(),
                 "durability: reopening the journal failed: "
                     << st.to_string());
@@ -1189,18 +1190,18 @@ Simulator::commit_round(bool terminal)
 recover::Status
 Simulator::write_snapshot_now()
 {
-    EF_CHECK_MSG(durable_ != nullptr && durable_->is_open(),
+    EF_CHECK_MSG(durable_ != nullptr && !durable_->dir().empty(),
                  "durability is not prepared");
-    const std::string payload =
-        recover::encode(config_fingerprint(), *this);
-    recover::Status st = durable_->write_snapshot(payload);
+    std::uint64_t bytes = 0;
+    recover::Status st = recover::write_checkpoint(
+        *durable_, fingerprint_, *this, /*base=*/false, &bytes);
     if (!st.ok())
         return st;
     snapshot_round_ = result_.state_hash_samples;
     obs::count("recover.snapshots");
-    obs::count("recover.snapshot_bytes", payload.size());
+    obs::count("recover.snapshot_bytes", bytes);
     obs::gauge_set("recover.snapshot_bytes_last",
-                   static_cast<double>(payload.size()));
+                   static_cast<double>(bytes));
     return st;
 }
 
@@ -1458,7 +1459,7 @@ Simulator::apply_admission(JobId id, bool admitted)
     job.outcome.admitted = admitted;
     if (!admitted) {
         job.state = JobState::kDropped;
-        active_.seal(slot, job);
+        active_.freeze(slot, job);  // dropped: never changes again
         obs::emit({now_, obs::EventKind::kJobReject, id});
         obs::count("sim.jobs.rejected");
         EF_DEBUG("job " << id << " dropped at submission");
@@ -1612,7 +1613,7 @@ Simulator::handle_completion_check(JobId id)
     job.current_tpt = 0.0;
     const std::size_t slot = slot_of(job);
     active_.set_live(slot, false);
-    active_.seal(slot, job);  // finished: never changes again
+    active_.freeze(slot, job);  // finished: never changes again
     if (obs::tracing()) {
         obs::emit({now_, obs::EventKind::kAllocChange, id, held});
         obs::emit({now_, obs::EventKind::kJobFinish, id, held});

@@ -104,7 +104,8 @@ struct DurabilityConfig
 {
     /** Directory holding snapshot.bin + journal.bin; empty = off. */
     std::string journal_dir;
-    /** Round commits between snapshots (each truncates the journal). */
+    /** Round commits between checkpoints (each appends a history
+     *  segment and restarts the journal). */
     std::uint64_t snapshot_every = 16;
     /** Resume from the directory instead of starting fresh. */
     bool recover = false;
@@ -200,8 +201,10 @@ class Simulator : public ClusterView
     bool crashed() const { return crashed_; }
 
     /**
-     * Write a snapshot of the current state immediately (the cadence
-     * snapshot machinery, callable by benchmarks and tests).
+     * Write a checkpoint of the current state immediately (the cadence
+     * snapshot machinery, callable by benchmarks and tests): the
+     * log's first one is a base, later ones a history segment plus a
+     * journal head (DESIGN.md §12).
      */
     recover::Status write_snapshot_now();
 
@@ -329,8 +332,8 @@ class Simulator : public ClusterView
         }
     };
     /** Digest of the (trace, scheduler, config) shape a snapshot is
-     *  only valid against. */
-    std::uint64_t config_fingerprint() const;
+     *  only valid against; fingerprint_ holds it from construction. */
+    std::uint64_t compute_fingerprint() const;
     recover::Status recover_state(const std::string &snapshot,
                                   const recover::JournalContents &tail);
     /** Round boundary: crash check, commit record, fsync, snapshot
@@ -355,6 +358,8 @@ class Simulator : public ClusterView
     Trace trace_;
     Scheduler *scheduler_;
     SimConfig config_;
+    /** compute_fingerprint(): trace, topology and config are fixed. */
+    std::uint64_t fingerprint_ = 0;
 
     Topology topology_;
     PerfModel perf_;
@@ -414,8 +419,10 @@ class Simulator : public ClusterView
     std::uint64_t replay_journal_records_ = 0;
     /** Valid journal bytes at recovery: where post-replay appends
      *  resume, so the pre-crash tail stays recoverable until the next
-     *  snapshot subsumes it. */
+     *  base subsumes it. */
     std::uint64_t recovered_journal_bytes_ = 0;
+    /** End of the chain recovery restored (for the reopen). */
+    recover::ChainTip recovered_tip_;
     /** Scripted kSchedCrash events consumed so far. Persisted in every
      *  round-commit record *after* the crash check, so recovery never
      *  re-fires a crash that already happened. */

@@ -6,22 +6,32 @@
  * RunResult::state_hash bit-identical to an uninterrupted run. The
  * crash-at-every-round harness proves it exhaustively for scripted
  * kSchedCrash faults, through multi-crash chains, and under
- * rate-based crash soak.
+ * rate-based crash soak. The crash windows inside a checkpoint's
+ * commit are rebuilt from the files of runs crashed one round apart,
+ * and the snapshot chain is checked against a full encode of the same
+ * state.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <initializer_list>
 #include <string>
 
 #include "fault/fault.h"
+#include "recover/fields.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "workload/trace_gen.h"
 
 namespace ef {
 namespace {
+
+using testutil::read_file;
+using testutil::write_file;
 
 Trace
 small_trace(std::uint64_t seed)
@@ -330,6 +340,229 @@ TEST(CrashRecovery, MismatchedTraceIsTypedError)
     recover::Status st = sim.prepare_durability();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code, recover::ErrorCode::kStateMismatch);
+}
+
+// --- crash windows inside a checkpoint's commit ------------------------
+
+/** The files a crash left in a journal directory. */
+struct Disk
+{
+    std::string snapshot;
+    std::string journal;
+    /** A journal replacement written but not renamed; empty = none. */
+    std::string journal_tmp;
+};
+
+Disk
+disk_of(const std::string &dir)
+{
+    return Disk{read_file(recover::DurableLog::snapshot_path(dir)),
+                read_file(recover::DurableLog::journal_path(dir)), ""};
+}
+
+/** A fresh directory holding @p disk. */
+std::string
+dir_holding(const std::string &name, const Disk &disk)
+{
+    const std::string dir = testing::TempDir() + "/" + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    write_file(recover::DurableLog::snapshot_path(dir), disk.snapshot);
+    write_file(recover::DurableLog::journal_path(dir), disk.journal);
+    if (!disk.journal_tmp.empty()) {
+        write_file(recover::DurableLog::journal_path(dir) + ".tmp",
+                   disk.journal_tmp);
+    }
+    return dir;
+}
+
+/** testbed-small (seed 1) journaled under @p dir, with scheduler
+ *  crashes at @p rounds; a checkpoint every 16 rounds. */
+SimConfig
+window_config(const std::string &dir, std::initializer_list<int> rounds)
+{
+    SimConfig config = empty_script_base();
+    config.durability.journal_dir = dir;
+    for (int round : rounds)
+        config.faults.script.push_back(sched_crash_at_round(round));
+    return config;
+}
+
+/** Run @p config — recovering first when @p recover — until a run
+ *  ends without crashing; that run's result. */
+RunResult
+run_until_done(const Trace &trace, SimConfig config, bool recover)
+{
+    config.durability.recover = recover;
+    RunResult result;
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(trace, scheduler.get(), config);
+        const recover::Status st = sim.prepare_durability();
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        if (!st.ok())
+            return result;
+        result = sim.run();
+        if (!sim.crashed())
+            return result;
+        config.durability.recover = true;
+    }
+    ADD_FAILURE() << "the run never finished";
+    return result;
+}
+
+/** The files of a fresh testbed-small run crashed at @p rounds[0]. */
+Disk
+crashed_at(const Trace &trace, const std::string &name,
+           std::initializer_list<int> rounds)
+{
+    const std::string dir = fresh_dir(name);
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(trace, scheduler.get(), window_config(dir, rounds));
+    sim.run();
+    EXPECT_TRUE(sim.crashed());
+    return disk_of(dir);
+}
+
+// The run crashed at round 17 wrote its round-16 checkpoint; the one
+// crashed at round 16 did not. The first one's chain next to the
+// second one's journal is the disk a crash leaves right after the
+// checkpoint's segment landed and before its journal replaced the old
+// one: the uncommitted segment must be ignored.
+TEST(CrashWindow, AfterSegmentAppend)
+{
+    const Trace trace = small_trace(1);
+    const RunResult baseline = run_sim(trace, scripted_base());
+    Disk disk = crashed_at(trace, "ef_window_seg16", {16});
+    disk.snapshot = crashed_at(trace, "ef_window_seg17", {17}).snapshot;
+    const std::string dir = dir_holding("ef_window_seg", disk);
+    expect_identical(baseline,
+                     run_until_done(trace, window_config(dir, {16}), true),
+                     "crash after the segment append");
+}
+
+// The same, with the journal's replacement written in full but not yet
+// renamed over it: the temp file is ignored.
+TEST(CrashWindow, BeforeJournalRename)
+{
+    const Trace trace = small_trace(1);
+    const RunResult baseline = run_sim(trace, scripted_base());
+    Disk disk = crashed_at(trace, "ef_window_tmp16", {16});
+    const Disk after = crashed_at(trace, "ef_window_tmp17", {17});
+    disk.snapshot = after.snapshot;
+    disk.journal_tmp = after.journal;
+    const std::string dir = dir_holding("ef_window_tmp", disk);
+    expect_identical(baseline,
+                     run_until_done(trace, window_config(dir, {16}), true),
+                     "crash before the journal rename");
+}
+
+// Recovering from the round-17 crash writes a new base, and the run
+// then dies at round 19. That base next to the journal of the round-17
+// crash is the disk a crash leaves right after the base's rename: the
+// newer base subsumes the older journal.
+TEST(CrashWindow, AfterBaseRename)
+{
+    const Trace trace = small_trace(1);
+    const RunResult baseline = run_sim(trace, scripted_base());
+    const std::string dir = fresh_dir("ef_window_base17");
+    {
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(trace, scheduler.get(), window_config(dir, {17, 19}));
+        sim.run();
+        ASSERT_TRUE(sim.crashed());
+    }
+    Disk disk = disk_of(dir);
+    {
+        SimConfig config = window_config(dir, {17, 19});
+        config.durability.recover = true;
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(trace, scheduler.get(), config);
+        sim.run();
+        ASSERT_TRUE(sim.crashed());
+    }
+    disk.snapshot = disk_of(dir).snapshot;
+    const std::string window = dir_holding("ef_window_base", disk);
+    expect_identical(
+        baseline,
+        run_until_done(trace, window_config(window, {17, 19}), true),
+        "crash after the base rename");
+}
+
+// --- the chain against the full encode ---------------------------------
+
+/** A churn run: GPU faults, RPC loss and background defrag, with a
+ *  checkpoint every 8 rounds. */
+SimConfig
+churn_config(const std::string &dir, std::int64_t crash_round)
+{
+    SimConfig config;
+    config.defrag.enabled = true;
+    config.faults.seed = 3;
+    config.faults.gpu_mtbf_s = 2.0 * kDay;
+    config.faults.rpc_drop_prob = 0.02;
+    config.faults.script.push_back(sched_crash_at_round(crash_round));
+    config.durability.journal_dir = dir;
+    config.durability.snapshot_every = 8;
+    return config;
+}
+
+/** Encode and decode of @p sim's whole state into @p into. */
+void
+copy_by_full_encode(Simulator &sim, Simulator &into)
+{
+    const std::string bytes = recover::encode(sim);
+    ASSERT_TRUE(recover::decode(bytes, into).ok());
+}
+
+// At every cadence point of the churn run, a simulator restored from
+// base + segments + head must hold what decoding a full encode of the
+// same state gives: the same state hashes (cached and recomputed), the
+// same allocation log and outcome rows — the same bytes, in fact.
+TEST(CrashRecovery, ChainRestoresWhatAFullEncodeDoes)
+{
+    TraceGenConfig gen = churn_preset();
+    gen.num_jobs = 60;
+    const Trace trace = TraceGenerator::generate(gen);
+    const RunResult whole = run_sim(trace, churn_config("", 1));
+    ASSERT_GT(whole.state_hash_samples, 40u);
+
+    int checked = 0;
+    for (std::uint64_t round = 9; round < whole.state_hash_samples;
+         round += 8) {
+        const std::string what = "round " + std::to_string(round);
+        const std::string dir = fresh_dir("ef_chain_oracle");
+        const SimConfig config =
+            churn_config(dir, static_cast<std::int64_t>(round));
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(trace, scheduler.get(), config);
+        sim.run();
+        ASSERT_TRUE(sim.crashed()) << what;
+        // One more checkpoint, of the state the crash left in memory,
+        // on top of the cadence ones.
+        ASSERT_TRUE(sim.write_snapshot_now().ok()) << what;
+
+        SimConfig recover_config = config;
+        recover_config.durability.recover = true;
+        auto chain_scheduler = make_scheduler("elasticflow");
+        Simulator chain(trace, chain_scheduler.get(), recover_config);
+        const recover::Status st = chain.prepare_durability();
+        ASSERT_TRUE(st.ok()) << what << ": " << st.to_string();
+
+        auto full_scheduler = make_scheduler("elasticflow");
+        Simulator full(trace, full_scheduler.get(), churn_config("", 1));
+        copy_by_full_encode(sim, full);
+
+        EXPECT_EQ(chain.state_hash(), full.state_hash()) << what;
+        EXPECT_EQ(chain.state_hash(), sim.state_hash()) << what;
+        EXPECT_EQ(chain.recomputed_state_hash(),
+                  full.recomputed_state_hash())
+            << what;
+        EXPECT_EQ(recover::encode(chain), recover::encode(full)) << what;
+        EXPECT_EQ(recover::encode(chain), recover::encode(sim)) << what;
+        ++checked;
+    }
+    EXPECT_GT(checked, 4);
 }
 
 }  // namespace

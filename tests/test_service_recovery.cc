@@ -7,26 +7,35 @@
  * re-delivered by the replay — while the starvation-horizon bound and
  * the round-hash chain both survive the crash. Also covers the
  * simulator's streaming-admission (service) mode through the same
- * crash-at-round harness.
+ * crash-at-round harness. The crash windows inside a base's commit
+ * are rebuilt from the files the service left after consecutive
+ * submissions, and every base is checked against a full encode of the
+ * live service.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fault/fault.h"
+#include "recover/fields.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
 #include "serve/service.h"
 #include "serve/stream.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 #include "workload/trace_gen.h"
 
 namespace ef {
 namespace {
+
+using testutil::read_file;
+using testutil::write_file;
 
 std::string
 fresh_dir(const std::string &name)
@@ -217,6 +226,123 @@ TEST(ServiceRecovery, MismatchedConfigIsTypedError)
     recover::Status st = recovered.bind_durability(dir, 4, true);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code, recover::ErrorCode::kStateMismatch);
+}
+
+/** The snapshot and journal a durable service leaves after each
+ *  prefix of @p subs: [n] = after n submissions. */
+std::vector<std::pair<std::string, std::string>>
+disks_after_each(const std::vector<serve::Submission> &subs,
+                 const std::string &name)
+{
+    const std::string dir = fresh_dir(name);
+    std::vector<std::pair<std::string, std::string>> disks;
+    serve::Service service(pressured_config());
+    EXPECT_TRUE(service.bind_durability(dir, 4, false).ok());
+    for (std::size_t n = 0;; ++n) {
+        disks.emplace_back(
+            read_file(recover::DurableLog::snapshot_path(dir)),
+            read_file(recover::DurableLog::journal_path(dir)));
+        if (n == subs.size())
+            return disks;
+        service.submit(subs[n]);
+    }
+}
+
+/**
+ * Each submission that committed a new base, with the files of the
+ * submission before it: the new snapshot next to the old journal is
+ * the disk a crash leaves right after the base's rename (and, with
+ * @p tmp, a replacement journal written but not renamed). Recovery
+ * must resume after that submission and finish with the uninterrupted
+ * run's hash.
+ */
+void
+check_base_windows(bool tmp)
+{
+    const std::vector<serve::Submission> subs = burst_stream(80, 19);
+    serve::Service reference(pressured_config());
+    for (const serve::Submission &sub : subs)
+        reference.submit(sub);
+    reference.finish();
+
+    const auto disks = disks_after_each(subs, "ef_service_windows");
+    int windows = 0;
+    for (std::size_t n = 1; n < disks.size(); ++n) {
+        if (disks[n].first == disks[n - 1].first)
+            continue;  // no base committed by submission n
+        const std::string dir =
+            fresh_dir("ef_service_window_" + std::to_string(n));
+        std::filesystem::create_directories(dir);
+        write_file(recover::DurableLog::snapshot_path(dir), disks[n].first);
+        write_file(recover::DurableLog::journal_path(dir),
+                   disks[n - 1].second);
+        if (tmp) {
+            write_file(recover::DurableLog::journal_path(dir) + ".tmp",
+                       disks[n].second.substr(0, disks[n].second.size() / 2));
+        }
+        serve::Service recovered(pressured_config());
+        const recover::Status st = recovered.bind_durability(dir, 4, true);
+        ASSERT_TRUE(st.ok()) << "base at submission " << n << ": "
+                             << st.to_string();
+        for (std::size_t i = n; i < subs.size(); ++i)
+            recovered.submit(subs[i]);
+        recovered.finish();
+        EXPECT_EQ(recovered.state_hash(), reference.state_hash())
+            << "base at submission " << n;
+        ++windows;
+    }
+    EXPECT_GT(windows, 2);
+}
+
+TEST(ServiceCrashWindow, AfterBaseRename)
+{
+    check_base_windows(false);
+}
+
+TEST(ServiceCrashWindow, BeforeJournalRename)
+{
+    check_base_windows(true);
+}
+
+// At every base a service soak commits, restoring the directory gives
+// what a full encode of the live service gives.
+TEST(ServiceRecovery, BasesRestoreWhatAFullEncodeDoes)
+{
+    FaultConfig faults_config;
+    faults_config.rpc_drop_prob = 0.02;
+    faults_config.script.push_back(
+        {1000.0, FaultType::kArrivalStorm, -1, 1000.0, 6.0});
+    FaultInjector faults(faults_config);
+    serve::ServiceConfig config;
+    config.total_gpus = 16;
+    config.degrade_infeasible = true;
+    serve::StreamConfig stream_config;
+    stream_config.topology = TopologySpec::with_total_gpus(16);
+    stream_config.arrival_rate = 0.02;
+    serve::SyntheticStream stream(stream_config, &faults);
+
+    const std::string dir = fresh_dir("ef_service_oracle");
+    serve::Service service(config, &faults);
+    ASSERT_TRUE(service.bind_durability(dir, 8, false).ok());
+    std::string last = read_file(recover::DurableLog::snapshot_path(dir));
+    int checked = 0;
+    for (int i = 0; i < 300; ++i) {
+        service.submit(stream.next());
+        std::string now = read_file(recover::DurableLog::snapshot_path(dir));
+        if (now == last)
+            continue;
+        last = std::move(now);
+        const std::string copy = fresh_dir("ef_service_oracle_copy");
+        std::filesystem::remove_all(copy);
+        std::filesystem::copy(dir, copy);
+        FaultInjector restored_faults(faults_config);
+        serve::Service restored(config, &restored_faults);
+        ASSERT_TRUE(restored.bind_durability(copy, 8, true).ok());
+        EXPECT_EQ(restored.state_hash(), service.state_hash()) << i;
+        EXPECT_EQ(recover::encode(restored), recover::encode(service)) << i;
+        ++checked;
+    }
+    EXPECT_GT(checked, 10);
 }
 
 TEST(ServiceRecovery, SimulatorServiceModeCrashRecovers)

@@ -1,16 +1,38 @@
 /**
  * @file
  * Shared helpers for scheduler/simulator tests: compact construction
- * of hand-crafted traces.
+ * of hand-crafted traces, and whole-file reads and writes for the
+ * durability tests.
  */
 #ifndef EF_TESTS_TEST_UTIL_H_
 #define EF_TESTS_TEST_UTIL_H_
+
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "workload/perf_model.h"
 #include "workload/trace.h"
 
 namespace ef {
 namespace testutil {
+
+/** The bytes of the file at @p path (empty when it is missing). */
+inline std::string
+read_file(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Replace the file at @p path with @p bytes. */
+inline void
+write_file(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 /** Fluent builder for hand-crafted traces. */
 class TraceBuilder
