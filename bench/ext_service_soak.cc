@@ -21,6 +21,7 @@
  * overload of the 64-GPU fixture, so the shed path and the governor's
  * batching both stay hot.
  */
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -109,6 +110,11 @@ main(int argc, char **argv)
         (argc > 2 && !parse_number(argv[2], &arrival_rate))) {
         std::cerr << "usage: ext_service_soak [count] "
                      "[arrival_rate_jobs_per_s]\n";
+        return 2;
+    }
+    if (!(arrival_rate > 0.0 && std::isfinite(arrival_rate))) {
+        std::cerr << "ext_service_soak: arrival_rate_jobs_per_s needs "
+                     "a finite rate > 0\n";
         return 2;
     }
 

@@ -23,8 +23,12 @@
  *   # replay a CSV trace with the simulator's service-mode queue
  *   ./run_trace my_trace.csv --service --gpus 32
  *
- * Flags accept both "--flag value" and "--flag=value".
+ * Flags accept both "--flag value" and "--flag=value". A missing,
+ * malformed, non-finite or out-of-range value exits 2 with a message
+ * naming the flag.
  */
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -32,6 +36,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/csv.h"
@@ -268,9 +273,11 @@ main(int argc, char **argv)
                 has_inline = true;
             }
         }
-        // A missing or malformed value clears `ok`; the flag is then
-        // reported with the usage text (exit 2).
+        // A missing, malformed or out-of-range value clears `ok`; the
+        // flag is then reported with what it wants and the usage text
+        // (exit 2).
         bool ok = true;
+        std::string want = "a valid value";
         auto next = [&]() -> std::string {
             if (has_inline)
                 return inline_value;
@@ -282,6 +289,20 @@ main(int argc, char **argv)
         };
         auto number = [&](auto *out) {
             ok = parse_number(next(), out) && ok;
+            if constexpr (std::is_floating_point_v<
+                              std::remove_pointer_t<decltype(out)>>)
+                ok = ok && std::isfinite(*out);
+        };
+        auto require = [&](bool in_range, const char *what) {
+            if (ok && !in_range) {
+                ok = false;
+                want = what;
+            }
+        };
+        // For values converted below, which can overflow to infinity.
+        auto positive = [](double v) { return v > 0.0 && std::isfinite(v); };
+        auto non_negative = [](double v) {
+            return v >= 0.0 && std::isfinite(v);
         };
         double scaled = 0.0;  // a value the flag converts below
         if (arg == "--service") {
@@ -289,20 +310,34 @@ main(int argc, char **argv)
             sim_config.service.enabled = true;
         } else if (arg == "--arrival-rate") {
             number(&arrival_rate);
+            require(arrival_rate > 0.0, "jobs per second > 0");
         } else if (arg == "--duration") {
             number(&service_duration);
+            require(service_duration > 0.0, "seconds > 0");
         } else if (arg == "--seed") {
             number(&stream_seed);
         } else if (arg == "--gpus") {
             number(&gpus);
+            require(gpus >= 1, "a GPU count >= 1");
         } else if (arg == "--scheduler") {
             scheduler_name = next();
+            const std::vector<std::string> &names = all_scheduler_names();
+            require(std::find(names.begin(), names.end(), scheduler_name) !=
+                            names.end() ||
+                        scheduler_name == "edf+admission" ||
+                        scheduler_name == "edf+elastic",
+                    "one of the schedulers listed below");
         } else if (arg == "--failures-mtbf-days") {
             number(&scaled);
             sim_config.failures.enabled = true;
             sim_config.failures.server_mtbf_s = scaled * kDay;
+            require(positive(sim_config.failures.server_mtbf_s),
+                    "days > 0");
         } else if (arg == "--noise") {
             number(&sim_config.noise.throughput_error);
+            require(sim_config.noise.throughput_error >= 0.0 &&
+                        sim_config.noise.throughput_error < 1.0,
+                    "a fraction in [0, 1)");
         } else if (arg == "--no-coalesce") {
             sim_config.coalesce_replans = false;
         } else if (arg == "--no-elide") {
@@ -310,14 +345,23 @@ main(int argc, char **argv)
         } else if (arg == "--mtbf") {
             number(&scaled);
             sim_config.faults.server_mtbf_s = scaled * kDay;
+            require(non_negative(sim_config.faults.server_mtbf_s),
+                    "days >= 0 (0 disables)");
         } else if (arg == "--repair") {
             number(&scaled);
             sim_config.faults.server_repair_s = scaled * kHour;
+            require(non_negative(sim_config.faults.server_repair_s),
+                    "hours >= 0");
         } else if (arg == "--gpu-fault-rate") {
             number(&scaled);
             sim_config.faults.gpu_mtbf_s = kDay / scaled;
+            require(positive(sim_config.faults.gpu_mtbf_s),
+                    "faults per GPU-day > 0");
         } else if (arg == "--rpc-drop") {
             number(&sim_config.faults.rpc_drop_prob);
+            require(sim_config.faults.rpc_drop_prob >= 0.0 &&
+                        sim_config.faults.rpc_drop_prob <= 1.0,
+                    "a probability in [0, 1]");
         } else if (arg == "--fault-script") {
             const std::string path = next();
             const std::optional<FaultScriptError> error =
@@ -336,6 +380,8 @@ main(int argc, char **argv)
             sim_config.durability.journal_dir = next();
         } else if (arg == "--snapshot-every") {
             number(&sim_config.durability.snapshot_every);
+            require(sim_config.durability.snapshot_every >= 1,
+                    "a round count >= 1");
         } else if (arg == "--recover") {
             sim_config.durability.recover = true;
         } else if (arg == "--defrag") {
@@ -343,11 +389,16 @@ main(int argc, char **argv)
         } else if (arg == "--defrag-budget") {
             sim_config.defrag.enabled = true;
             number(&sim_config.defrag.budget_units_per_round);
+            require(sim_config.defrag.budget_units_per_round >= 0.0,
+                    "units >= 0 (0 disables)");
         } else if (arg == "--defrag-steps") {
             number(&sim_config.defrag.max_steps);
+            require(sim_config.defrag.max_steps >= 1, "a step count >= 1");
         } else if (arg == "--defrag-interval") {
             number(&scaled);
             sim_config.defrag.governor.rounds_per_second = 1.0 / scaled;
+            require(positive(sim_config.defrag.governor.rounds_per_second),
+                    "seconds > 0");
         } else if (arg == "--defrag-seed") {
             number(&sim_config.defrag.seed);
         } else if (arg == "--report-out") {
@@ -370,10 +421,16 @@ main(int argc, char **argv)
             return usage();
         }
         if (!ok) {
-            std::cerr << "run_trace: " << arg
-                      << " needs a valid value\n";
+            std::cerr << "run_trace: " << arg << " needs " << want << "\n";
             return usage();
         }
+    }
+
+    if (sim_config.failures.enabled &&
+        sim_config.faults.server_mtbf_s > 0.0) {
+        std::cerr << "run_trace: --failures-mtbf-days and --mtbf both "
+                  << "inject server crashes; pick one\n";
+        return usage();
     }
 
     if (sim_config.durability.recover &&

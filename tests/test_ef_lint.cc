@@ -4,11 +4,18 @@
  * snippet, once violating and once with the allow() escape hatch, plus
  * path classification, annotation validation, and the lexer corner
  * cases (comments, strings, raw strings, digit separators) that must
- * never produce false positives.
+ * never produce false positives. The layering rule also runs on the
+ * real tree (EF_REPO_ROOT): it lints clean, and an injected upward
+ * include is reported.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,6 +70,9 @@ TEST(EfLintClassify, PathsMapToRuleScopes)
     EXPECT_FALSE(classify("src/common/table.cc").io_exempt);
     EXPECT_TRUE(classify("src/common/rng.cc").rng_exempt);
     EXPECT_FALSE(classify("src/common/hash.h").rng_exempt);
+    EXPECT_EQ(classify("src/core/allocator.cc").layer, "core");
+    EXPECT_EQ(classify("src/top_level.h").layer, "");
+    EXPECT_EQ(classify("tests/test_smoke.cc").layer, "");
 }
 
 TEST(EfLintNondet, FlagsEnginesAndCallsInLibraryCode)
@@ -227,7 +237,7 @@ TEST(EfLintAnnotations, MalformedAndUnknownAreReported)
             .empty());
 }
 
-TEST(EfLintThreading, LibraryIncludesFlowThroughParallel)
+TEST(EfLintThreading, LibraryIncludesAreBanned)
 {
     FileClass cls = library_class();
     // Direct threading includes are the violation, one per directive.
@@ -237,25 +247,25 @@ TEST(EfLintThreading, LibraryIncludesFlowThroughParallel)
     EXPECT_TRUE(has_rule(rules_in("#include <condition_variable>\n", cls),
                          "threading"));
     // Non-threading includes and mere mentions of std::thread are fine;
-    // the rule targets the include directive, not usage (usage outside
-    // the sanctioned pool cannot compile without the include anyway).
+    // the rule targets the include directive, not usage (usage cannot
+    // compile without the include anyway).
     EXPECT_TRUE(rules_in("#include <vector>\n", cls).empty());
-    EXPECT_TRUE(rules_in("ef::ThreadPool pool(4);\n", cls).empty());
+    EXPECT_TRUE(rules_in("std::thread *none = nullptr;\n", cls).empty());
 }
 
-TEST(EfLintThreading, ParallelIsTheSanctionedHome)
+TEST(EfLintThreading, NoLibraryFileIsExempt)
 {
-    EXPECT_TRUE(classify("src/common/parallel.h").threading_exempt);
-    EXPECT_TRUE(classify("src/common/parallel.cc").threading_exempt);
-    EXPECT_FALSE(classify("src/common/logging.cc").threading_exempt);
-    EXPECT_FALSE(classify("src/core/allocator.cc").threading_exempt);
-
     const char *text = "#include <thread>\n#include <condition_variable>\n";
-    EXPECT_TRUE(
-        rules_in(text, classify("src/common/parallel.cc")).empty());
+    for (const char *path : {"src/common/parallel.cc", "src/common/rng.cc",
+                             "src/recover/log.cc", "src/sim/simulator.cc"}) {
+        auto rules = rules_in(text, classify(path));
+        EXPECT_EQ(std::count(rules.begin(), rules.end(), "threading"), 2)
+            << path;
+    }
     // Outside src/ the rule does not apply at all.
-    EXPECT_TRUE(rules_in(text, classify("tests/test_parallel.cc")).empty());
+    EXPECT_TRUE(rules_in(text, classify("tests/test_serve.cc")).empty());
     EXPECT_TRUE(rules_in(text, classify("bench/fig7.cc")).empty());
+    EXPECT_TRUE(rules_in(text, classify("tools/ef_lint/main.cc")).empty());
 }
 
 TEST(EfLintThreading, AllowAnnotationSuppresses)
@@ -369,12 +379,183 @@ TEST(EfLintUnusedAllow, ReportedOnlyWhenAsked)
     EXPECT_TRUE(lint_source("fixture.cc", used, cls, options).empty());
 }
 
+// ---------------------------------------------------------------------------
+// layering: quoted includes follow the library DAG that
+// src/<dir>/CMakeLists.txt declares.
+// ---------------------------------------------------------------------------
+
+/** base <- mid <- top; third-party link targets are not layers, and a
+ *  layer without dependencies is declared by its add_library(). */
+const std::map<std::string, std::string> kDag = {
+    {"src/base/CMakeLists.txt",
+     "add_library(ef_base b.cc)\n"
+     "target_link_libraries(ef_base PUBLIC GTest::gtest)\n"},
+    {"src/leaf/CMakeLists.txt", "add_library(ef_leaf l.cc)\n"},
+    {"src/mid/CMakeLists.txt",
+     "target_link_libraries(ef_mid PUBLIC ef_base)\n"},
+    {"src/top/CMakeLists.txt",
+     "target_link_libraries(ef_top PUBLIC\n    ef_mid)\n"}};
+
+/** Lint @p text as the file @p path against the DAG of @p cmake_lists. */
+std::vector<Issue>
+lint_layered(const std::string &path, std::string_view text,
+             const std::map<std::string, std::string> &cmake_lists = kDag)
+{
+    const lint::LayerDag dag = lint::read_layer_dag(cmake_lists);
+    lint::LintOptions options;
+    options.layers = &dag;
+    return lint_source(path, text, classify(path), options);
+}
+
+TEST(EfLintLayering, DirectAndTransitiveIncludesAreFine)
+{
+    const lint::LayerDag dag = lint::read_layer_dag(kDag);
+    EXPECT_TRUE(dag.issues.empty());
+    const std::set<std::string> top = {"top", "mid", "base"};
+    EXPECT_EQ(dag.reach.at("top"), top);
+    EXPECT_EQ(dag.reach.at("leaf"), std::set<std::string>{"leaf"});
+    EXPECT_TRUE(lint_layered("src/top/a.cc", "#include \"mid/m.h\"\n"
+                                             "#include \"base/b.h\"\n"
+                                             "#include \"top/a.h\"\n"
+                                             "#include \"a_impl.h\"\n"
+                                             "#include \"gtest/gtest.h\"\n"
+                                             "#include <vector>\n")
+                    .empty());
+    // Outside src/<dir>/ the rule does not apply.
+    EXPECT_TRUE(lint_layered("tests/t.cc", "#include \"top/a.h\"\n").empty());
+}
+
+TEST(EfLintLayering, UpwardIncludeIsReportedAtItsLine)
+{
+    auto issues =
+        lint_layered("src/base/b.cc", "#include <vector>\n"
+                                      "#include \"base/b.h\"\n"
+                                      "#include \"top/a.h\"\n");
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].rule, "layering");
+    EXPECT_EQ(issues[0].file, "src/base/b.cc");
+    EXPECT_EQ(issues[0].line, 3);
+    EXPECT_NE(issues[0].message.find("\"top/a.h\""), std::string::npos);
+    // Sideways is upward too: leaf and base do not depend on each other.
+    EXPECT_EQ(lint_layered("src/leaf/l.cc", "#include \"base/b.h\"\n").size(),
+              1u);
+    // The allow() grammar covers the rule.
+    EXPECT_TRUE(lint_layered("src/base/b.cc",
+                             "// ef-lint: allow(layering: test seam)\n"
+                             "#include \"top/a.h\"\n")
+                    .empty());
+}
+
+TEST(EfLintLayering, UndeclaredDirectoryIsReported)
+{
+    auto issues = lint_layered("src/rogue/r.cc", "#include \"base/b.h\"\n");
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].rule, "layering");
+    EXPECT_EQ(issues[0].line, 1);
+    EXPECT_NE(issues[0].message.find("src/rogue/"), std::string::npos);
+    // With no DAG at all the rule is off.
+    EXPECT_TRUE(lint_layered("src/rogue/r.cc", "#include \"top/a.h\"\n", {})
+                    .empty());
+}
+
+TEST(EfLintLayering, UnknownLibraryIsReportedAtItsCmakeLine)
+{
+    std::map<std::string, std::string> cmake_lists = kDag;
+    cmake_lists["src/odd/CMakeLists.txt"] =
+        "add_library(ef_odd o.cc)\n"
+        "target_link_libraries(ef_odd PUBLIC ef_base\n"
+        "    ef_nope)\n";
+    const lint::LayerDag dag = lint::read_layer_dag(cmake_lists);
+    ASSERT_EQ(dag.issues.size(), 1u);
+    EXPECT_EQ(dag.issues[0].rule, "layering");
+    EXPECT_EQ(dag.issues[0].file, "src/odd/CMakeLists.txt");
+    EXPECT_EQ(dag.issues[0].line, 3);
+    EXPECT_NE(dag.issues[0].message.find("ef_nope"), std::string::npos);
+    // The known dependency still counts.
+    EXPECT_EQ(dag.reach.at("odd").count("base"), 1u);
+}
+
+TEST(EfLintLayering, CycleIsReported)
+{
+    std::map<std::string, std::string> cmake_lists = kDag;
+    cmake_lists["src/base/CMakeLists.txt"] =
+        "add_library(ef_base b.cc)\n"
+        "\n"
+        "target_link_libraries(ef_base PUBLIC ef_top)\n";
+    const lint::LayerDag dag = lint::read_layer_dag(cmake_lists);
+    // Every library on the cycle is reported, at its link line.
+    ASSERT_EQ(dag.issues.size(), 3u);
+    for (const Issue &issue : dag.issues) {
+        EXPECT_EQ(issue.rule, "layering");
+        EXPECT_NE(issue.message.find("cycle"), std::string::npos);
+    }
+    EXPECT_EQ(dag.issues[0].file, "src/base/CMakeLists.txt");
+    EXPECT_EQ(dag.issues[0].line, 3);
+    EXPECT_TRUE(dag.reach.at("leaf") == std::set<std::string>{"leaf"});
+}
+
+/** Every file under src/ of the real tree: C++ sources and the
+ *  libraries' CMakeLists.txt, keyed by repo-relative path. */
+std::map<std::string, std::string>
+real_src_tree()
+{
+    namespace fs = std::filesystem;
+    const fs::path root = EF_REPO_ROOT;
+    std::map<std::string, std::string> tree;
+    for (const auto &entry : fs::recursive_directory_iterator(root / "src")) {
+        const std::string ext = entry.path().extension().string();
+        if (!entry.is_regular_file() ||
+            (ext != ".h" && ext != ".cc" &&
+             entry.path().filename() != "CMakeLists.txt")) {
+            continue;
+        }
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        tree[fs::relative(entry.path(), root).generic_string()] = text.str();
+    }
+    return tree;
+}
+
+TEST(EfLintLayering, RealTreeIsCleanAndCatchesAnUpwardInclude)
+{
+    const std::map<std::string, std::string> tree = real_src_tree();
+    const lint::LayerDag dag = lint::read_layer_dag(tree);
+    for (const Issue &issue : dag.issues)
+        ADD_FAILURE() << lint::format_issue(issue);
+    EXPECT_GE(dag.reach.size(), 12u);
+    EXPECT_EQ(dag.reach.at("common"), std::set<std::string>{"common"});
+    EXPECT_EQ(dag.reach.at("sim").count("core"), 1u);
+    EXPECT_EQ(dag.reach.at("core").count("sim"), 0u);
+
+    lint::LintOptions options;
+    options.layers = &dag;
+    for (const auto &[path, text] : tree) {
+        if (path.size() > 14 &&
+            path.compare(path.size() - 14, 14, "CMakeLists.txt") == 0)
+            continue;
+        for (const Issue &issue :
+             lint_source(path, text, classify(path), options))
+            ADD_FAILURE() << lint::format_issue(issue);
+    }
+
+    const std::string victim = "src/core/allocator.cc";
+    ASSERT_EQ(tree.count(victim), 1u);
+    const auto issues = lint_source(
+        victim, "// injected\n#include \"sim/simulator.h\"\n" + tree.at(victim),
+        classify(victim), options);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(lint::format_issue(issues[0])
+                  .find("src/core/allocator.cc:2: [layering] "),
+              0u);
+}
+
 TEST(EfLintRules, NamesAreStable)
 {
     const std::vector<std::string> expected = {
         "nondet",            "unordered", "float-eq",
         "check-side-effect", "io",        "using-namespace",
-        "threading",         "file-io"};
+        "threading",         "file-io",   "layering"};
     EXPECT_EQ(lint::rule_names(), expected);
 }
 

@@ -99,6 +99,59 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
     EXPECT_EQ(run_cli(trace + " --noise"), 2);  // value missing
     EXPECT_EQ(run_cli("--generate cluster99 out.csv"), 2);
     EXPECT_EQ(run_cli(trace + " --gpus 16"), 0);
+
+    // Out-of-range values exit 2 with a message naming the flag.
+    const std::string journal = testing::TempDir() + "/cli_range_journal";
+    const struct
+    {
+        std::string args;
+        const char *flag;  ///< must appear in the diagnostic
+    } cases[] = {
+        // Each of these aborted (exit 134) before the range checks.
+        {"--gpus 0", "--gpus"},
+        {"--gpus -8", "--gpus"},
+        {"--gpu-fault-rate 0", "--gpu-fault-rate"},
+        {"--noise 2", "--noise"},
+        {"--snapshot-every 0 --journal-dir " + journal, "--snapshot-every"},
+        {"--failures-mtbf-days 0", "--failures-mtbf-days"},
+        {"--failures-mtbf-days -1", "--failures-mtbf-days"},
+        {"--rpc-drop 1.5", "--rpc-drop"},
+        {"--scheduler nosuch", "--scheduler"},
+        {"--defrag --defrag-steps 0", "--defrag-steps"},
+        {"--failures-mtbf-days 3 --mtbf 2", "--mtbf"},
+        // ... and these were silently accepted.
+        {"--mtbf -1", "--mtbf"},
+        {"--repair -1", "--repair"},
+        {"--rpc-drop -0.5", "--rpc-drop"},
+        {"--defrag-interval 0", "--defrag-interval"},
+        {"--defrag-budget -3", "--defrag-budget"},
+        {"--defrag-steps -1", "--defrag-steps"},
+        {"--noise -5", "--noise"},
+        // NaN and infinities never parse as a value.
+        {"--noise nan", "--noise"},
+        {"--rpc-drop=nan", "--rpc-drop"},
+        {"--mtbf inf", "--mtbf"},
+        {"--failures-mtbf-days 1e305", "--failures-mtbf-days"},
+    };
+    std::string err;
+    for (const auto &c : cases) {
+        EXPECT_EQ(run_cli(trace + " " + c.args + " --state-hash", &err), 2)
+            << c.args;
+        EXPECT_NE(err.find(c.flag), std::string::npos)
+            << c.args << ": " << err;
+    }
+    // Standalone service mode checks its values the same way.
+    for (const char *args :
+         {"--service --arrival-rate 1 --duration 100 --gpus 0",
+          "--service --arrival-rate nan --duration 100",
+          "--service --arrival-rate 1 --duration -5"}) {
+        EXPECT_EQ(run_cli(args, &err), 2) << args;
+        EXPECT_NE(err.find("needs"), std::string::npos) << args << ": " << err;
+    }
+    // Zero stays valid where it means "disabled".
+    EXPECT_EQ(run_cli(trace + " --mtbf 0 --defrag-budget 0 --noise 0 "
+                              "--rpc-drop 0 --repair 0"),
+              0);
 }
 
 TEST(RunTraceCli, MalformedTraceFilesExitTwo)
@@ -216,6 +269,9 @@ TEST(ServiceSoakCli, BadArgumentsExitTwo)
     EXPECT_EQ(run_binary(EF_SERVICE_SOAK_BIN, "--help"), 2);
     EXPECT_EQ(run_binary(EF_SERVICE_SOAK_BIN, "100 fast"), 2);
     EXPECT_EQ(run_binary(EF_SERVICE_SOAK_BIN, "1 2 3"), 2);
+    // The stream needs a finite positive arrival rate.
+    for (const char *args : {"100 0", "100 -5", "100 nan", "100 inf"})
+        EXPECT_EQ(run_binary(EF_SERVICE_SOAK_BIN, args), 2) << args;
     EXPECT_EQ(run_binary(EF_SERVICE_SOAK_BIN, "200 5"), 0);
 }
 

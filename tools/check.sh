@@ -2,7 +2,7 @@
 # One-command local gate: everything the CI lint job blocks on, in
 # order of increasing cost. Run from anywhere inside the repo:
 #
-#   tools/check.sh            # build tools if needed, then lint+audit
+#   tools/check.sh            # build ef-lint if needed, then lint
 #   tools/check.sh --no-build # use existing build/ binaries as-is
 #
 # Exits non-zero on the first failing stage. clang-format runs only on
@@ -18,14 +18,11 @@ build=1
 
 if [ "$build" -eq 1 ]; then
     cmake -B build -S . > /dev/null
-    cmake --build build -j --target ef_lint ef_audit > /dev/null
+    cmake --build build -j --target ef_lint > /dev/null
 fi
 
-echo "== ef-lint =="
-./build/tools/ef_lint/ef_lint --root . --jobs 4 --warn-unused-allow
-
-echo "== ef-audit (thread-ownership, layering) =="
-./build/tools/ef_audit/ef_audit --root . --jobs 4
+echo "== ef-lint (determinism, scheduler invariants, layering) =="
+./build/tools/ef_lint/ef_lint --root . --warn-unused-allow
 
 echo "== clang-format (changed files) =="
 if command -v clang-format > /dev/null 2>&1; then

@@ -1,14 +1,13 @@
 /**
  * @file
- * Shared C++ lexer for the repo's lexical analysis tools (ef-lint,
- * ef-audit).
+ * The C++ lexer behind ef-lint.
  *
  * Produces preprocessed-enough C++: comments are stripped (line-comment
- * bodies captured separately so tools can parse their own annotation
- * grammars out of them), string and character literals are collapsed to
+ * bodies captured separately so the allow() annotation grammar can be
+ * parsed out of them), string and character literals are collapsed to
  * opaque tokens so rule patterns never match inside them (the literal's
- * text is still carried for tools that need it, e.g. include-path
- * analysis), and numbers know whether they are floating-point.
+ * text is still carried for the layering rule's include paths), and
+ * numbers know whether they are floating-point.
  */
 #ifndef EF_TOOLS_EF_LINT_LEXER_H_
 #define EF_TOOLS_EF_LINT_LEXER_H_

@@ -1,5 +1,7 @@
 #include "lint.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -198,6 +200,32 @@ add_issue(std::vector<Issue> &issues, std::string_view path, int line,
         Issue{std::string(path), line, rule, std::move(message)});
 }
 
+/**
+ * The layering rule for one quoted include, @p inc, in a file of
+ * src/<layer>/: a path into another library directory must name one
+ * that <layer> depends on. Same-directory includes and paths into
+ * non-library directories are not layer edges.
+ */
+void
+check_include(const LayerDag &dag, const std::string &layer,
+              std::string_view path, const Token &inc,
+              std::vector<Issue> &issues)
+{
+    const std::size_t slash = inc.text.find('/');
+    if (slash == std::string::npos)
+        return;
+    const std::string target = inc.text.substr(0, slash);
+    if (dag.reach.count(target) == 0 ||
+        dag.reach.at(layer).count(target) > 0) {
+        return;
+    }
+    add_issue(issues, path, inc.line, "layering",
+              "src/" + layer + "/ includes \"" + inc.text +
+                  "\" but ef_" + layer +
+                  " does not (transitively) link ef_" + target +
+                  " — includes follow the library DAG, never upward");
+}
+
 }  // namespace
 
 FileClass
@@ -212,10 +240,115 @@ classify(std::string_view path)
     cls.io_exempt =
         starts("src/common/logging.") || starts("src/common/check.");
     cls.rng_exempt = starts("src/common/rng.");
-    cls.threading_exempt = starts("src/common/parallel.");
     cls.file_io_exempt =
         starts("src/recover/") || starts("src/workload/trace_io.");
+    const std::size_t slash = path.find('/', 4);
+    if (cls.library && slash != std::string_view::npos)
+        cls.layer = std::string(path.substr(4, slash - 4));
     return cls;
+}
+
+LayerDag
+read_layer_dag(const std::map<std::string, std::string> &cmake_lists)
+{
+    /** One declared layer: its CMakeLists.txt, the line of its
+     *  target_link_libraries call, and each ef_* dependency with the
+     *  line it is named on. */
+    struct Layer
+    {
+        std::string file;
+        int line = 1;
+        std::vector<std::pair<std::string, int>> deps;
+    };
+    const std::string kSuffix = "/CMakeLists.txt";
+    std::map<std::string, Layer> layers;
+    for (const auto &[path, text] : cmake_lists) {
+        if (path.rfind("src/", 0) != 0 ||
+            path.size() <= 4 + kSuffix.size() ||
+            path.compare(path.size() - kSuffix.size(), kSuffix.size(),
+                         kSuffix) != 0) {
+            continue;
+        }
+        const std::string dir =
+            path.substr(4, path.size() - 4 - kSuffix.size());
+        // Offset of `<call>(ef_<dir>` as a whole word, or npos.
+        const auto find_call = [&](std::string_view call) {
+            const std::string needle =
+                std::string(call) + "(ef_" + dir;
+            for (std::size_t at = text.find(needle);
+                 at != std::string::npos;
+                 at = text.find(needle, at + 1)) {
+                const std::size_t end = at + needle.size();
+                if (end == text.size() || !ident_char(text[end]))
+                    return at;
+            }
+            return std::string::npos;
+        };
+        const std::size_t link = find_call("target_link_libraries");
+        if (link == std::string::npos &&
+            find_call("add_library") == std::string::npos) {
+            continue;
+        }
+        Layer &layer = layers[dir];
+        layer.file = path;
+        if (link == std::string::npos)
+            continue;
+        layer.line = 1 + static_cast<int>(std::count(
+                             text.begin(),
+                             text.begin() +
+                                 static_cast<std::ptrdiff_t>(link),
+                             '\n'));
+        int line = layer.line;
+        std::size_t i =
+            link + std::string_view("target_link_libraries(ef_").size() +
+            dir.size();
+        const std::size_t close = std::min(text.find(')', i), text.size());
+        while (i < close) {
+            if (std::isspace(static_cast<unsigned char>(text[i]))) {
+                line += text[i++] == '\n';
+                continue;
+            }
+            std::size_t end = i;
+            while (end < close &&
+                   !std::isspace(static_cast<unsigned char>(text[end])))
+                ++end;
+            if (text.compare(i, 3, "ef_") == 0)
+                layer.deps.push_back(
+                    {text.substr(i + 3, end - i - 3), line});
+            i = end;
+        }
+    }
+
+    LayerDag dag;
+    for (const auto &[dir, layer] : layers) {
+        std::set<std::string> &reach = dag.reach[dir];
+        std::vector<std::string> todo;
+        for (const auto &[dep, line] : layer.deps) {
+            if (layers.count(dep) == 0) {
+                add_issue(dag.issues, layer.file, line, "layering",
+                          "ef_" + dir + " links unknown library ef_" +
+                              dep + " — no src/" + dep +
+                              "/CMakeLists.txt declares it");
+            }
+            todo.push_back(dep);
+        }
+        while (!todo.empty()) {
+            const std::string next = std::move(todo.back());
+            todo.pop_back();
+            if (layers.count(next) == 0 || !reach.insert(next).second)
+                continue;
+            for (const auto &[dep, line] : layers.at(next).deps)
+                todo.push_back(dep);
+        }
+        if (reach.count(dir) > 0) {
+            add_issue(dag.issues, layer.file, layer.line, "layering",
+                      "ef_" + dir +
+                          " depends on itself: the library DAG has a "
+                          "cycle");
+        }
+        reach.insert(dir);
+    }
+    return dag;
 }
 
 const std::vector<std::string> &
@@ -224,7 +357,7 @@ rule_names()
     static const std::vector<std::string> kNames = {
         "nondet",           "unordered", "float-eq",
         "check-side-effect", "io",        "using-namespace",
-        "threading",        "file-io"};
+        "threading",        "file-io",   "layering"};
     return kNames;
 }
 
@@ -251,6 +384,17 @@ lint_source(std::string_view path, std::string_view text,
     Lexed lexed = lex(text);
     const std::vector<Token> &tokens = lexed.tokens;
     std::vector<Issue> issues;
+
+    bool layered = options.layers != nullptr &&
+                   !options.layers->reach.empty() && !cls.layer.empty();
+    if (layered && options.layers->reach.count(cls.layer) == 0) {
+        add_issue(issues, path, 1, "layering",
+                  "src/" + cls.layer +
+                      "/ is not in the library DAG — declare "
+                      "add_library(ef_" +
+                      cls.layer + " ...) in its CMakeLists.txt");
+        layered = false;
+    }
 
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const Token &tok = tokens[i];
@@ -352,15 +496,20 @@ lint_source(std::string_view path, std::string_view text,
                 tokens[i + 3].kind == Token::kIdent &&
                 tokens[i + 4].kind == Token::kPunct &&
                 tokens[i + 4].text == ">";
-            if (cls.library && !cls.threading_exempt && is_include &&
+            if (cls.library && is_include &&
                 kThreadingHeaders.count(tokens[i + 3].text) > 0) {
                 add_issue(issues, path, tok.line, "threading",
-                          "direct <" + tokens[i + 3].text +
-                              "> include in library code — all "
-                              "parallelism flows through "
-                              "ef::ThreadPool (common/parallel.h), "
-                              "which keeps planner decisions "
-                              "deterministic");
+                          "<" + tokens[i + 3].text +
+                              "> include in library code — the "
+                              "library is single-threaded, so its "
+                              "decisions depend on its inputs alone");
+            }
+            if (layered && i + 2 < tokens.size() &&
+                tokens[i + 1].kind == Token::kIdent &&
+                tokens[i + 1].text == "include" &&
+                tokens[i + 2].kind == Token::kString) {
+                check_include(*options.layers, cls.layer, path,
+                              tokens[i + 2], issues);
             }
             if (cls.library && !cls.file_io_exempt && is_include &&
                 tokens[i + 3].text == "fstream") {

@@ -23,12 +23,10 @@
  *   io                No std::cout / std::cerr / std::clog in library
  *                     code outside common/logging and common/check.
  *   using-namespace   No using-namespace directives in library code.
- *   threading         No direct threading includes (<thread>, <mutex>,
+ *   threading         No threading includes (<thread>, <mutex>,
  *                     <atomic>, <condition_variable>, ...) in library
- *                     code outside common/parallel.* — all parallelism
- *                     flows through ef::ThreadPool, whose deterministic
- *                     index-ownership contract keeps planner decisions
- *                     bit-identical to single-threaded runs.
+ *                     code: the library is single-threaded, so planner
+ *                     decisions are a function of the inputs alone.
  *   file-io           No raw file I/O (<fstream> includes, fstream
  *                     stream types, fopen/freopen) in library code
  *                     outside recover/ and workload/trace_io.* — all
@@ -36,6 +34,14 @@
  *                     so crash-consistency (checksums, fsync'd commit
  *                     points, atomic snapshot replace) cannot be
  *                     bypassed by ad-hoc writes.
+ *   layering          Quoted includes in src/<dir>/ follow the library
+ *                     DAG the build declares (read_layer_dag): a
+ *                     directory includes itself and its transitive
+ *                     ef_* dependencies, never upward. A src/<dir>/
+ *                     missing from the DAG is reported at line 1 of
+ *                     each of its files; links to unknown libraries
+ *                     and cycles are reported by read_layer_dag at
+ *                     the CMakeLists.txt line.
  *
  * Escape hatch: a violation is suppressed by a line comment on the
  * same line or the line directly above it, naming the rule and a
@@ -54,6 +60,8 @@
 #ifndef EF_TOOLS_EF_LINT_LINT_H_
 #define EF_TOOLS_EF_LINT_LINT_H_
 
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,10 +80,11 @@ struct FileClass
     bool io_exempt = false;
     /** The sanctioned randomness source (common/rng.*). */
     bool rng_exempt = false;
-    /** The sanctioned threading primitive (common/parallel.*). */
-    bool threading_exempt = false;
     /** The sanctioned persistence layer (recover/, workload/trace_io.*). */
     bool file_io_exempt = false;
+    /** The library directory <dir> of a file under src/<dir>/, which
+     *  the layering rule checks; empty elsewhere. */
+    std::string layer;
 };
 
 /** Classify a forward-slash path relative to the repo root. */
@@ -96,9 +105,31 @@ std::string format_issue(const Issue &issue);
 /** All valid rule names, for annotation validation and --list-rules. */
 const std::vector<std::string> &rule_names();
 
+/** The library DAG declared by src/<dir>/CMakeLists.txt. */
+struct LayerDag
+{
+    /** <dir> -> the directories its files may include: itself and
+     *  every (transitive) dependency. */
+    std::map<std::string, std::set<std::string>> reach;
+    /** Links to unknown libraries and cycles, at their CMake line. */
+    std::vector<Issue> issues;
+};
+
+/**
+ * Read the DAG from CMakeLists.txt contents keyed by repo-relative
+ * path (other paths are ignored). `add_library(ef_<dir>` or
+ * `target_link_libraries(ef_<dir>` in src/<dir>/CMakeLists.txt
+ * declares the layer <dir>; the ef_<dep> arguments of the latter are
+ * its direct dependencies.
+ */
+LayerDag read_layer_dag(const std::map<std::string, std::string> &cmake_lists);
+
 /** Optional behaviors beyond the always-on rule set. */
 struct LintOptions
 {
+    /** The DAG the layering rule checks against. Null or empty skips
+     *  the rule. */
+    const LayerDag *layers = nullptr;
     /**
      * Emit an advisory "unused-allow" issue for every well-formed
      * allow() annotation that suppressed nothing. Not a member of

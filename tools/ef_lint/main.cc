@@ -6,27 +6,28 @@
  *   ef_lint --root <repo-root> <files>  lint specific files (paths
  *                                       relative to the root)
  *   ef_lint --list-rules                print rule names and exit
- *   --jobs N                            lint files on N threads
- *                                       (output order is unchanged)
  *   --warn-unused-allow                 advisory: report allow()
  *                                       annotations that suppressed
  *                                       nothing (never affects the
  *                                       exit status)
  *
+ * The layering rule's library DAG is always read from
+ * <repo-root>/src/<dir>/CMakeLists.txt; faults in it (unknown
+ * libraries, cycles) are reported first.
+ *
  * Exits 0 when clean, 1 when any issue was found, 2 on usage/IO
  * errors. Output is one "file:line: [rule] message" per issue, in
- * sorted file order so runs are diffable regardless of --jobs.
+ * sorted file order so runs are diffable.
  */
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "lint.h"
 
 namespace fs = std::filesystem;
@@ -58,7 +59,7 @@ slurp(const fs::path &path, bool &ok)
 int
 usage()
 {
-    std::cerr << "usage: ef_lint --root <repo-root> [--jobs N]"
+    std::cerr << "usage: ef_lint --root <repo-root>"
               << " [--warn-unused-allow] [files...]\n"
               << "       ef_lint --list-rules\n";
     return 2;
@@ -72,7 +73,6 @@ main(int argc, char **argv)
     fs::path root;
     std::vector<std::string> explicit_files;
     ef::lint::LintOptions options;
-    int jobs = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--list-rules") {
@@ -83,12 +83,6 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 return usage();
             root = argv[++i];
-        } else if (arg == "--jobs") {
-            if (i + 1 >= argc)
-                return usage();
-            jobs = std::atoi(argv[++i]);
-            if (jobs < 1)
-                return usage();
         } else if (arg == "--warn-unused-allow") {
             options.warn_unused_allow = true;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -127,47 +121,50 @@ main(int argc, char **argv)
     }
     std::sort(files.begin(), files.end());
 
-    // Lint every file into its own slot (index-owned, so the parallel
-    // scan is deterministic), then report in sorted file order.
-    struct FileResult
-    {
-        std::vector<ef::lint::Issue> issues;
-        bool read_error = false;
-    };
-    std::vector<FileResult> results(files.size());
-    ef::ThreadPool pool(jobs);
-    ef::parallel_for(
-        &pool, static_cast<int>(files.size()), [&](int idx) {
-            FileResult &slot = results[static_cast<std::size_t>(idx)];
-            const std::string &rel =
-                files[static_cast<std::size_t>(idx)];
-            bool ok = false;
-            const std::string text = slurp(root / rel, ok);
-            if (!ok) {
-                slot.read_error = true;
-                return;
-            }
-            const ef::lint::FileClass cls = ef::lint::classify(rel);
-            slot.issues =
-                ef::lint::lint_source(rel, text, cls, options);
-        });
-
     int issue_count = 0;
     int warn_count = 0;
     int file_errors = 0;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        if (results[i].read_error) {
-            std::cerr << "ef_lint: cannot read " << files[i] << "\n";
-            ++file_errors;
-            continue;
-        }
-        for (const ef::lint::Issue &issue : results[i].issues) {
+    const auto report = [&](const std::vector<ef::lint::Issue> &issues) {
+        for (const ef::lint::Issue &issue : issues) {
             std::cout << ef::lint::format_issue(issue) << "\n";
             if (issue.rule == "unused-allow")
                 ++warn_count;
             else
                 ++issue_count;
         }
+    };
+
+    // The library DAG the layering rule checks against.
+    std::map<std::string, std::string> cmake_lists;
+    if (fs::is_directory(root / "src")) {
+        for (const auto &entry : fs::directory_iterator(root / "src")) {
+            const fs::path lists = entry.path() / "CMakeLists.txt";
+            if (!entry.is_directory() || !fs::is_regular_file(lists))
+                continue;
+            const std::string rel =
+                fs::relative(lists, root).generic_string();
+            bool ok = false;
+            cmake_lists[rel] = slurp(lists, ok);
+            if (!ok) {
+                std::cerr << "ef_lint: cannot read " << rel << "\n";
+                ++file_errors;
+            }
+        }
+    }
+    const ef::lint::LayerDag dag = ef::lint::read_layer_dag(cmake_lists);
+    options.layers = &dag;
+    report(dag.issues);
+
+    for (const std::string &rel : files) {
+        bool ok = false;
+        const std::string text = slurp(root / rel, ok);
+        if (!ok) {
+            std::cerr << "ef_lint: cannot read " << rel << "\n";
+            ++file_errors;
+            continue;
+        }
+        report(ef::lint::lint_source(rel, text, ef::lint::classify(rel),
+                                     options));
     }
 
     std::cerr << "ef_lint: " << files.size() << " files, "
