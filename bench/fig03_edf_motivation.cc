@@ -57,13 +57,13 @@ main()
             run_allocation(config, 0.0, jobs, admission.plans, {});
         ConsoleTable table({"job", "deadline", "gpus-now", "finish",
                             "met?"});
-        for (const PlanningJob &job : jobs) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const PlanningJob &job = jobs[i];
             Time finish = plan_finish_seconds(
-                job.curve, outcome.plans.at(job.id),
-                job.remaining_iterations, 1.0);
+                job.curve, outcome.plans[i], job.remaining_iterations, 1.0);
             table.add_row({job.id == 1 ? "A" : "B",
                            format_double(job.deadline, 1),
-                           std::to_string(outcome.gpus_now.at(job.id)),
+                           std::to_string(outcome.slo_gpus[i]),
                            format_double(finish, 2),
                            finish <= job.deadline ? "yes" : "NO"});
         }

@@ -259,6 +259,7 @@ main(int argc, char **argv)
     std::string trace_out;
     std::string metrics_out;
     std::string report_out;
+    std::string fault_script;
     SimConfig sim_config;
     for (int i = first_flag; i < argc; ++i) {
         std::string arg = argv[i];
@@ -363,12 +364,13 @@ main(int argc, char **argv)
                         sim_config.faults.rpc_drop_prob <= 1.0,
                     "a probability in [0, 1]");
         } else if (arg == "--fault-script") {
-            const std::string path = next();
+            fault_script = next();
             const std::optional<FaultScriptError> error =
-                ok ? load_fault_script(path, &sim_config.faults.script)
+                ok ? load_fault_script(fault_script,
+                                       &sim_config.faults.script)
                    : std::nullopt;
             if (error.has_value()) {
-                std::cerr << "run_trace: " << path << ": "
+                std::cerr << "run_trace: " << fault_script << ": "
                           << error->to_string() << "\n";
                 return 2;
             }
@@ -467,6 +469,19 @@ main(int argc, char **argv)
             trace_path, TopologySpec::with_total_gpus(gpus), "csv-trace",
             &trace)) {
         std::cerr << "run_trace: " << trace_path << ": "
+                  << error->to_string() << "\n";
+        return 2;
+    }
+    // The script's targets are checked here, where the cluster and the
+    // trace are known, not at the simulator's first event.
+    std::vector<JobId> job_ids;
+    for (const JobSpec &job : trace.jobs)
+        job_ids.push_back(job.id);
+    const Topology topology(trace.topology);
+    if (const std::optional<FaultScriptError> error = check_fault_targets(
+            sim_config.faults.script, topology.num_servers(),
+            topology.total_gpus(), std::move(job_ids))) {
+        std::cerr << "run_trace: " << fault_script << ": "
                   << error->to_string() << "\n";
         return 2;
     }

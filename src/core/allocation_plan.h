@@ -67,6 +67,16 @@ struct PlanningJob
     bool soft = false;
 
     bool best_effort() const { return is_unbounded(deadline); }
+
+    /** Persistent state (recover/fields.h). */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v(id, remaining_iterations, deadline);
+        v.journal(curve, soft);
+        v.after_decode([this] { return remaining_iterations >= 0.0; });
+    }
 };
 
 /**

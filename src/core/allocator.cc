@@ -152,6 +152,20 @@ unclipped_refill(const ScalingCurve &curve, double remaining_iterations,
     return std::nullopt;
 }
 
+/** The outcome of final SLO plans @p plan and best-effort counts
+ *  @p be_gpus. */
+AllocationOutcome
+outcome_of(std::vector<SlotPlan> plan, std::vector<GpuCount> be_gpus)
+{
+    AllocationOutcome outcome;
+    outcome.slo_gpus.reserve(plan.size());
+    for (const SlotPlan &p : plan)
+        outcome.slo_gpus.push_back(p.at(0));
+    outcome.plans = std::move(plan);
+    outcome.best_effort_gpus = std::move(be_gpus);
+    return outcome;
+}
+
 }  // namespace
 
 AllocationOutcome
@@ -333,13 +347,8 @@ run_allocation_reference(const PlannerConfig &config, Time now,
         }
     }
 
-    AllocationOutcome outcome;
-    for (std::size_t i = 0; i < slo_jobs.size(); ++i) {
-        outcome.gpus_now[slo_jobs[i].id] = plan[i].at(0);
-        outcome.plans[slo_jobs[i].id] = std::move(plan[i]);
-    }
-    for (std::size_t j = 0; j < best_effort_jobs.size(); ++j)
-        outcome.gpus_now[best_effort_jobs[j].id] = be_gpus[j];
+    AllocationOutcome outcome =
+        outcome_of(std::move(plan), std::move(be_gpus));
     outcome.unallocated = available[0];
     return outcome;
 }
@@ -723,13 +732,8 @@ run_allocation(const PlannerConfig &config, Time now,
         }
     }
 
-    AllocationOutcome outcome;
-    for (std::size_t i = 0; i < n; ++i) {
-        outcome.gpus_now[slo_jobs[i].id] = plan[i].at(0);
-        outcome.plans[slo_jobs[i].id] = std::move(plan[i]);
-    }
-    for (std::size_t j = 0; j < m; ++j)
-        outcome.gpus_now[best_effort_jobs[j].id] = be_gpus[j];
+    AllocationOutcome outcome =
+        outcome_of(std::move(plan), std::move(be_gpus));
     outcome.unallocated = available[0];
     obs::count("core.allocation.runs");
     if (obs::tracing()) {

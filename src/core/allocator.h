@@ -29,13 +29,15 @@
 
 namespace ef {
 
-/** Final decision of one scheduling pass. */
+/** Final decision of one scheduling pass, indexed like its inputs. */
 struct AllocationOutcome
 {
-    /** GPUs to hand each job *now* (slot 0); 0 = suspended. */
-    std::map<JobId, GpuCount> gpus_now;
-    /** Full plans for SLO jobs (feasibility witnesses). */
-    std::map<JobId, SlotPlan> plans;
+    /** GPUs to hand slo_jobs[i] *now* (slot 0); 0 = suspended. */
+    std::vector<GpuCount> slo_gpus;
+    /** Full plan of slo_jobs[i] (its feasibility witness). */
+    std::vector<SlotPlan> plans;
+    /** GPUs to hand best_effort_jobs[j] now. */
+    std::vector<GpuCount> best_effort_gpus;
     /** GPUs left idle because no job could benefit from more. */
     GpuCount unallocated = 0;
 };

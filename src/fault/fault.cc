@@ -337,4 +337,33 @@ load_fault_script(const std::string &path, std::vector<FaultEvent> *out)
     return parse_fault_script(buffer.str(), out);
 }
 
+std::optional<FaultScriptError>
+check_fault_targets(const std::vector<FaultEvent> &script,
+                    std::int64_t servers, std::int64_t gpus,
+                    std::vector<JobId> jobs)
+{
+    std::sort(jobs.begin(), jobs.end());
+    for (std::size_t k = 0; k < script.size(); ++k) {
+        const FaultEvent &ev = script[k];
+        const auto out_of = [&](std::int64_t count, const char *what) {
+            return FaultScriptError{
+                static_cast<int>(k) + 2,
+                fault_type_name(ev.type) + " target " +
+                    std::to_string(ev.target) + " is not one of the " +
+                    std::to_string(count) + " " + what};
+        };
+        if (ev.type == FaultType::kServerCrash &&
+            (ev.target < 0 || ev.target >= servers))
+            return out_of(servers, "servers");
+        if (ev.type == FaultType::kGpuFault &&
+            (ev.target < 0 || ev.target >= gpus))
+            return out_of(gpus, "GPUs");
+        if (ev.type == FaultType::kStraggler &&
+            !std::binary_search(jobs.begin(), jobs.end(), ev.target))
+            return out_of(static_cast<std::int64_t>(jobs.size()),
+                          "trace jobs");
+    }
+    return std::nullopt;
+}
+
 }  // namespace ef

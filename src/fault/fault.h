@@ -321,6 +321,18 @@ parse_fault_script(const std::string &text, std::vector<FaultEvent> *out);
 std::optional<FaultScriptError>
 load_fault_script(const std::string &path, std::vector<FaultEvent> *out);
 
+/**
+ * Check the targets of @p script, as parse_fault_script() returned it
+ * (event k comes from line k + 2), against the run it drives: a
+ * server-crash must name one of @p servers servers, a gpu-fault one of
+ * @p gpus GPUs, and a straggler a job in @p jobs. The first target out
+ * of range is returned, line-numbered.
+ */
+std::optional<FaultScriptError>
+check_fault_targets(const std::vector<FaultEvent> &script,
+                    std::int64_t servers, std::int64_t gpus,
+                    std::vector<JobId> jobs);
+
 }  // namespace ef
 
 #endif  // EF_FAULT_FAULT_H_

@@ -54,6 +54,16 @@
  *                           never change again are frozen
  *                           (SplitCache::freeze): history segments
  *                           carry them once.
+ *     v.split(c, live, s, key)
+ *                           the same, but each sealed element's digest
+ *                           is taken with key(i) (a job id, say)
+ *                           instead of its index i, so rows may move —
+ *                           compaction, inserts in key order — without
+ *                           re-keying the sum. The owner seals and
+ *                           drops rows by key (SplitCache::seal/drop)
+ *                           and tracks no rows for the chain: the table
+ *                           travels whole in bases and heads, and not
+ *                           at all in segments.
  *
  *     v.append(c, ...)      journal-only containers that only grow at
  *                           the back, apart from their last element,
@@ -152,7 +162,13 @@ concept Record = std::is_class_v<T> && !std::is_same_v<T, std::string> &&
 }  // namespace kind
 
 template <class T>
-std::uint64_t element_digest(std::size_t i, const T &e);
+std::uint64_t element_digest(std::uint64_t key, const T &e);
+
+/** The key of a split() table's rows when none is given: the index. */
+struct ByIndex
+{
+    std::uint64_t operator()(std::size_t i) const { return i; }
+};
 
 /** Which part of a checkpoint a Writer or Reader handles. */
 enum class Section {
@@ -247,13 +263,13 @@ class Emitter
             (tail(x), ...);
     }
 
-    template <class C, class P, class S>
+    template <class C, class P, class S, class K = ByIndex>
     void
-    split(C &c, P &&live, S &cache)
+    split(C &c, P &&live, S &cache, K key = {})
     {
         if constexpr (kHash) {
             if (recompute_) {
-                sink_.u64(sealed_sum(c, live));
+                sink_.u64(sealed_sum(c, live, key));
                 for (std::size_t i = 0; i < c.size(); ++i) {
                     if (live(c[i]))
                         put(c[i]);
@@ -261,12 +277,14 @@ class Emitter
                 return;
             }
             if (!cache.valid) {
-                cache.sealed = sealed_sum(c, live);
+                cache.sealed = sealed_sum(c, live, key);
                 cache.valid = true;
             }
             sink_.u64(cache.sealed);
             for (std::uint32_t i : cache.live)
                 put(c[i]);
+        } else if constexpr (!std::is_same_v<K, ByIndex>) {
+            part(c);
         } else if (section_ == Section::kBase) {
             put(c);
             if (tails_ != nullptr)
@@ -392,14 +410,14 @@ class Emitter
         }
     }
 
-    template <class C, class P>
+    template <class C, class P, class K>
     static std::uint64_t
-    sealed_sum(C &c, P &live)
+    sealed_sum(C &c, P &live, K &key)
     {
         std::uint64_t sum = 0;
         for (std::size_t i = 0; i < c.size(); ++i) {
             if (!live(c[i]))
-                sum += element_digest(i, c[i]);
+                sum += element_digest(key(i), c[i]);
         }
         return sum;
     }
@@ -438,15 +456,15 @@ class Emitter
 using Hasher = Emitter<Fnv1a>;
 using Writer = Emitter<Encoder>;
 
-/** Digest of element @p e at index @p i of a split() table: what the
- *  table's sealed sum adds for it. */
+/** Digest of element @p e of a split() table under @p key (its index,
+ *  or key(index) of a keyed table): what the sealed sum adds for it. */
 template <class T>
 std::uint64_t
-element_digest(std::size_t i, const T &e)
+element_digest(std::uint64_t key, const T &e)
 {
     Fnv1a h;
     Hasher v(h);
-    v.put(static_cast<std::uint64_t>(i));
+    v.put(key);
     v.put(e);
     return h.digest();
 }
@@ -466,6 +484,10 @@ element_digest(std::size_t i, const T &e)
  * journal head carries the live rows plus the rows changed since the
  * last base (unsealed or taken out of the live set, and not frozen
  * since). Never journaled.
+ *
+ * A keyed table (split() with a key) passes key(i) wherever the calls
+ * below take an index, and takes a sealed row out with drop() instead
+ * of unseal(): it has no live rows and tracks none for the chain.
  */
 struct SplitCache
 {
@@ -482,18 +504,26 @@ struct SplitCache
 
     template <class T>
     void
-    seal(std::size_t i, const T &e)
+    seal(std::uint64_t key, const T &e)
     {
         if (valid)
-            sealed += element_digest(i, e);
+            sealed += element_digest(key, e);
+    }
+
+    /** Take a sealed row out of the sum. */
+    template <class T>
+    void
+    drop(std::uint64_t key, const T &e)
+    {
+        if (valid)
+            sealed -= element_digest(key, e);
     }
 
     template <class T>
     void
     unseal(std::size_t i, const T &e)
     {
-        if (valid)
-            sealed -= element_digest(i, e);
+        drop(i, e);
         touch(i);
     }
 
@@ -624,11 +654,13 @@ class Reader
             fail();
     }
 
-    template <class C, class P, class S>
+    template <class C, class P, class S, class K = ByIndex>
     void
-    split(C &c, P &&live, S &cache)
+    split(C &c, P &&live, S &cache, K = {})
     {
-        if (section_ == Section::kBase) {
+        if constexpr (!std::is_same_v<K, ByIndex>) {
+            part(c);
+        } else if (section_ == Section::kBase) {
             field(c);
         } else if (ok()) {
             // Rows by index, each decoded whole over the one there.

@@ -36,8 +36,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
  *  3: split() tables (the placement's GPU and server columns) carry
  *  their length.
  *  4: a chain of a base and history segments, each framed with its own
- *  word-at-a-time checksum. */
-constexpr std::uint32_t kSnapshotVersion = 4;
+ *  word-at-a-time checksum.
+ *  5: the service's active jobs travel as id-ordered rows with their GPU
+ *  counts in an aligned column, instead of as id-keyed maps. */
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /** The end of a chain: what a journal head pairs with. */
 struct ChainTip

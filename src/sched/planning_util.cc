@@ -366,7 +366,10 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
     AllocationOutcome outcome = run_allocation(
         config, now, refresh.slo, refresh.min_shares, best_effort);
     SchedulerDecision decision;
-    decision.gpus = std::move(outcome.gpus_now);
+    for (std::size_t i = 0; i < refresh.slo.size(); ++i)
+        decision.gpus[refresh.slo[i].id] = outcome.slo_gpus[i];
+    for (std::size_t j = 0; j < best_effort.size(); ++j)
+        decision.gpus[best_effort[j].id] = outcome.best_effort_gpus[j];
     return decision;
 }
 

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -74,6 +75,13 @@ Service::submit(Submission submission)
                 "service submissions must arrive in time order (got "
                     << submission.spec.submit_time << " at clock "
                     << now_ << ")");
+    const JobId id = submission.spec.id;
+    EF_FATAL_IF(slo_.contains(id) || best_effort_.contains(id) ||
+                    std::any_of(pending_.begin(), pending_.end(),
+                                [id](const Submission &queued) {
+                                    return queued.spec.id == id;
+                                }),
+                "service job " << id << " is already pending or active");
     if (durable_ != nullptr) {
         // The submission is durable before any of its effects: a crash
         // after this point replays it; a crash before it never saw it.
@@ -237,48 +245,102 @@ Service::decide(const Submission &submission, Time at,
     }
 }
 
+std::size_t
+Service::ActiveTable::find(JobId id) const
+{
+    auto at = std::lower_bound(
+        rows.begin(), rows.end(), id,
+        [](const PlanningJob &row, JobId key) { return row.id < key; });
+    return at != rows.end() && at->id == id
+               ? static_cast<std::size_t>(at - rows.begin())
+               : rows.size();
+}
+
+void
+Service::ActiveTable::insert(PlanningJob job, GpuCount g)
+{
+    const auto key = static_cast<std::uint64_t>(job.id);
+    row_sum.seal(key, job);
+    gpu_sum.seal(key, g);
+    auto at = std::lower_bound(
+        rows.begin(), rows.end(), job.id,
+        [](const PlanningJob &row, JobId id) { return row.id < id; });
+    const auto offset = at - rows.begin();
+    rows.insert(at, std::move(job));
+    gpus.insert(gpus.begin() + offset, g);
+}
+
+PlanningJob
+Service::ActiveTable::take(std::size_t i, GpuCount *g)
+{
+    const auto key = static_cast<std::uint64_t>(rows[i].id);
+    row_sum.drop(key, rows[i]);
+    gpu_sum.drop(key, gpus[i]);
+    PlanningJob job = std::move(rows[i]);
+    *g = gpus[i];
+    rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(i));
+    gpus.erase(gpus.begin() + static_cast<std::ptrdiff_t>(i));
+    return job;
+}
+
+void
+Service::ActiveTable::set_gpus(std::size_t i, GpuCount g)
+{
+    if (gpus[i] == g)
+        return;
+    const auto key = static_cast<std::uint64_t>(rows[i].id);
+    gpu_sum.drop(key, gpus[i]);
+    gpus[i] = g;
+    gpu_sum.seal(key, g);
+}
+
+void
+Service::ActiveTable::progress(Time from, Time dt, ServiceStats *stats)
+{
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        PlanningJob &job = rows[i];
+        const GpuCount g = gpus[i];
+        // Suspended rows (no GPUs, or none they can use) neither
+        // progress nor change.
+        const double tpt = g > 0 ? job.curve.throughput(g) : 0.0;
+        const auto key = static_cast<std::uint64_t>(job.id);
+        if (tpt > 0.0 && tpt * dt + 1e-9 >= job.remaining_iterations) {
+            const Time finish = from + job.remaining_iterations / tpt;
+            ++stats->finished;
+            obs::count("serve.finished");
+            // Best-effort deadlines are infinite: SLO jobs only.
+            if (finish > job.deadline + 1e-6) {
+                ++stats->deadline_misses;
+                obs::count("serve.deadline_misses");
+            }
+            row_sum.drop(key, job);
+            gpu_sum.drop(key, g);
+            continue;
+        }
+        if (tpt > 0.0) {
+            row_sum.drop(key, job);
+            job.remaining_iterations -= tpt * dt;
+            row_sum.seal(key, job);
+        }
+        if (kept != i) {
+            rows[kept] = std::move(job);
+            gpus[kept] = g;
+        }
+        ++kept;
+    }
+    rows.resize(kept);
+    gpus.resize(kept);
+}
+
 void
 Service::retire(Time t)
 {
     const Time dt = t - last_round_;
     if (dt <= 0.0)
         return;
-    auto sweep = [&](auto &jobs) {
-        std::vector<JobId> done;
-        for (auto &[id, active] : jobs) {
-            auto it = gpus_now_.find(id);
-            const GpuCount gpus =
-                it == gpus_now_.end() ? 0 : it->second;
-            if (gpus <= 0)
-                continue;  // suspended this interval
-            const double tpt = active.curve.throughput(gpus);
-            if (tpt <= 0.0)
-                continue;
-            const double progress = tpt * dt;
-            if (progress + 1e-9 < active.remaining_iterations) {
-                active.remaining_iterations -= progress;
-                continue;
-            }
-            const Time finish =
-                last_round_ + active.remaining_iterations / tpt;
-            ++stats_.finished;
-            obs::count("serve.finished");
-            bool missed = false;
-            if constexpr (requires { active.deadline; })
-                missed = finish > active.deadline + 1e-6;  // SLO jobs only
-            if (missed) {
-                ++stats_.deadline_misses;
-                obs::count("serve.deadline_misses");
-            }
-            done.push_back(id);
-        }
-        for (JobId id : done) {
-            jobs.erase(id);
-            gpus_now_.erase(id);
-        }
-    };
-    sweep(slo_);
-    sweep(best_effort_);
+    slo_.progress(last_round_, dt, &stats_);
+    best_effort_.progress(last_round_, dt, &stats_);
 }
 
 void
@@ -292,19 +354,14 @@ Service::run_round(Time t)
     retire(t);
     last_round_ = t;
 
+    // The SLO rows are copied: the refresh inflates them and may relax
+    // their deadlines.
     const PlanningMargin margin{config_.admission_margin,
                                 config_.overhead_allowance_s};
-    std::vector<PlanningJob> slo;
-    slo.reserve(slo_.size());
-    for (const auto &[id, active] : slo_) {
-        PlanningJob job;
-        job.id = id;
-        job.curve = active.curve;
+    std::vector<PlanningJob> slo(slo_.rows);
+    for (PlanningJob &job : slo) {
         job.remaining_iterations =
-            margin.inflate(active.remaining_iterations, active.curve);
-        job.deadline = active.deadline;
-        job.soft = active.soft;
-        slo.push_back(std::move(job));
+            margin.inflate(job.remaining_iterations, job.curve);
     }
 
     std::uint64_t cost = 0;
@@ -338,12 +395,14 @@ Service::run_round(Time t)
     // Jobs the refresh had to park lose their guarantee but keep
     // their progress: they continue as best-effort.
     for (const PlanningJob &parked : refresh.parked) {
-        auto it = slo_.find(parked.id);
-        if (it == slo_.end())
+        const std::size_t i = slo_.find(parked.id);
+        if (i == slo_.rows.size())
             continue;
-        Active moved = std::move(it->second);  // drops the deadline
-        best_effort_.emplace(parked.id, std::move(moved));
-        slo_.erase(it);
+        GpuCount gpus = 0;
+        PlanningJob moved = slo_.take(i, &gpus);
+        moved.deadline = kTimeInfinity;
+        moved.soft = false;
+        best_effort_.insert(std::move(moved), gpus);
         ++stats_.demotions;
         obs::count("serve.demotions");
     }
@@ -375,14 +434,23 @@ Service::run_round(Time t)
         Submission sub = std::move(pending_.front());
         pending_.pop_front();
         const JobSpec &spec = sub.spec;
+        // The submission as an active row: its curve and work, no
+        // deadline yet.
+        const auto to_row = [&sub] {
+            PlanningJob job;
+            job.id = sub.spec.id;
+            job.curve = std::move(sub.curve);
+            job.remaining_iterations =
+                static_cast<double>(sub.spec.iterations);
+            return job;
+        };
         if (spec.is_best_effort()) {
-            if (best_effort_.size() >= config_.max_active_best_effort) {
+            if (best_effort_.rows.size() >=
+                config_.max_active_best_effort) {
                 decide(sub, t, ShedVerdict::kShedQueueFull);
                 continue;
             }
-            best_effort_.emplace(
-                spec.id,
-                Active{sub.curve, static_cast<double>(spec.iterations)});
+            best_effort_.insert(to_row(), 0);
             decide(sub, t, ShedVerdict::kAdmittedBestEffort);
             continue;
         }
@@ -399,27 +467,18 @@ Service::run_round(Time t)
             for (int s = 0; s < fill->horizon(); ++s) {
                 available[static_cast<std::size_t>(s)] -= fill->at(s);
             }
-            PlanningJob job;
-            job.id = spec.id;
-            job.curve = sub.curve;
-            job.remaining_iterations = inflated;
+            PlanningJob job = to_row();
             job.deadline = spec.deadline;
             job.soft = spec.has_soft_deadline();
-            alloc_slo.push_back(std::move(job));
+            alloc_slo.push_back(job);
+            alloc_slo.back().remaining_iterations = inflated;
             shares.emplace(spec.id, std::move(*fill));
-            slo_.emplace(spec.id,
-                         SloActive{{std::move(sub.curve),
-                                    static_cast<double>(spec.iterations)},
-                                   spec.deadline,
-                                   spec.has_soft_deadline()});
+            slo_.insert(std::move(job), 0);
             decide(sub, t, ShedVerdict::kAdmitted);
         } else if (config_.degrade_infeasible &&
-                   best_effort_.size() <
+                   best_effort_.rows.size() <
                        config_.max_active_best_effort) {
-            best_effort_.emplace(
-                spec.id,
-                Active{std::move(sub.curve),
-                       static_cast<double>(spec.iterations)});
+            best_effort_.insert(to_row(), 0);
             decide(sub, t, ShedVerdict::kDegraded);
         } else {
             decide(sub, t, ShedVerdict::kShedInfeasible);
@@ -427,19 +486,13 @@ Service::run_round(Time t)
     }
     stats_.planning_cost += drain_cost;
 
-    std::vector<PlanningJob> best_effort;
-    best_effort.reserve(best_effort_.size());
-    for (const auto &[id, active] : best_effort_) {
-        PlanningJob job;
-        job.id = id;
-        job.curve = active.curve;
-        job.remaining_iterations = active.remaining_iterations;
-        job.deadline = kTimeInfinity;
-        best_effort.push_back(std::move(job));
-    }
-    AllocationOutcome outcome =
-        run_allocation(planner_, t, alloc_slo, shares, best_effort);
-    gpus_now_ = std::move(outcome.gpus_now);
+    // Every active row is in exactly one of the two lists.
+    const AllocationOutcome outcome = run_allocation(
+        planner_, t, alloc_slo, shares, best_effort_.rows);
+    for (std::size_t k = 0; k < alloc_slo.size(); ++k)
+        slo_.set_gpus(slo_.find(alloc_slo[k].id), outcome.slo_gpus[k]);
+    for (std::size_t j = 0; j < best_effort_.rows.size(); ++j)
+        best_effort_.set_gpus(j, outcome.best_effort_gpus[j]);
 
     ++stats_.rounds;
     if (!token)
@@ -498,8 +551,9 @@ Service::maybe_snapshot()
 recover::Status
 Service::write_snapshot()
 {
-    // Bases only: the service has no split() or append() state, so a
-    // segment would be empty and its head a full encode.
+    // Bases only: the service's split() tables are keyed and it has no
+    // append() state, so a segment would be empty and its head a full
+    // encode.
     std::uint64_t bytes = 0;
     recover::Status st = recover::write_checkpoint(
         *durable_, config_fingerprint(), *this, /*base=*/true, &bytes);

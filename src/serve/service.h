@@ -44,15 +44,16 @@
 #ifndef EF_SERVE_SERVICE_H_
 #define EF_SERVE_SERVICE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "core/admission.h"
 #include "core/scaling_curve.h"
+#include "recover/fields.h"
 #include "recover/log.h"
 #include "serve/governor.h"
 #include "serve/verdict.h"
@@ -166,7 +167,8 @@ class Service
      * Submit one job. Advances the clock to spec.submit_time (running
      * any planning rounds that came due), then either sheds
      * synchronously, drops the RPC (fault path), or enqueues for the
-     * next round. Submission times must be non-decreasing.
+     * next round. Submission times must be non-decreasing, and the id
+     * must not be pending or active (admitted and not yet retired).
      */
     void submit(Submission submission);
 
@@ -180,7 +182,7 @@ class Service
     std::size_t queue_depth() const { return pending_.size(); }
     std::size_t active_jobs() const
     {
-        return slo_.size() + best_effort_.size();
+        return slo_.rows.size() + best_effort_.rows.size();
     }
     const ServiceStats &stats() const { return stats_; }
     const ServiceConfig &config() const { return config_; }
@@ -189,7 +191,10 @@ class Service
      * Chained FNV-1a digest over every committed round: clock, verdict
      * counters, active set (ids + remaining work), current
      * allocations, and the governor's bucket state. Two runs match
-     * iff their whole decision histories match.
+     * iff their whole decision histories match. The active set and
+     * allocations enter as kept sums of per-row digests (DESIGN.md
+     * §7); recover::recomputed_digest(*this) is the same fold with the
+     * sums taken from scratch.
      */
     std::uint64_t state_hash() const { return hash_; }
 
@@ -204,15 +209,18 @@ class Service
     void
     fields(V &v)
     {
-        v(stats_);
-        v.each(slo_, best_effort_, gpus_now_);
+        v(stats_, slo_, best_effort_);
         v.digest(governor_);
         v.digest(faults_);
         v.journal(now_, last_round_, next_due_, escalated_,
                   replan_failures_, pending_, hash_);
         v.after_decode([this] {
-            for (const auto &[id, gpus] : gpus_now_) {
-                if (gpus < 0)
+            for (const PlanningJob &job : slo_.rows) {
+                if (!std::isfinite(job.deadline))
+                    return false;
+            }
+            for (const PlanningJob &job : best_effort_.rows) {
+                if (!job.best_effort())
                     return false;
             }
             return true;
@@ -252,34 +260,54 @@ class Service
                                     bool recover);
 
   private:
-    /** One active best-effort job. */
-    struct Active
+    /**
+     * The active jobs of one class in id order (remaining work
+     * unmargined), with each one's GPU count from the last committed
+     * allocation aligned to it. Both columns are split() tables keyed
+     * by job id whose sums change only with a row, so a round hashes
+     * them in O(1) and keeps them current in O(rows that run or
+     * change).
+     */
+    struct ActiveTable
     {
-        ScalingCurve curve;
-        double remaining_iterations = 0.0;
+        std::vector<PlanningJob> rows;
+        std::vector<GpuCount> gpus;
+        recover::SplitCache row_sum;
+        recover::SplitCache gpu_sum;
+
+        /** Index of job @p id, or rows.size() when absent. */
+        std::size_t find(JobId id) const;
+        bool contains(JobId id) const { return find(id) < rows.size(); }
+        /** Add @p job at its id's place, holding @p g GPUs. */
+        void insert(PlanningJob job, GpuCount g);
+        /** Remove row @p i; its GPU count goes to @p g. */
+        PlanningJob take(std::size_t i, GpuCount *g);
+        void set_gpus(std::size_t i, GpuCount g);
+        /** Fluid progress over [from, from + dt] of the rows holding
+         *  GPUs; completions are counted into @p stats (a miss past a
+         *  finite deadline too) and compacted away. */
+        void progress(Time from, Time dt, ServiceStats *stats);
 
         template <class V>
         void
         fields(V &v)
         {
-            v(remaining_iterations);
-            v.journal(curve);
-            v.after_decode([this] { return remaining_iterations >= 0.0; });
-        }
-    };
-    /** One active SLO job: a best-effort one plus its deadline. */
-    struct SloActive : Active
-    {
-        Time deadline = kTimeInfinity;
-        bool soft = false;
-
-        template <class V>
-        void
-        fields(V &v)
-        {
-            Active::fields(v);
-            v(deadline);
-            v.journal(soft);
+            const auto sealed = [](const auto &) { return false; };
+            const auto id = [this](std::size_t i) {
+                return static_cast<std::uint64_t>(rows[i].id);
+            };
+            v.split(rows, sealed, row_sum, id);
+            v.split(gpus, sealed, gpu_sum, id);
+            v.after_decode([this] {
+                if (gpus.size() != rows.size())
+                    return false;
+                for (std::size_t i = 0; i < rows.size(); ++i) {
+                    if (gpus[i] < 0 ||
+                        (i > 0 && rows[i - 1].id >= rows[i].id))
+                        return false;
+                }
+                return true;
+            });
         }
     };
 
@@ -324,12 +352,10 @@ class Service
     bool escalated_ = false;  ///< watchdog retry in progress
 
     std::deque<Submission> pending_;
-    std::map<JobId, SloActive> slo_;
-    std::map<JobId, Active> best_effort_;
-    /** Per-job GPU counts from the last committed allocation; the
-        watchdog fallback keeps these untouched when a round is
-        abandoned. */
-    std::map<JobId, GpuCount> gpus_now_;
+    /** The watchdog fallback keeps the GPU counts untouched when a
+        round is abandoned. */
+    ActiveTable slo_;
+    ActiveTable best_effort_;
     int replan_failures_ = 0;
 
     ServiceStats stats_;

@@ -54,13 +54,11 @@ TEST(Allocator, Figure3BothJobsMeetDeadlines)
         make_job(2, {1.0, 1.5}, 3.0, 3.5),
     };
     AllocationOutcome outcome = plan(unit_config(2), jobs);
-    EXPECT_EQ(outcome.gpus_now.at(1), 1);
-    EXPECT_EQ(outcome.gpus_now.at(2), 1);
-    for (const PlanningJob &job : jobs) {
-        EXPECT_LE(plan_finish_seconds(job.curve,
-                                      outcome.plans.at(job.id),
-                                      job.remaining_iterations, 1.0),
-                  job.deadline + 1e-9);
+    EXPECT_EQ(outcome.slo_gpus, (std::vector<GpuCount>{1, 1}));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_LE(plan_finish_seconds(jobs[i].curve, outcome.plans[i],
+                                      jobs[i].remaining_iterations, 1.0),
+                  jobs[i].deadline + 1e-9);
     }
 }
 
@@ -75,8 +73,7 @@ TEST(Allocator, ExtraGpuGoesToHighestMarginalReturn)
         make_job(2, {1.0, 1.1}, 1.8, 10.0),
     };
     AllocationOutcome outcome = plan(unit_config(3), jobs);
-    EXPECT_EQ(outcome.gpus_now.at(1), 2);
-    EXPECT_EQ(outcome.gpus_now.at(2), 1);
+    EXPECT_EQ(outcome.slo_gpus, (std::vector<GpuCount>{2, 1}));
 }
 
 TEST(Allocator, Constraint7NoUsefulGpuLeftIdle)
@@ -86,7 +83,7 @@ TEST(Allocator, Constraint7NoUsefulGpuLeftIdle)
         make_job(1, {1.0, 1.5, 2.0}, 10.0, 100.0),
     };
     AllocationOutcome outcome = plan(unit_config(8), jobs);
-    EXPECT_EQ(outcome.gpus_now.at(1), 4);  // max_useful
+    EXPECT_EQ(outcome.slo_gpus[0], 4);  // max_useful
     EXPECT_EQ(outcome.unallocated, 4);     // the rest cannot help
 }
 
@@ -99,14 +96,13 @@ TEST(Allocator, BoostNeverBreaksOtherDeadlines)
         make_job(2, {1.0, 1.8}, 4.0, 4.4),
     };
     AllocationOutcome outcome = plan(unit_config(2), jobs);
-    for (const PlanningJob &job : jobs) {
-        EXPECT_LE(plan_finish_seconds(job.curve,
-                                      outcome.plans.at(job.id),
-                                      job.remaining_iterations, 1.0),
-                  job.deadline + 1e-9)
-            << "job " << job.id;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_LE(plan_finish_seconds(jobs[i].curve, outcome.plans[i],
+                                      jobs[i].remaining_iterations, 1.0),
+                  jobs[i].deadline + 1e-9)
+            << "job " << jobs[i].id;
     }
-    GpuCount used = outcome.gpus_now.at(1) + outcome.gpus_now.at(2);
+    GpuCount used = outcome.slo_gpus[0] + outcome.slo_gpus[1];
     EXPECT_LE(used, 2);
 }
 
@@ -121,8 +117,8 @@ TEST(Allocator, BestEffortStartsOnIdleGpus)
     AllocationOutcome outcome = plan(unit_config(8), slo, be);
     // Both jobs are grown to their max_useful counts (2 and 4); the
     // best-effort job is started before any SLO speed-up.
-    EXPECT_EQ(outcome.gpus_now.at(1), 2);
-    EXPECT_EQ(outcome.gpus_now.at(50), 4);
+    EXPECT_EQ(outcome.slo_gpus[0], 2);
+    EXPECT_EQ(outcome.best_effort_gpus[0], 4);
     EXPECT_EQ(outcome.unallocated, 2);
 }
 
@@ -137,8 +133,8 @@ TEST(Allocator, BestEffortYieldsToSloMinimumShares)
         make_job(50, {1.0, 1.5, 2.0}, 100.0, kTimeInfinity),
     };
     AllocationOutcome outcome = plan(unit_config(4), slo, be);
-    EXPECT_EQ(outcome.gpus_now.at(1), 4);
-    EXPECT_EQ(outcome.gpus_now.at(50), 0);
+    EXPECT_EQ(outcome.slo_gpus[0], 4);
+    EXPECT_EQ(outcome.best_effort_gpus[0], 0);
 }
 
 TEST(Allocator, BestEffortMemoryBoundRespected)
@@ -152,7 +148,7 @@ TEST(Allocator, BestEffortMemoryBoundRespected)
         make_job(50, {0.0, 0.0, 2.0}, 100.0, kTimeInfinity),
     };
     AllocationOutcome outcome = plan(unit_config(4), slo, be);
-    EXPECT_EQ(outcome.gpus_now.at(50), 0);
+    EXPECT_EQ(outcome.best_effort_gpus[0], 0);
     EXPECT_GE(outcome.unallocated, 1);
 }
 
@@ -169,7 +165,7 @@ TEST(Allocator, SuspendedSloJobWhenMinShareStartsLater)
         make_job(1, {1.0, 1.5}, 2.0, 10.0),
     };
     AllocationOutcome outcome = plan(config, jobs);
-    EXPECT_GT(outcome.gpus_now.at(1), 0);
+    EXPECT_GT(outcome.slo_gpus[0], 0);
 }
 
 /** Property sweep: allocation respects capacity in every slot, meets
@@ -201,28 +197,27 @@ TEST(Allocator, InvariantPropertySweep)
             run_allocation(config, 0.0, slo, admission.plans, {});
 
         int horizon = 0;
-        for (const auto &[id, p] : outcome.plans)
+        for (const SlotPlan &p : outcome.plans)
             horizon = std::max(horizon, p.horizon());
         for (int t = 0; t < horizon; ++t) {
             GpuCount used = 0;
-            for (const auto &[id, p] : outcome.plans)
+            for (const SlotPlan &p : outcome.plans)
                 used += p.at(t);
             EXPECT_LE(used, gpus) << "trial " << trial << " slot " << t;
         }
-        for (const PlanningJob &job : slo) {
-            const SlotPlan &p = outcome.plans.at(job.id);
-            EXPECT_LE(plan_finish_seconds(job.curve, p,
+        for (std::size_t i = 0; i < slo.size(); ++i) {
+            const PlanningJob &job = slo[i];
+            EXPECT_LE(plan_finish_seconds(job.curve, outcome.plans[i],
                                           job.remaining_iterations, 1.0),
                       job.deadline + 1e-6)
                 << "trial " << trial << " job " << job.id;
-            EXPECT_LE(outcome.gpus_now.at(job.id),
-                      job.curve.max_useful())
+            EXPECT_LE(outcome.slo_gpus[i], job.curve.max_useful())
                 << "trial " << trial << " job " << job.id;
         }
         // Allocation monotonicity of Algorithm 2: totals at slot 0
         // equal the cluster unless no job benefits from more.
         GpuCount now_total = 0;
-        for (const auto &[id, g] : outcome.gpus_now)
+        for (GpuCount g : outcome.slo_gpus)
             now_total += g;
         EXPECT_EQ(now_total + outcome.unallocated, gpus)
             << "trial " << trial;

@@ -433,17 +433,23 @@ TEST(Journal, BadMagicAndVersionAreTyped)
 TEST(Journal, VersionOneFilesAreTyped)
 {
     // Version 1 predates the fields() byte layout: both file kinds
-    // written with it must be refused, not misread.
+    // written with it must be refused, not misread. So must a version 4
+    // snapshot, whose service state predates the aligned GPU column.
     const std::string snap = temp_path("ef_snap_v1.bin");
     recover::ChainTip tip;
-    ASSERT_TRUE(recover::write_base_file(snap, 1, "payload", &tip).ok());
-    std::string bytes = read_file(snap);
-    bytes[4] = 1;
-    write_file(snap, bytes);
-    std::string bytes_read;
-    recover::Chain back;
-    EXPECT_EQ(read_chain(snap, nullptr, &bytes_read, &back).code,
-              ErrorCode::kBadVersion);
+    std::string bytes;
+    for (std::uint8_t version : {1, 4}) {
+        SCOPED_TRACE(static_cast<int>(version));
+        ASSERT_TRUE(
+            recover::write_base_file(snap, 1, "payload", &tip).ok());
+        bytes = read_file(snap);
+        bytes[4] = static_cast<char>(version);
+        write_file(snap, bytes);
+        std::string bytes_read;
+        recover::Chain back;
+        EXPECT_EQ(read_chain(snap, nullptr, &bytes_read, &back).code,
+                  ErrorCode::kBadVersion);
+    }
 
     const std::string journal = temp_path("ef_journal_v1.bin");
     bytes = journal_with_records(journal, 1);

@@ -6,7 +6,9 @@
  * depend on it), and the service-mode flags (--service,
  * --arrival-rate, --duration, in both "--flag v" and "--flag=v"
  * spellings) run clean. Malformed fault scripts exit 2 with a
- * line-numbered diagnostic. ext_service_soak follows the same contract.
+ * line-numbered diagnostic, and so do fault targets out of range for the
+ * trace's cluster or naming no trace job. ext_service_soak follows the
+ * same contract.
  */
 #include <gtest/gtest.h>
 
@@ -261,6 +263,55 @@ TEST(RunTraceCli, MalformedFaultScriptsExitTwoWithTheLine)
                       trace_file("f_ok.csv",
                                  "time,type,target,duration,magnitude\n"
                                  "100,straggler,0,600,2\n")),
+              0);
+}
+
+TEST(RunTraceCli, FaultTargetsOutOfRangeExitTwoWithTheLine)
+{
+    // 16 GPUs in 2 servers, one job (id 0).
+    const std::string trace =
+        trace_file("cli_target_trace.csv",
+                   "id,name,user,model,global_batch,iterations,"
+                   "submit_time,deadline,kind,requested_gpus\n"
+                   "0,j0,u,ResNet50,128,100,0,inf,best-effort,1\n") +
+        " --gpus 16";
+    const struct
+    {
+        const char *name;
+        const char *text;
+        const char *expect;  ///< substring of the diagnostic
+    } cases[] = {
+        {"t_gpu.csv", "time,type,target\n100,gpu-fault,99999\n",
+         "fault script line 2: gpu-fault target 99999 is not one of the "
+         "16 GPUs"},
+        {"t_gpu_edge.csv", "time,type,target\n1,gpu-fault,15\n"
+                           "100,gpu-fault,16\n",
+         "fault script line 3: gpu-fault target 16"},
+        {"t_server.csv", "time,type,target\n100,server-crash,2\n",
+         "fault script line 2: server-crash target 2 is not one of the 2 "
+         "servers"},
+        {"t_server_neg.csv", "time,type,target\n100,server-crash,-1\n",
+         "fault script line 2: server-crash target -1"},
+        {"t_straggler.csv", "time,type,target\n100,straggler,7\n",
+         "fault script line 2: straggler target 7 is not one of the 1 "
+         "trace jobs"},
+    };
+    std::string err;
+    for (const auto &c : cases) {
+        EXPECT_EQ(run_cli(trace + " --fault-script " +
+                              trace_file(c.name, c.text),
+                          &err),
+                  2)
+            << c.name;
+        EXPECT_NE(err.find(c.expect), std::string::npos)
+            << c.name << ": " << err;
+    }
+    // Targets of the other kinds are not topology positions.
+    EXPECT_EQ(run_cli(trace + " --fault-script " +
+                      trace_file("t_ok.csv",
+                                 "time,type,target\n"
+                                 "100,server-crash,1\n100,gpu-fault,15\n"
+                                 "100,rpc-drop,99999\n")),
               0);
 }
 

@@ -144,9 +144,9 @@ check_theorem2(const std::vector<PlanningJob> &jobs, GpuCount gpus,
 
     double greedy_time = 0.0;
     GpuCount greedy_slot0 = 0;
-    for (const PlanningJob &job : jobs) {
-        greedy_time += outcome.plans.at(job.id).gpu_seconds(1.0);
-        greedy_slot0 += outcome.plans.at(job.id).at(0);
+    for (const SlotPlan &plan : outcome.plans) {
+        greedy_time += plan.gpu_seconds(1.0);
+        greedy_slot0 += plan.at(0);
     }
 
     BruteForceResult brute =
@@ -176,9 +176,9 @@ check_theorem2_exact(const std::vector<PlanningJob> &jobs,
         run_allocation(config, 0.0, jobs, admission.plans, {});
     double greedy_time = 0.0;
     GpuCount greedy_slot0 = 0;
-    for (const PlanningJob &job : jobs) {
-        greedy_time += outcome.plans.at(job.id).gpu_seconds(1.0);
-        greedy_slot0 += outcome.plans.at(job.id).at(0);
+    for (const SlotPlan &plan : outcome.plans) {
+        greedy_time += plan.gpu_seconds(1.0);
+        greedy_slot0 += plan.at(0);
     }
     BruteForceResult brute =
         brute_force(jobs, gpus, horizon, greedy_slot0);
