@@ -29,8 +29,8 @@ main()
         for (double mtbf_days : {30.0, 7.0, 2.0}) {
             for (GpuCount headroom : {0, 16}) {
                 SimConfig config;
-                config.failures.enabled = true;
-                config.failures.server_mtbf_s = mtbf_days * kDay;
+                config.faults.server_mtbf_s = mtbf_days * kDay;
+                config.faults.server_seed = 1;
                 ElasticFlowConfig ef_config;
                 ef_config.failure_headroom_gpus = headroom;
                 ElasticFlowScheduler scheduler(ef_config);

@@ -9,19 +9,16 @@
  *   # replay it (or your own trace) under a scheduler
  *   ./run_trace my_trace.csv --gpus 32 --scheduler elasticflow
  *   ./run_trace my_trace.csv --gpus 32 --scheduler tiresias \
- *       --failures-mtbf-days 3 --noise 0.05
+ *       --mtbf 3 --noise 0.05
  *
  * CSV columns: id,name,user,model,global_batch,iterations,
  * submit_time,deadline,kind,requested_gpus (deadline "inf" and kind
  * "best-effort" for jobs without one; kind "soft" for soft deadlines).
  *
- * Service mode (streaming admission, see src/serve/):
+ * Service mode (streaming admission through serve::Service, see
+ * src/serve/) takes a synthetic open-loop stream, not a trace file:
  *
- *   # synthetic open-loop stream through the serve front end
  *   ./run_trace --service --arrival-rate=0.5 --duration=7200 --gpus 64
- *
- *   # replay a CSV trace with the simulator's service-mode queue
- *   ./run_trace my_trace.csv --service --gpus 32
  *
  * Flags accept both "--flag value" and "--flag=value". A missing,
  * malformed, non-finite or out-of-range value exits 2 with a message
@@ -58,14 +55,17 @@ using namespace ef;
 
 namespace {
 
+/** Largest --gpus accepted: far above the paper's 2048-GPU cluster,
+ *  and small enough that building its topology stays cheap. */
+constexpr int kMaxGpus = 65536;
+
 int
 usage()
 {
     std::cerr
         << "usage:\n"
         << "  run_trace <trace.csv> [--gpus N] [--scheduler NAME]\n"
-        << "            [--failures-mtbf-days D] [--noise FRACTION]\n"
-        << "            [--no-coalesce] [--no-elide]\n"
+        << "            [--noise FRACTION] [--no-coalesce] [--no-elide]\n"
         << "            [--mtbf DAYS] [--repair HOURS]\n"
         << "            [--gpu-fault-rate PER_GPU_PER_DAY]\n"
         << "            [--rpc-drop PROB] [--fault-script FILE]\n"
@@ -77,7 +77,6 @@ usage()
         << "            [--defrag-steps N] [--defrag-interval S]\n"
         << "            [--defrag-seed N]\n"
         << "            [--log-level debug|info|warn|error]\n"
-        << "            [--service]\n"
         << "  run_trace --service --arrival-rate JOBS_PER_S "
         << "--duration SECONDS\n"
         << "            [--gpus N] [--seed N] [--state-hash]\n"
@@ -240,9 +239,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // A leading flag (instead of a trace path) selects standalone
-    // service mode; --service after a trace path turns on the
-    // simulator's service-mode arrival queue instead.
+    // A leading flag (instead of a trace path) selects service mode.
     std::string trace_path;
     int first_flag = 1;
     if (argv[1][0] != '-') {
@@ -294,7 +291,7 @@ main(int argc, char **argv)
                               std::remove_pointer_t<decltype(out)>>)
                 ok = ok && std::isfinite(*out);
         };
-        auto require = [&](bool in_range, const char *what) {
+        auto require = [&](bool in_range, const std::string &what) {
             if (ok && !in_range) {
                 ok = false;
                 want = what;
@@ -308,7 +305,6 @@ main(int argc, char **argv)
         double scaled = 0.0;  // a value the flag converts below
         if (arg == "--service") {
             service_mode = true;
-            sim_config.service.enabled = true;
         } else if (arg == "--arrival-rate") {
             number(&arrival_rate);
             require(arrival_rate > 0.0, "jobs per second > 0");
@@ -319,7 +315,8 @@ main(int argc, char **argv)
             number(&stream_seed);
         } else if (arg == "--gpus") {
             number(&gpus);
-            require(gpus >= 1, "a GPU count >= 1");
+            require(gpus >= 1 && gpus <= kMaxGpus,
+                    "a GPU count in [1, " + std::to_string(kMaxGpus) + "]");
         } else if (arg == "--scheduler") {
             scheduler_name = next();
             const std::vector<std::string> &names = all_scheduler_names();
@@ -328,12 +325,6 @@ main(int argc, char **argv)
                         scheduler_name == "edf+admission" ||
                         scheduler_name == "edf+elastic",
                     "one of the schedulers listed below");
-        } else if (arg == "--failures-mtbf-days") {
-            number(&scaled);
-            sim_config.failures.enabled = true;
-            sim_config.failures.server_mtbf_s = scaled * kDay;
-            require(positive(sim_config.failures.server_mtbf_s),
-                    "days > 0");
         } else if (arg == "--noise") {
             number(&sim_config.noise.throughput_error);
             require(sim_config.noise.throughput_error >= 0.0 &&
@@ -428,13 +419,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (sim_config.failures.enabled &&
-        sim_config.faults.server_mtbf_s > 0.0) {
-        std::cerr << "run_trace: --failures-mtbf-days and --mtbf both "
-                  << "inject server crashes; pick one\n";
-        return usage();
-    }
-
     if (sim_config.durability.recover &&
         sim_config.durability.journal_dir.empty()) {
         std::cerr << "run_trace: --recover needs --journal-dir\n";
@@ -457,6 +441,12 @@ main(int argc, char **argv)
         return run_service(arrival_rate, service_duration, gpus,
                            stream_seed, sim_config.faults,
                            show_state_hash, metrics_out);
+    }
+    if (service_mode) {
+        std::cerr << "run_trace: --service takes no trace file; run "
+                  << "run_trace --service --arrival-rate JOBS_PER_S "
+                  << "--duration SECONDS\n";
+        return usage();
     }
     if (arrival_rate > 0.0 || service_duration > 0.0) {
         std::cerr << "run_trace: --arrival-rate/--duration apply only "
@@ -596,20 +586,6 @@ main(int argc, char **argv)
                            std::to_string(result.defrag_moves)});
         table.add_row({"defrag budget spent",
                        format_double(result.defrag_budget_spent, 1)});
-    }
-    if (sim_config.service.enabled) {
-        table.add_row({"service rounds (forced)",
-                       std::to_string(result.service_rounds) + " (" +
-                           std::to_string(
-                               result.service_rounds_forced) +
-                           ")"});
-        table.add_row({"shed (queue-full)",
-                       std::to_string(result.shed_queue_full)});
-        table.add_row({"degraded",
-                       std::to_string(result.service_degraded)});
-        table.add_row({"max service queue depth",
-                       std::to_string(
-                           result.max_service_queue_depth)});
     }
     std::cout << table.render();
     if (show_state_hash) {

@@ -67,8 +67,8 @@ FaultConfig::any() const
 
 FaultInjector::FaultInjector(FaultConfig config)
     : config_(std::move(config)),
-      // The server stream keeps its legacy FailureConfig seed when one
-      // is given, so pre-existing failure runs replay byte-identically.
+      // An explicit server seed replaces the derived one, so a run can
+      // pin its crash sequence independently of the other classes.
       server_rng_(config_.server_seed != 0
                       ? config_.server_seed
                       : class_seed(config_.seed, 0)),

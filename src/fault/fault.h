@@ -13,10 +13,6 @@
  *  - per-class rates (MTBFs / probabilities) in FaultConfig, and
  *  - an explicit scripted fault trace (CSV), for tests and replay —
  *    scripted events fire at exact timestamps against exact targets.
- *
- * The legacy FailureConfig server-crash model is mapped onto the
- * server-crash class with its original seed, so pre-existing failure
- * runs replay byte-identically.
  */
 #ifndef EF_FAULT_FAULT_H_
 #define EF_FAULT_FAULT_H_
@@ -33,7 +29,7 @@ namespace ef {
 
 /** The fault classes the injector can produce. */
 enum class FaultType {
-    kServerCrash,  ///< whole server down (legacy FailureConfig class)
+    kServerCrash,  ///< whole server down (§4.4 node failures)
     kGpuFault,     ///< one GPU fails; its server stays up
     kStraggler,    ///< a job's workers run slowed for a while
     kRpcDrop,      ///< a control-plane command delivery is lost
@@ -87,11 +83,19 @@ struct FaultConfig
     /** Master seed; every class stream is derived from it. */
     std::uint64_t seed = 1;
 
-    // --- server crashes (the legacy FailureConfig class) ---
+    // --- server crashes (§4.4 node failures) ---
     Time server_mtbf_s = 0.0;  ///< per-server MTBF; 0 = disabled
     Time server_repair_s = 2.0 * kHour;
-    /** Explicit server-class seed (legacy byte-compat); 0 = derive. */
+    /** Explicit server-class seed; 0 = derive it from `seed`. */
     std::uint64_t server_seed = 0;
+
+    /**
+     * Jobs auto-checkpoint this often; every eviction (server crash,
+     * GPU fault) rolls its victim back to the last checkpoint, in
+     * addition to taking its GPUs. Read by the simulator whether or
+     * not any class is enabled.
+     */
+    Time checkpoint_interval_s = 1800.0;
 
     // --- single-GPU faults ---
     Time gpu_mtbf_s = 0.0;  ///< per-GPU MTBF; 0 = disabled

@@ -38,8 +38,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
  *  4: a chain of a base and history segments, each framed with its own
  *  word-at-a-time checksum.
  *  5: the service's active jobs travel as id-ordered rows with their GPU
- *  counts in an aligned column, instead of as id-keyed maps. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+ *  counts in an aligned column, instead of as id-keyed maps.
+ *  6: the simulator carries no service queue or governor, its run
+ *  totals no service counters, and its event kinds no service round. */
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /** The end of a chain: what a journal head pairs with. */
 struct ChainTip

@@ -75,13 +75,9 @@ Service::submit(Submission submission)
                 "service submissions must arrive in time order (got "
                     << submission.spec.submit_time << " at clock "
                     << now_ << ")");
-    const JobId id = submission.spec.id;
-    EF_FATAL_IF(slo_.contains(id) || best_effort_.contains(id) ||
-                    std::any_of(pending_.begin(), pending_.end(),
-                                [id](const Submission &queued) {
-                                    return queued.spec.id == id;
-                                }),
-                "service job " << id << " is already pending or active");
+    EF_FATAL_IF(pending_or_active(submission.spec.id),
+                "service job " << submission.spec.id
+                               << " is already pending or active");
     if (durable_ != nullptr) {
         // The submission is durable before any of its effects: a crash
         // after this point replays it; a crash before it never saw it.
@@ -119,6 +115,16 @@ Service::submit(Submission submission)
     if (pending_.size() == 1)
         arm();
     maybe_snapshot();
+}
+
+bool
+Service::pending_or_active(JobId id) const
+{
+    return slo_.contains(id) || best_effort_.contains(id) ||
+           std::any_of(pending_.begin(), pending_.end(),
+                       [id](const Submission &queued) {
+                           return queued.spec.id == id;
+                       });
 }
 
 void
@@ -637,6 +643,12 @@ Service::replay_tail(const recover::JournalContents &tail)
             Submission sub;
             if (!recover::decode(rec.body, sub).ok())
                 return bad("malformed service submission record");
+            // What submit() treats as a caller bug is, in a journal, a
+            // bad record: checksums say nothing about its meaning.
+            if (!(sub.spec.submit_time >= now_))
+                return bad("service submission before the clock");
+            if (pending_or_active(sub.spec.id))
+                return bad("service submission of a pending or active id");
             submit(std::move(sub));
             break;
           }
@@ -645,6 +657,8 @@ Service::replay_tail(const recover::JournalContents &tail)
             bool finishing = false;
             if (!recover::decode(rec.body, t, finishing).ok())
                 return bad("malformed service advance record");
+            if (!(t >= now_))
+                return bad("service advance before the clock");
             if (finishing)
                 finish();
             else

@@ -315,6 +315,8 @@ class Service
                 ShedVerdict verdict);
     /** Run one planning round at time @p t. */
     void run_round(Time t);
+    /** Whether job @p id is queued or holds an active row. */
+    bool pending_or_active(JobId id) const;
     /** advance_to() without journaling (shared with submit/replay). */
     void advance_internal(Time t);
     /** Digest of the configuration a snapshot is only valid against. */

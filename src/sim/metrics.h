@@ -103,18 +103,6 @@ struct RunResult
     /** SLO jobs demoted to best-effort after a fault (each once). */
     int slo_demotions = 0;
 
-    // --- service mode (all 0 unless SimConfig::service.enabled) ---------
-    /** Submissions shed synchronously at the queue watermark. */
-    int shed_queue_full = 0;
-    /** Planning rounds that drained the service queue. */
-    int service_rounds = 0;
-    /** Rounds forced by the starvation horizon (no governor token). */
-    int service_rounds_forced = 0;
-    /** Deadline-infeasible submissions accepted as best-effort. */
-    int service_degraded = 0;
-    /** Peak service-queue depth (never exceeds the watermark). */
-    std::size_t max_service_queue_depth = 0;
-
     // --- background defrag (all 0 unless SimConfig::defrag enabled) -----
     /** Governor-funded SA rounds planned (including empty ones). */
     int defrag_rounds = 0;
@@ -151,8 +139,6 @@ struct RunResult
                   replans_attempted, replans_coalesced, replans_elided,
                   rpc_retries, rpc_gave_up, stragglers_observed,
                   gpu_faults, ckpt_failures, slo_demotions,
-                  shed_queue_full, service_rounds, service_rounds_forced,
-                  service_degraded, max_service_queue_depth,
                   defrag_rounds, defrag_moves, defrag_budget_spent,
                   state_hash, state_hash_samples);
     }

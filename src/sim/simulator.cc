@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recover/fields.h"
-#include "serve/verdict.h"
 
 namespace ef {
 namespace {
@@ -30,9 +29,6 @@ const std::vector<double> kReplanIntervalEdges = {
 const std::vector<double> kResizeEdges = {0, 1, 2, 4, 8, 16, 32, 64};
 const std::vector<double> kEfficiencyEdges = {0.1, 0.25, 0.5, 0.75,
                                               0.9, 1.0};
-const std::vector<double> kDecisionLatencyEdges = {
-    0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0,
-    20.0,  30.0, 60.0, 120.0, 300.0};
 const std::vector<double> kReplayEdges = {0,  1,  2,   4,   8,   16,
                                           32, 64, 128, 256, 512, 1024};
 
@@ -81,13 +77,11 @@ struct Simulator::JobRt
     }
 
     /**
-     * Persistent state. The spec and curve are submission-time
-     * constants pinned by the id, and the noise factor is drawn once
-     * per job from a seeded stream, so they are journaled but not
-     * hashed (the spec is stored, not rebuilt from the trace, because
-     * service mode degrades it in place). The outcome is the report
-     * row, journaled so a recovered run reports the same jobs; its
-     * spec is a copy of the job's.
+     * Persistent state. The spec and curve are set from the trace at
+     * construction and never change, and the noise factor is drawn
+     * once per job from a seeded stream, so they are journaled but not
+     * hashed. The outcome is the report row, journaled so a recovered
+     * run reports the same jobs; its spec is a copy of the job's.
      */
     template <class V>
     void
@@ -115,7 +109,6 @@ struct Simulator::Event
         kArrival,
         kCompletion,
         kTick,
-        kServiceRound,
         kServerDown,
         kServerUp,
         kGpuDown,
@@ -188,16 +181,6 @@ Simulator::fields(V &v)
             placed += held > 0 ? 1 : 0;
         }
         return placed == placement_.placed_jobs().size();
-    });
-    v.digest(service_governor_);
-    if (service_governor_ != nullptr)
-        v(service_queue_);
-    v.after_decode([this] {
-        for (JobId id : service_queue_) {
-            if (find(id) == nullptr)
-                return false;
-        }
-        return true;
     });
     v.digest(fault_);
     v.digest(defrag_);
@@ -274,29 +257,8 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
         [](const auto &a, const auto &b) { return a.first == b.first; });
     EF_FATAL_IF(dup != slot_of_id_.end(),
                 "duplicate job id " << dup->first << " in trace");
-    FaultConfig effective = config_.faults;
-    if (config_.failures.enabled) {
-        EF_FATAL_IF(config_.failures.server_mtbf_s <= 0.0,
-                    "failure MTBF must be positive");
-        EF_FATAL_IF(effective.server_mtbf_s > 0.0,
-                    "server crashes configured through both "
-                    "FailureConfig and FaultConfig; pick one");
-        // The legacy failure model becomes one producer of server-crash
-        // fault events, keeping its own seed so the draw sequence (and
-        // therefore the whole run) replays byte-identically.
-        effective.server_mtbf_s = config_.failures.server_mtbf_s;
-        effective.server_repair_s = config_.failures.repair_s;
-        if (effective.server_seed == 0)
-            effective.server_seed = config_.failures.seed;
-    }
-    if (effective.any())
-        fault_ = std::make_unique<FaultInjector>(std::move(effective));
-    if (config_.service.enabled) {
-        EF_FATAL_IF(config_.service.queue_watermark < 1,
-                    "service mode needs queue_watermark >= 1");
-        service_governor_ = std::make_unique<serve::ReplanGovernor>(
-            config_.service.governor);
-    }
+    if (config_.faults.any())
+        fault_ = std::make_unique<FaultInjector>(config_.faults);
     // A zero budget stays null on purpose: such a run must be
     // byte-identical to a defrag-disabled one (DESIGN.md §14).
     if (config_.defrag.enabled &&
@@ -431,7 +393,7 @@ Simulator::advance_progress(Time to)
                 // checkpoint interval is safe from node failures.
                 double interval_iters =
                     job.current_tpt *
-                    config_.failures.checkpoint_interval_s;
+                    config_.faults.checkpoint_interval_s;
                 if (job.executed - job.checkpoint_iters >
                     interval_iters) {
                     job.checkpoint_iters = job.executed - interval_iters;
@@ -832,8 +794,8 @@ void
 Simulator::handle_server_down(const Event &event)
 {
     const int server = static_cast<int>(event.job);
-    // The rate-based chain reschedules on repair (handle_server_up),
-    // preserving the legacy FailureConfig draw sequence exactly.
+    // The rate-based chain reschedules on repair (handle_server_up), so
+    // a stale crash event draws nothing from the server stream.
     if (!placement_.server_available(server))
         return;  // already down (stale event)
     // Evict every job with a worker on the failed server: it loses its
@@ -1014,7 +976,6 @@ Simulator::compute_fingerprint() const
     h.i64(topology_.total_gpus());
     h.i64(topology_.num_servers());
     h.str(result_.scheduler_name);
-    h.byte(config_.service.enabled ? 1 : 0);
     h.byte(fault_ != nullptr ? 1 : 0);
     h.byte(defrag_ != nullptr ? 1 : 0);
     h.f64(config_.max_time);
@@ -1448,11 +1409,16 @@ Simulator::record_fragmentation()
 }
 
 void
-Simulator::apply_admission(JobId id, bool admitted)
+Simulator::handle_arrival(JobId id)
 {
-    journal_append(recover::RecordKind::kVerdict, id, now_, admitted);
+    journal_append(recover::RecordKind::kSubmission, id, now_);
     JobRt &job = rt(id);
-    EF_CHECK_MSG(!job.arrived, "second verdict for job " << id);
+    EF_CHECK_MSG(!job.arrived, "second arrival of job " << id);
+    obs::emit({now_, obs::EventKind::kJobSubmit, id,
+               job.spec.requested_gpus});
+    obs::count("sim.jobs.submitted");
+    const bool admitted = scheduler_->admit(job.spec);
+    journal_append(recover::RecordKind::kVerdict, id, now_, admitted);
     const std::size_t slot = slot_of(job);
     active_.unseal(slot, job);  // leaves the not-yet-arrived jobs
     job.arrived = true;
@@ -1474,122 +1440,8 @@ Simulator::apply_admission(JobId id, bool admitted)
     admitted_ += admitted ? 1 : 0;
     result_.submitted_jobs.record(now_, static_cast<double>(arrived_));
     result_.admitted_jobs.record(now_, static_cast<double>(admitted_));
-}
-
-void
-Simulator::handle_arrival(JobId id)
-{
-    journal_append(recover::RecordKind::kSubmission, id, now_);
-    if (config_.service.enabled) {
-        handle_service_arrival(id);
-        return;
-    }
-    JobRt &job = rt(id);
-    obs::emit({now_, obs::EventKind::kJobSubmit, id,
-               job.spec.requested_gpus});
-    obs::count("sim.jobs.submitted");
-    bool ok = scheduler_->admit(job.spec);
-    apply_admission(id, ok);
-    if (ok) {
+    if (admitted) {
         view_dirty_ = true;  // the active-job set grew
-        request_replan();
-    }
-}
-
-void
-Simulator::handle_service_arrival(JobId id)
-{
-    JobRt &job = rt(id);
-    obs::emit({now_, obs::EventKind::kJobSubmit, id,
-               job.spec.requested_gpus});
-    obs::count("sim.jobs.submitted");
-    if (service_queue_.size() >= config_.service.queue_watermark) {
-        // Backpressure: the queue is at its watermark, so the verdict
-        // is synchronous — no scheduler involvement, O(1) per arrival.
-        ++result_.shed_queue_full;
-        obs::count("sim.service.shed_queue_full");
-        obs::emit({now_, obs::EventKind::kServeShed, id,
-                   static_cast<std::int64_t>(
-                       serve::ShedVerdict::kShedQueueFull),
-                   static_cast<std::int64_t>(service_queue_.size())});
-        obs::observe("sim.service.decision_latency_s",
-                     kDecisionLatencyEdges, 0.0);
-        apply_admission(id, false);
-        return;
-    }
-    service_queue_.push_back(id);
-    result_.max_service_queue_depth = std::max(
-        result_.max_service_queue_depth, service_queue_.size());
-    obs::gauge_set("sim.service.queue_depth",
-                   static_cast<double>(service_queue_.size()));
-    if (service_queue_.size() == 1)
-        arm_service_round();
-}
-
-void
-Simulator::arm_service_round()
-{
-    if (service_queue_.empty())
-        return;
-    // The round runs when the governor has a token — or at the oldest
-    // submission's starvation horizon, whichever comes first.
-    const Time horizon_due =
-        rt(service_queue_.front()).spec.submit_time +
-        config_.service.governor.starvation_horizon_s;
-    const Time due = std::max(
-        now_, std::min(service_governor_->next_eligible(now_),
-                       horizon_due));
-    push_event(Event{due, next_seq_++, Event::kServiceRound});
-}
-
-void
-Simulator::handle_service_round()
-{
-    if (service_queue_.empty())
-        return;  // stale event (an earlier round drained the queue)
-    const bool token = service_governor_->try_acquire(now_);
-    ++result_.service_rounds;
-    if (!token)
-        ++result_.service_rounds_forced;
-    const std::size_t batch = service_queue_.size();
-    bool any_admitted = false;
-    while (!service_queue_.empty()) {
-        const JobId id = service_queue_.front();
-        service_queue_.pop_front();
-        JobRt &job = rt(id);
-        bool ok = scheduler_->admit(job.spec);
-        if (!ok && config_.service.degrade_infeasible &&
-            !job.spec.is_best_effort()) {
-            // Deadline-infeasible at current load: keep the work,
-            // drop the guarantee. Best-effort admission never fails.
-            job.spec.kind = JobKind::kBestEffort;
-            job.spec.deadline = kTimeInfinity;
-            job.outcome.spec = job.spec;
-            ++result_.service_degraded;
-            obs::count("sim.service.degraded");
-            ok = scheduler_->admit(job.spec);
-            EF_CHECK(ok);
-        }
-        obs::observe("sim.service.decision_latency_s",
-                     kDecisionLatencyEdges,
-                     now_ - job.spec.submit_time);
-        if (!ok) {
-            obs::emit({now_, obs::EventKind::kServeShed, id,
-                       static_cast<std::int64_t>(
-                           serve::ShedVerdict::kShedInfeasible),
-                       static_cast<std::int64_t>(batch)});
-        }
-        apply_admission(id, ok);
-        any_admitted = any_admitted || ok;
-    }
-    obs::count("sim.service.rounds");
-    obs::gauge_set("sim.service.queue_depth", 0.0);
-    obs::emit({now_, obs::EventKind::kServeRound, kInvalidJob,
-               static_cast<std::int64_t>(batch), token ? 0 : 1});
-    if (any_admitted) {
-        // One replan for the whole batch: the coalescing machinery
-        // sees a single request no matter how many jobs were queued.
-        view_dirty_ = true;
         request_replan();
     }
 }
@@ -1742,9 +1594,6 @@ Simulator::run()
             break;
           case Event::kStragglerEnd:
             handle_straggler_end(event.job);
-            break;
-          case Event::kServiceRound:
-            handle_service_round();
             break;
         }
     }

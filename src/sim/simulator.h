@@ -18,7 +18,6 @@
 #ifndef EF_SIM_SIMULATOR_H_
 #define EF_SIM_SIMULATOR_H_
 
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -30,36 +29,12 @@
 #include "recover/fields.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
-#include "serve/governor.h"
 #include "sim/metrics.h"
 #include "sim/overhead_model.h"
 #include "workload/perf_model.h"
 #include "workload/trace.h"
 
 namespace ef {
-
-/**
- * Random server failures (§4.4 "Node failures"). Legacy knob: it is
- * mapped onto the FaultInjector's server-crash class (with this seed,
- * so existing runs replay byte-identically). New code should prefer
- * SimConfig::faults; configuring server crashes through both at once
- * is an error.
- */
-struct FailureConfig
-{
-    bool enabled = false;
-    /** Mean time between failures of one server (seconds). */
-    Time server_mtbf_s = 30.0 * kDay;
-    /** Time a failed server stays down. */
-    Time repair_s = 2.0 * kHour;
-    /**
-     * Jobs auto-checkpoint this often; a failure rolls a victim back
-     * to its last checkpoint (in addition to losing its GPUs). Applies
-     * to every fault class that evicts jobs, not only this one.
-     */
-    Time checkpoint_interval_s = 1800.0;
-    std::uint64_t seed = 1;
-};
 
 /**
  * Per-job deterministic throughput misestimation: the executor runs
@@ -69,28 +44,6 @@ struct FailureConfig
 struct NoiseConfig
 {
     double throughput_error = 0.0;  ///< e.g. 0.02 = up to +/-2%
-};
-
-/**
- * Streaming service-mode arrival path (the simulator counterpart of
- * ef::serve). Instead of one admission verdict per arrival event,
- * arrivals enter a bounded queue: beyond the watermark they are shed
- * synchronously (JobState::kDropped, counted in
- * RunResult::shed_queue_full), and queued submissions are batched into
- * one scheduler round per governor token — forced without a token once
- * the oldest submission has waited governor.starvation_horizon_s, so
- * no submission waits past the horizon. The batched round exercises
- * the existing replan coalescing/elision machinery.
- */
-struct ServiceModeConfig
-{
-    bool enabled = false;
-    /** Arrivals beyond this many pending are shed synchronously. */
-    std::size_t queue_watermark = 64;
-    serve::GovernorConfig governor;
-    /** Accept admission-rejected SLO arrivals as best-effort jobs
-     *  (deadline dropped) instead of rejecting them outright. */
-    bool degrade_infeasible = false;
 };
 
 /**
@@ -117,10 +70,11 @@ struct SimConfig
     /** Hard stop (guards schedulers that never finish a job). */
     Time max_time = 400.0 * kDay;
     OverheadConfig overhead;
-    FailureConfig failures;
-    /** Fault injection (GPU faults, RPC loss, stragglers, checkpoint
-     *  failures, scripted traces). All-zero rates = fully disabled:
-     *  the run is then byte-identical to one without this member. */
+    /** Fault injection (server crashes, GPU faults, RPC loss,
+     *  stragglers, checkpoint failures, scripted traces) and the
+     *  checkpoint interval every eviction rolls back to. All-zero
+     *  rates = fully disabled: the run is then byte-identical to one
+     *  without this member. */
     FaultConfig faults;
     NoiseConfig noise;
     /**
@@ -136,9 +90,6 @@ struct SimConfig
      * identical decision, and re-applying a decision is a no-op.
      */
     bool elide_replans = true;
-    /** Streaming admission front end; disabled = classic per-arrival
-     *  admission, byte-identical to runs predating this knob. */
-    ServiceModeConfig service;
     /**
      * Ignored. Planning has a single sequential code path (DESIGN.md
      * §10); these members remain only because the end-to-end benchmark
@@ -212,7 +163,7 @@ class Simulator : public ClusterView
      * Determinism auditor: FNV-1a hash of the hashed fields listed in
      * fields() — event clock, job table (state, progress, attained
      * service, pause windows), concrete GPU allocations and
-     * availability, and the optional service, fault and defrag state.
+     * availability, and the optional fault and defrag state.
      * Sampled and chained into RunResult::state_hash at every replan;
      * two runs of the same (trace, scheduler, config) must produce
      * identical digests, otherwise a hidden nondeterminism source
@@ -255,15 +206,8 @@ class Simulator : public ClusterView
     struct Event;
     static bool event_after(const Event &a, const Event &b);
 
+    /** Algorithm 1 admission verdict for an arriving job. */
     void handle_arrival(JobId id);
-    /** Service mode: enqueue (or shed) an arrival without planning. */
-    void handle_service_arrival(JobId id);
-    /** Service mode: drain the queue in one batched admission round. */
-    void handle_service_round();
-    /** Schedule the round for the current queue head (empty -> none). */
-    void arm_service_round();
-    /** Admission verdict bookkeeping shared by both arrival paths. */
-    void apply_admission(JobId id, bool admitted);
     void handle_completion_check(JobId id);
     void handle_tick();
     void handle_server_down(const Event &event);
@@ -393,10 +337,6 @@ class Simulator : public ClusterView
     /** Scheduler-visible state changed since the last decision. */
     bool view_dirty_ = true;
     Time last_decision_time_ = -kTimeInfinity;
-    /** Null unless service mode is enabled. */
-    std::unique_ptr<serve::ReplanGovernor> service_governor_;
-    /** Arrivals awaiting their batched admission round (FIFO). */
-    std::deque<JobId> service_queue_;
 
     /** Null unless some fault class is enabled. */
     std::unique_ptr<FaultInjector> fault_;

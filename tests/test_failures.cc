@@ -69,9 +69,9 @@ TEST(Failures, JobsSurviveServerFailures)
     gen.num_jobs = 20;
     Trace trace = TraceGenerator::generate(gen);
     SimConfig config;
-    config.failures.enabled = true;
-    config.failures.server_mtbf_s = 12.0 * kHour;  // aggressive
-    config.failures.repair_s = kHour;
+    config.faults.server_mtbf_s = 12.0 * kHour;  // aggressive
+    config.faults.server_repair_s = kHour;
+    config.faults.server_seed = 1;
     auto scheduler = make_scheduler("elasticflow");
     Simulator sim(trace, scheduler.get(), config);
     RunResult result = sim.run();
@@ -96,10 +96,9 @@ TEST(Failures, CheckpointRollbackDelaysVictims)
                       .build();
     auto run_with = [&trace](bool failures) {
         SimConfig config;
-        config.failures.enabled = failures;
-        config.failures.server_mtbf_s = 6.0 * kHour;
-        config.failures.repair_s = 30.0 * kMinute;
-        config.failures.seed = 3;
+        config.faults.server_mtbf_s = failures ? 6.0 * kHour : 0.0;
+        config.faults.server_repair_s = 30.0 * kMinute;
+        config.faults.server_seed = 3;
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(trace, scheduler.get(), config);
         return sim.run();
@@ -121,9 +120,9 @@ TEST(Failures, HeadroomProtectsDeadlinesUnderFailures)
 
     auto run_with = [&trace](GpuCount headroom) {
         SimConfig config;
-        config.failures.enabled = true;
-        config.failures.server_mtbf_s = 5.0 * kDay;
-        config.failures.repair_s = 2.0 * kHour;
+        config.faults.server_mtbf_s = 5.0 * kDay;
+        config.faults.server_repair_s = 2.0 * kHour;
+        config.faults.server_seed = 1;
         ElasticFlowConfig ef_config;
         ef_config.failure_headroom_gpus = headroom;
         ElasticFlowScheduler scheduler(ef_config);
@@ -151,8 +150,8 @@ TEST(Failures, DeterministicUnderFailures)
     Trace trace = TraceGenerator::generate(gen);
     auto run_once = [&trace]() {
         SimConfig config;
-        config.failures.enabled = true;
-        config.failures.server_mtbf_s = kDay;
+        config.faults.server_mtbf_s = kDay;
+        config.faults.server_seed = 1;
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(trace, scheduler.get(), config);
         return sim.run();

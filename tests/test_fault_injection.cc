@@ -72,17 +72,17 @@ TEST(FaultInjector, ClassStreamsAreIndependent)
     }
 }
 
-TEST(FaultInjector, LegacyServerSeedReplaysVerbatim)
+TEST(FaultInjector, ExplicitServerSeedReplaysVerbatim)
 {
     FaultConfig config;
     config.seed = 7;
     config.server_mtbf_s = kDay;
-    config.server_seed = 1;  // legacy FailureConfig seed
+    config.server_seed = 1;  // replaces the seed derived from 7
     FaultInjector injector(config);
-    Rng legacy(1);
+    Rng server(1);
     for (int i = 0; i < 8; ++i) {
         EXPECT_DOUBLE_EQ(injector.server_crash_delay(),
-                         legacy.exponential(1.0 / kDay));
+                         server.exponential(1.0 / kDay));
     }
 }
 
@@ -348,34 +348,22 @@ TEST(FaultE2E, DisabledInjectionIsByteIdenticalPinned)
     EXPECT_EQ(result.slo_demotions, 0);
 }
 
-TEST(FaultE2E, LegacyFailureConfigReplaysPinned)
+TEST(FaultE2E, ServerCrashClassReplaysPinned)
 {
-    // The legacy FailureConfig path now runs through the injector's
-    // server-crash class; the draw sequence must replay byte-identical
-    // to the seed (captured constant below).
+    // Server crashes at a one-day MTBF from server seed 1: the draw
+    // sequence, and so the whole run, must replay the captured
+    // constants below.
     TraceGenConfig gen = testbed_small_preset();
     gen.num_jobs = 15;
     Trace trace = TraceGenerator::generate(gen);
     SimConfig config;
-    config.failures.enabled = true;
-    config.failures.server_mtbf_s = kDay;
+    config.faults.server_mtbf_s = kDay;
+    config.faults.server_seed = 1;
     auto scheduler = make_scheduler("elasticflow");
     Simulator sim(trace, scheduler.get(), config);
     RunResult result = sim.run();
     EXPECT_EQ(result.makespan, 15420.712575184702);
     EXPECT_EQ(result.finished_count(), 10u);
-}
-
-TEST(FaultE2EDeathTest, DualServerCrashConfigDies)
-{
-    Trace trace = TraceBuilder(TopologySpec::testbed_32())
-                      .slo(DnnModel::kResNet50, 128, 4, 0.0, kHour, 2.0)
-                      .build();
-    SimConfig config;
-    config.failures.enabled = true;
-    config.faults.server_mtbf_s = kDay;
-    FixedScheduler scheduler;
-    EXPECT_DEATH(Simulator sim(trace, &scheduler, config), "pick one");
 }
 
 TEST(FaultE2E, ScriptedRpcDropIsRetriedThenApplied)

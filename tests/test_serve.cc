@@ -1,10 +1,11 @@
 /**
  * @file
  * ef::serve tests: replan-cadence governor math, backpressure sheds at
- * the queue watermark, starvation bound, watchdog fallback, and the
- * determinism contract (same stream + config twice produces identical
- * decision sequences and state hashes), including under scripted
- * arrival storms and RPC drops.
+ * the queue watermark, starvation bound, batching of arrivals into few
+ * rounds, degrading infeasible SLO work to best effort, watchdog
+ * fallback, and the determinism contract (same stream + config twice
+ * produces identical decision sequences and state hashes), including
+ * under scripted arrival storms and RPC drops.
  */
 #include <gtest/gtest.h>
 
@@ -131,6 +132,70 @@ TEST(Service, NoSubmissionWaitsPastTheStarvationHorizon)
             << "job " << d.id << " starved";
     }
     EXPECT_GT(service.stats().rounds_forced, 0u);
+}
+
+TEST(Service, GovernorBatchesArrivalsIntoFewRounds)
+{
+    serve::ServiceConfig config = small_service();
+    config.queue_watermark = 64;
+    config.governor.rounds_per_second = 0.001;  // 1 per 1000 s
+    config.governor.burst = 1.0;
+    config.governor.starvation_horizon_s = 4000.0;
+    serve::Service service(config);
+
+    // 10 arrivals 100 s apart: without batching that is 10 planning
+    // rounds; the governor must merge them into far fewer. Deadlines
+    // are loose enough that every job stays feasible while it queues.
+    serve::SyntheticStream stream(small_stream(0.01));
+    for (int i = 0; i < 10; ++i) {
+        serve::Submission sub = stream.next();
+        sub.spec.kind = JobKind::kSlo;
+        sub.spec.submit_time = 100.0 * static_cast<double>(i);
+        sub.spec.deadline = sub.spec.submit_time + 1e6;
+        service.submit(std::move(sub));
+    }
+    service.advance_to(5000.0);
+    service.finish();
+    EXPECT_GT(service.stats().rounds, 0u);
+    EXPECT_LT(service.stats().rounds, 5u);
+    EXPECT_EQ(service.stats().rounds_forced, 0u);
+    EXPECT_EQ(service.stats().shed_queue_full, 0u);
+    EXPECT_EQ(service.stats().admitted, 10u);
+}
+
+TEST(Service, DegradeKeepsInfeasibleWorkAsBestEffort)
+{
+    // A deadline nothing can meet: admission must refuse the guarantee.
+    serve::SyntheticStream stream(small_stream(0.01));
+    serve::Submission doomed = stream.next();
+    doomed.spec.kind = JobKind::kSlo;
+    doomed.spec.deadline = doomed.spec.submit_time + 1.0;
+    serve::Submission later = stream.next();
+    later.spec.submit_time = 1e7;
+
+    for (bool degrade : {false, true}) {
+        SCOPED_TRACE(degrade ? "degrade" : "strict");
+        serve::ServiceConfig config = small_service();
+        config.degrade_infeasible = degrade;
+        serve::Service service(config);
+        std::vector<serve::Decision> decisions;
+        service.set_decision_callback(
+            [&](const serve::Decision &d) { decisions.push_back(d); });
+        service.submit(doomed);
+        service.finish();
+        ASSERT_EQ(decisions.size(), 1u);
+        EXPECT_EQ(decisions[0].verdict,
+                  degrade ? serve::ShedVerdict::kDegraded
+                          : serve::ShedVerdict::kShedInfeasible);
+        EXPECT_EQ(service.stats().degraded, degrade ? 1u : 0u);
+        EXPECT_EQ(service.active_jobs(), degrade ? 1u : 0u);
+        // The kept work runs to completion without a deadline to miss:
+        // the next round, long after, retires it.
+        service.submit(later);
+        service.finish();
+        EXPECT_EQ(service.stats().finished, degrade ? 1u : 0u);
+        EXPECT_EQ(service.stats().deadline_misses, 0u);
+    }
 }
 
 TEST(Service, WatchdogAbandonsOverBudgetRoundsAndRetries)

@@ -5,15 +5,15 @@
  * must recover to a state whose verdict stream is exactly-once — a
  * verdict whose journal record reached disk before the crash is never
  * re-delivered by the replay — while the starvation-horizon bound and
- * the round-hash chain both survive the crash. Also covers the
- * simulator's streaming-admission (service) mode through the same
- * crash-at-round harness. The crash windows inside a base's commit
- * are rebuilt from the files the service left after consecutive
- * submissions, and every base is checked against a full encode of the
- * live service.
+ * the round-hash chain both survive the crash. The crash windows
+ * inside a base's commit are rebuilt from the files the service left
+ * after consecutive submissions, and every base is checked against a
+ * full encode of the live service. A journal record that is well
+ * formed but would make submit() abort is a typed kBadRecord.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -24,12 +24,9 @@
 #include "fault/fault.h"
 #include "recover/fields.h"
 #include "recover/log.h"
-#include "sched/scheduler.h"
 #include "serve/service.h"
 #include "serve/stream.h"
-#include "sim/simulator.h"
 #include "test_util.h"
-#include "workload/trace_gen.h"
 
 namespace ef {
 namespace {
@@ -345,70 +342,66 @@ TEST(ServiceRecovery, BasesRestoreWhatAFullEncodeDoes)
     EXPECT_GT(checked, 10);
 }
 
-TEST(ServiceRecovery, SimulatorServiceModeCrashRecovers)
+/**
+ * A journal whose checksums hold can still carry an input submit() or
+ * advance_to() would abort on: a submission before the clock, one for
+ * an id that is already pending, or a clock going backwards. Each such
+ * record, appended after a run through the library's own writer, must
+ * end recovery in a kBadRecord naming it.
+ */
+TEST(ServiceRecovery, ForgedReplayInputsAreBadRecords)
 {
-    // The simulator's streaming-admission mode carries the admission
-    // queue and governor bucket inside the simulator snapshot; a
-    // sched-crash mid-run must recover bit-identically there too.
-    TraceGenConfig gen = testbed_small_preset();
-    gen.seed = 13;
-    const Trace trace = TraceGenerator::generate(gen);
-
-    SimConfig base;
-    base.service.enabled = true;
-    base.service.queue_watermark = 4;
-    base.service.governor.rounds_per_second = 0.001;
-    base.service.governor.burst = 1.0;
-    base.service.governor.starvation_horizon_s = 2.0 * kHour;
-    base.faults.script.push_back([] {
-        FaultEvent ev;
-        ev.time = 0.0;
-        ev.type = FaultType::kSchedCrash;
-        ev.target = 1;
-        return ev;
-    }());
-
-    RunResult baseline;
+    const std::vector<serve::Submission> subs = burst_stream(6, 5);
+    const serve::Submission &last = subs.back();
+    serve::Submission early = subs.front();
+    early.spec.id = 1000;
+    const struct
     {
-        auto scheduler = make_scheduler("elasticflow");
-        Simulator sim(trace, scheduler.get(), base);
-        baseline = sim.run();
-        ASSERT_FALSE(sim.crashed());  // no journal, crash can't fire
-    }
-    ASSERT_GT(baseline.state_hash_samples, 2u);
-
-    for (std::uint64_t n = 1; n <= baseline.state_hash_samples;
-         n += 2) {
-        const std::string dir =
-            fresh_dir("ef_service_sim_" + std::to_string(n));
-        SimConfig config = base;
-        config.faults.script.clear();
-        config.faults.script.push_back([n] {
-            FaultEvent ev;
-            ev.time = 0.0;
-            ev.type = FaultType::kSchedCrash;
-            ev.target = static_cast<std::int64_t>(n);
-            return ev;
-        }());
-        config.durability.journal_dir = dir;
+        const char *what;  ///< substring of the diagnostic
+        recover::RecordKind kind;
+        std::string body;
+    } cases[] = {
+        {"submission before the clock", recover::RecordKind::kSubmission,
+         recover::encode(early)},
+        {"pending or active id", recover::RecordKind::kSubmission,
+         recover::encode(last)},
+        {"advance before the clock", recover::RecordKind::kAdvance,
+         recover::encode(early.spec.submit_time, false)},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        const std::string dir = fresh_dir("ef_service_forged");
         {
-            auto scheduler = make_scheduler("elasticflow");
-            Simulator sim(trace, scheduler.get(), config);
-            sim.run();
-            ASSERT_TRUE(sim.crashed()) << "round " << n;
+            serve::Service service(pressured_config());
+            std::vector<JobId> decided;
+            service.set_decision_callback(
+                [&](const serve::Decision &d) { decided.push_back(d.id); });
+            ASSERT_TRUE(service.bind_durability(dir, 64, false).ok());
+            for (const serve::Submission &sub : subs)
+                service.submit(sub);
+            ASSERT_LT(early.spec.submit_time, service.now());
+            ASSERT_EQ(std::count(decided.begin(), decided.end(),
+                                 last.spec.id),
+                      0)
+                << "the last submission must still be queued";
         }
-        config.durability.recover = true;
-        auto scheduler = make_scheduler("elasticflow");
-        Simulator sim(trace, scheduler.get(), config);
-        ASSERT_TRUE(sim.prepare_durability().ok());
-        RunResult recovered = sim.run();
-        EXPECT_EQ(recovered.state_hash, baseline.state_hash)
-            << "round " << n;
-        EXPECT_EQ(recovered.state_hash_samples,
-                  baseline.state_hash_samples)
-            << "round " << n;
-        EXPECT_EQ(recovered.shed_queue_full, baseline.shed_queue_full)
-            << "round " << n;
+        std::string snapshot;
+        recover::JournalContents tail;
+        ASSERT_TRUE(recover::DurableLog::load(dir, &snapshot, &tail).ok());
+        recover::JournalWriter writer;
+        ASSERT_TRUE(writer
+                        .reopen(recover::DurableLog::journal_path(dir),
+                                tail.valid_bytes)
+                        .ok());
+        ASSERT_TRUE(writer.append(c.kind, c.body).ok());
+        ASSERT_TRUE(writer.commit().ok());
+        writer.close();
+
+        serve::Service recovered(pressured_config());
+        const recover::Status st = recovered.bind_durability(dir, 64, true);
+        EXPECT_EQ(st.code, recover::ErrorCode::kBadRecord) << st.to_string();
+        EXPECT_EQ(st.record, static_cast<std::int64_t>(tail.records.size()));
+        EXPECT_NE(st.message.find(c.what), std::string::npos) << st.message;
     }
 }
 

@@ -109,17 +109,6 @@ churn_with_faults_and_defrag()
     return sim.run();
 }
 
-/** The simulator's streaming-admission (service) mode. */
-RunResult
-simulator_service_mode()
-{
-    SimConfig config;
-    config.service.enabled = true;
-    config.service.queue_watermark = 8;
-    config.service.degrade_infeasible = true;
-    return run_once("elasticflow", 42, config);
-}
-
 /** A multi-rack cluster (8 racks of 8 servers) with server failures:
  *  repacks run with servers down, so they pin the down-server sentinel
  *  bins and matching across more than two racks. */
@@ -130,8 +119,8 @@ multi_rack_server_failures()
     gen.topology = TopologySpec::with_total_gpus(512);
     Trace trace = TraceGenerator::generate(gen);
     SimConfig config;
-    config.failures.enabled = true;
-    config.failures.server_mtbf_s = 2.0 * kDay;
+    config.faults.server_mtbf_s = 2.0 * kDay;
+    config.faults.server_seed = 1;
     auto scheduler = make_scheduler("elasticflow");
     Simulator sim(trace, scheduler.get(), config);
     return sim.run();
@@ -251,10 +240,10 @@ service_decision_digest()
  * fine when intended, but must be a conscious decision: re-pin the
  * constant from this test's failure message and say why in the
  * commit. Beyond the canonical batch run, the table covers every
- * optional hashed subsystem (defrag, fault streams, service queue and
- * governor, serve::Service's per-round fold).
+ * optional hashed subsystem (defrag, fault streams, serve::Service's
+ * per-round fold).
  *
- * The three simulator pins were last re-pinned when the state hash
+ * The simulator pins were last re-pinned when the state hash
  * became incremental (DESIGN.md §7): frozen jobs enter as a sealed sum,
  * the GPU tables as kept digests, and an unplaced job's last_update no
  * longer follows the clock. The serve::Service pin was last re-pinned
@@ -276,9 +265,6 @@ TEST(StateHash, PinnedBaseline)
         {"churn + defrag + GPU faults + RPC drops",
          [] { return churn_with_faults_and_defrag().state_hash; },
          UINT64_C(0x6597f298edc0e4b9)},
-        {"simulator service mode",
-         [] { return simulator_service_mode().state_hash; },
-         UINT64_C(0x3cdab493bfcd7216)},
         {"serve::Service with arrival storm", service_with_arrival_storm,
          UINT64_C(0xe540b21e34ff91f9)},
     };
@@ -381,9 +367,9 @@ run_with_oracle(const std::string &scheduler_name, const Trace &trace,
 TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
 {
     SimConfig faults;
-    faults.failures.enabled = true;
-    faults.failures.server_mtbf_s = 2.0 * kDay;
-    faults.failures.checkpoint_interval_s = 900.0;
+    faults.faults.server_mtbf_s = 2.0 * kDay;
+    faults.faults.server_seed = 1;
+    faults.faults.checkpoint_interval_s = 900.0;
     faults.faults.seed = 7;
     faults.faults.gpu_mtbf_s = 6.0 * kHour;
     faults.faults.rpc_drop_prob = 0.02;
@@ -394,10 +380,6 @@ TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
     defrag.defrag.budget_units_per_round = 16.0;
     defrag.faults.seed = 3;
     defrag.faults.gpu_mtbf_s = 2.0 * kDay;
-    SimConfig service;
-    service.service.enabled = true;
-    service.service.queue_watermark = 4;
-    service.service.degrade_infeasible = true;
 
     TraceGenConfig gen = testbed_small_preset();
     gen.seed = 42;
@@ -412,8 +394,7 @@ TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
         const Trace &trace;
     } runs[] = {{"plain", SimConfig{}, small},
                 {"faults", faults, small},
-                {"defrag", defrag, churn_trace},
-                {"service", service, small}};
+                {"defrag", defrag, churn_trace}};
     for (const std::string &name : all_scheduler_names()) {
         for (const auto &run : runs) {
             SCOPED_TRACE(name + " / " + run.name);
@@ -589,7 +570,7 @@ TEST(StateHash, ServiceRestoredOverStateEqualsRecompute)
 
 /**
  * Pinned decisions: the allocation log and per-job outcomes of the
- * three simulator runs above, plus a multi-rack run with server
+ * two simulator runs above, plus a multi-rack run with server
  * failures, the only pin whose repacks run with servers down, plus the
  * verdicts and final counters of the serve::Service storm run. Unlike
  * the state-hash pins, these do not depend on how the hash composes the
@@ -611,9 +592,6 @@ TEST(StateHash, PinnedDecisions)
         {"churn + defrag + GPU faults + RPC drops",
          [] { return decision_digest(churn_with_faults_and_defrag()); },
          UINT64_C(0x60ad6cce35888f5e)},
-        {"simulator service mode",
-         [] { return decision_digest(simulator_service_mode()); },
-         UINT64_C(0xe2f0fcd0e9a73ef6)},
         {"multi-rack server failures",
          [] { return decision_digest(multi_rack_server_failures()); },
          UINT64_C(0x87c6c9143db0709b)},
