@@ -59,6 +59,11 @@ namespace {
  *  and small enough that building its topology stays cheap. */
 constexpr int kMaxGpus = 65536;
 
+/** Shortest per-GPU mean time between faults --gpu-fault-rate accepts:
+ *  one 300 s planning slot, so at most 288 faults per GPU-day. Faster
+ *  rates bury the run in fault events, and it does not finish. */
+constexpr Time kMinGpuMtbf = 300.0;
+
 int
 usage()
 {
@@ -67,7 +72,7 @@ usage()
         << "  run_trace <trace.csv> [--gpus N] [--scheduler NAME]\n"
         << "            [--noise FRACTION] [--no-coalesce] [--no-elide]\n"
         << "            [--mtbf DAYS] [--repair HOURS]\n"
-        << "            [--gpu-fault-rate PER_GPU_PER_DAY]\n"
+        << "            [--gpu-fault-rate PER_GPU_PER_DAY (0, 288]]\n"
         << "            [--rpc-drop PROB] [--fault-script FILE]\n"
         << "            [--fault-seed N] [--state-hash]\n"
         << "            [--trace-out FILE.json] [--metrics-out FILE]\n"
@@ -347,8 +352,9 @@ main(int argc, char **argv)
         } else if (arg == "--gpu-fault-rate") {
             number(&scaled);
             sim_config.faults.gpu_mtbf_s = kDay / scaled;
-            require(positive(sim_config.faults.gpu_mtbf_s),
-                    "faults per GPU-day > 0");
+            require(positive(sim_config.faults.gpu_mtbf_s) &&
+                        sim_config.faults.gpu_mtbf_s >= kMinGpuMtbf,
+                    "faults per GPU-day in (0, 288]");
         } else if (arg == "--rpc-drop") {
             number(&sim_config.faults.rpc_drop_prob);
             require(sim_config.faults.rpc_drop_prob >= 0.0 &&

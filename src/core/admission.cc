@@ -10,16 +10,18 @@
 namespace ef {
 namespace {
 
-/** Tolerance on "remaining iterations satisfied" comparisons. */
-constexpr double kIterEpsilon = 1e-7;
-
-}  // namespace
-
+/**
+ * ProgressiveFilling's level walk. With @p kBounded, a level the
+ * level-skip bound rules out is charged its scan's cost and not
+ * scanned; the levels that are scanned run exactly as in the
+ * unbounded walk.
+ */
+template <bool kBounded>
 std::optional<SlotPlan>
-progressive_fill(const ScalingCurve &curve, double remaining_iterations,
-                 const std::vector<GpuCount> &available,
-                 const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot, std::uint64_t *cost)
+fill_levels(const ScalingCurve &curve, double remaining_iterations,
+            const std::vector<GpuCount> &available,
+            const PlanHorizon &horizon, const PlannerConfig &config,
+            int start_slot, std::uint64_t *cost)
 {
     const int slots = horizon.slots;
     EF_CHECK(slots >= 0 && start_slot >= 0);
@@ -27,7 +29,7 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
     EF_CHECK(!curve.empty());
 
     SlotPlan plan;
-    if (remaining_iterations <= kIterEpsilon)
+    if (remaining_iterations <= kFillEpsilon)
         return plan;  // nothing left to do
     if (start_slot >= slots)
         return std::nullopt;
@@ -37,9 +39,23 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
     auto slot_capacity = [&](int t) {
         return t == slots - 1 ? dt * horizon.last_weight : dt;
     };
+    const double window = fill_window_seconds(horizon, dt, start_slot);
+    // Running max of throughput over the levels tried: each slot of
+    // level L runs usable(min(L, available)), which is 0 or a level
+    // already tried, so this bounds every slot even on non-monotone
+    // curves.
+    double peak = 0.0;
     for (GpuCount level = curve.min_workers();
          level != 0 && level <= max_useful;
          level = (level < max_useful ? level * 2 : 0)) {
+        if constexpr (kBounded) {
+            peak = std::max(peak, curve.throughput(level));
+            if (level_cannot_finish(peak, window, remaining_iterations)) {
+                if (cost != nullptr)
+                    *cost += static_cast<std::uint64_t>(slots - start_slot);
+                continue;
+            }
+        }
         plan.gpus.assign(static_cast<std::size_t>(slots), 0);
         double remaining = remaining_iterations;
         bool satisfied = false;
@@ -51,7 +67,7 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                 level, available[static_cast<std::size_t>(t)]));
             plan.gpus[static_cast<std::size_t>(t)] = x;
             remaining -= curve.throughput(x) * slot_capacity(t);
-            return remaining <= kIterEpsilon;
+            return remaining <= kFillEpsilon;
         };
 
         if (config.direction == FillDirection::kEarliest) {
@@ -67,6 +83,30 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
         }
     }
     return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<SlotPlan>
+progressive_fill(const ScalingCurve &curve, double remaining_iterations,
+                 const std::vector<GpuCount> &available,
+                 const PlanHorizon &horizon, const PlannerConfig &config,
+                 int start_slot, std::uint64_t *cost)
+{
+    return fill_levels<true>(curve, remaining_iterations, available,
+                             horizon, config, start_slot, cost);
+}
+
+std::optional<SlotPlan>
+progressive_fill_reference(const ScalingCurve &curve,
+                           double remaining_iterations,
+                           const std::vector<GpuCount> &available,
+                           const PlanHorizon &horizon,
+                           const PlannerConfig &config, int start_slot,
+                           std::uint64_t *cost)
+{
+    return fill_levels<false>(curve, remaining_iterations, available,
+                              horizon, config, start_slot, cost);
 }
 
 std::optional<SlotPlan>

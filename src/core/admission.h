@@ -56,6 +56,38 @@ struct AdmissionOutcome
     std::uint64_t cost = 0;
 };
 
+/** Tolerance on "remaining iterations satisfied" tests of a fill. */
+inline constexpr double kFillEpsilon = 1e-7;
+
+/**
+ * Seconds a fill window offers at full use: the whole slots
+ * [start_slot, slots - 1) plus the usable fraction of the final slot.
+ * Requires start_slot < horizon.slots.
+ */
+inline double
+fill_window_seconds(const PlanHorizon &horizon, Time slot_seconds,
+                    int start_slot)
+{
+    return static_cast<double>(horizon.slots - start_slot - 1) *
+               slot_seconds +
+           slot_seconds * horizon.last_weight;
+}
+
+/**
+ * Level-skip bound (DESIGN.md §10): true when a fill level whose every
+ * slot runs at most @p peak_throughput over @p window_seconds provably
+ * leaves more than kFillEpsilon of @p remaining_iterations undone, so
+ * scanning it would fail. The 1e-9 relative slack covers the fill's
+ * accumulated rounding over up to 2^16 slots.
+ */
+inline bool
+level_cannot_finish(double peak_throughput, double window_seconds,
+                    double remaining_iterations)
+{
+    return peak_throughput * window_seconds * (1.0 + 1e-9) <
+           remaining_iterations * (1.0 - 1e-9) - kFillEpsilon;
+}
+
 /**
  * ProgressiveFilling for one job: the smallest GPU level whose
  * per-slot allocation min(level, available) finishes
@@ -69,9 +101,18 @@ struct AdmissionOutcome
  *         or nullopt when even the maximum useful level cannot meet
  *         the deadline.
  *
+ * A level is scanned only if the level-skip bound allows it to
+ * succeed: every slot of level L runs a level already tried (or
+ * nothing), so the running maximum throughput over the levels tried
+ * times the window's seconds bounds what L can complete. A skipped
+ * level would have failed its scan, so plans and verdicts equal
+ * progressive_fill_reference's exactly.
+ *
  * When @p cost is non-null it is incremented by one work unit per
- * slot-fill operation performed (across every level attempt), giving
- * callers a deterministic measure of planning effort.
+ * slot-fill operation the unbounded walk performs (across every level
+ * attempt); a skipped level is charged the slots - start_slot units
+ * its failed scan would have cost. The units are a deterministic
+ * measure of planning effort, identical to the reference's.
  */
 std::optional<SlotPlan>
 progressive_fill(const PlanningJob &job,
@@ -90,6 +131,20 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
                  int start_slot = 0, std::uint64_t *cost = nullptr);
+
+/**
+ * The unbounded walk: every level up to the one that succeeds is
+ * scanned slot by slot. Same contract as progressive_fill; kept as the
+ * oracle for the level-skip bound (tests/test_admission.cc and
+ * run_allocation_reference).
+ */
+std::optional<SlotPlan>
+progressive_fill_reference(const ScalingCurve &curve,
+                           double remaining_iterations,
+                           const std::vector<GpuCount> &available,
+                           const PlanHorizon &horizon,
+                           const PlannerConfig &config, int start_slot = 0,
+                           std::uint64_t *cost = nullptr);
 
 /**
  * Algorithm 1: feasibility of a whole job set (admitted jobs plus a

@@ -7,15 +7,6 @@
 
 namespace ef {
 
-GpuCount
-SlotPlan::at(int t) const
-{
-    EF_CHECK(t >= 0);
-    if (t >= static_cast<int>(gpus.size()))
-        return 0;
-    return gpus[static_cast<std::size_t>(t)];
-}
-
 double
 SlotPlan::gpu_seconds(Time slot_seconds) const
 {

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "core/scaling_curve.h"
 
@@ -25,7 +26,13 @@ struct SlotPlan
     std::vector<GpuCount> gpus;
 
     /** Allocation in slot @p t (0 beyond the stored horizon). */
-    GpuCount at(int t) const;
+    GpuCount at(int t) const
+    {
+        EF_CHECK(t >= 0);
+        if (t >= static_cast<int>(gpus.size()))
+            return 0;
+        return gpus[static_cast<std::size_t>(t)];
+    }
 
     int horizon() const { return static_cast<int>(gpus.size()); }
 

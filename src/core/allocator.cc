@@ -14,7 +14,7 @@
 namespace ef {
 namespace {
 
-constexpr double kIterEpsilon = 1e-7;
+constexpr double kIterEpsilon = kFillEpsilon;
 constexpr double kFinishEpsilon = 1e-9;
 /** Priority of starting an idle best-effort job (always first). */
 constexpr double kStartPriority = std::numeric_limits<double>::infinity();
@@ -129,11 +129,16 @@ unclipped_refill(const ScalingCurve &curve, double remaining_iterations,
     if (slots <= 1)
         return std::nullopt;  // start_slot 1 is already past the window
     const GpuCount max_useful = curve.max_useful();
+    const double window = fill_window_seconds(horizon, dt, 1);
     for (GpuCount level = curve.min_workers();
          level != 0 && level <= max_useful;
          level = (level < max_useful ? level * 2 : 0)) {
         const GpuCount x = curve.usable(level);
         const double tpt = curve.throughput(x);
+        // Every slot of this walk runs x, so tpt is the level's peak:
+        // the level-skip bound rules out levels whose scan would fail.
+        if (level_cannot_finish(tpt, window, remaining_iterations))
+            continue;
         double remaining = remaining_iterations;
         for (int t = 1; t < slots; ++t) {
             const double cap =
@@ -245,15 +250,13 @@ run_allocation_reference(const PlannerConfig &config, Time now,
         if (rem_after0 <= kIterEpsilon) {
             candidate_plan.gpus = {g0n};
         } else {
-            PlanningJob tail = job;
-            tail.remaining_iterations = rem_after0;
             // The refilled tail always packs earliest: boosting only
             // makes sense if it pulls the finish time forward, which a
             // latest-packed tail by construction never would.
             PlannerConfig refill_config = config;
             refill_config.direction = FillDirection::kEarliest;
-            auto fill = progressive_fill(tail, avail_self, d,
-                                         refill_config, 1);
+            auto fill = progressive_fill_reference(
+                job.curve, rem_after0, avail_self, d, refill_config, 1);
             if (!fill.has_value())
                 return cand;  // bump cannot keep the deadline
             candidate_plan = std::move(*fill);

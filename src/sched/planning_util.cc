@@ -224,8 +224,8 @@ refresh_min_shares(const PlannerConfig &config, Time now,
     }
 
     MinShareRefresh refresh;
-    std::vector<GpuCount> available(static_cast<std::size_t>(horizon),
-                                    config.total_gpus);
+    std::vector<GpuCount> &available = refresh.available;
+    available.assign(static_cast<std::size_t>(horizon), config.total_gpus);
     for (std::size_t i = 0; i < slo.size(); ++i) {
         PlanningJob &job = slo[i];
         PlanHorizon d = horizons[i];

@@ -143,6 +143,9 @@ struct MinShareRefresh
     std::vector<PlanningJob> parked;
     /** Minimum satisfactory share per job in @p slo. */
     std::map<JobId, SlotPlan> min_shares;
+    /** Free GPUs per slot once every share in @p min_shares is
+     *  reserved; covers at least every share's horizon. */
+    std::vector<GpuCount> available;
 };
 
 /**

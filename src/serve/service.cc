@@ -413,24 +413,17 @@ Service::run_round(Time t)
         obs::count("serve.demotions");
     }
 
-    // Residual availability after the refreshed minimum shares; grown
-    // lazily to whatever horizon a candidate needs.
+    // Residual availability after the refreshed minimum shares, as the
+    // refresh left it; grown lazily to whatever horizon a candidate
+    // needs.
     std::map<JobId, SlotPlan> shares = std::move(refresh.min_shares);
-    std::vector<GpuCount> available;
+    std::vector<GpuCount> available = std::move(refresh.available);
     auto ensure_slots = [&](int horizon) {
         if (static_cast<int>(available.size()) < horizon) {
             available.resize(static_cast<std::size_t>(horizon),
                              config_.total_gpus);
         }
     };
-    for (const auto &[id, plan] : shares) {
-        ensure_slots(plan.horizon());
-        for (int s = 0; s < plan.horizon(); ++s) {
-            GpuCount &a = available[static_cast<std::size_t>(s)];
-            a -= plan.at(s);
-            EF_CHECK_MSG(a >= 0, "service over-reserved slot " << s);
-        }
-    }
 
     const bool token = governor_.try_acquire(t);
     const std::size_t batch = pending_.size();

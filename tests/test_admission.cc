@@ -1,10 +1,15 @@
 /**
  * @file
  * Tests for admission control (Algorithm 1): the paper's Figure 4
- * walkthrough, progressive-filling semantics, and the Theorem 1
- * relationship with the linear-curve closed form.
+ * walkthrough, progressive-filling semantics, the Theorem 1
+ * relationship with the linear-curve closed form, and the level-skip
+ * bound against the unbounded fill.
  */
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <sstream>
 
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -168,6 +173,127 @@ TEST(ProgressiveFill, FractionalLastSlotCountsPartially)
                                  config);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->at(0), 4);
+}
+
+/**
+ * A random curve over up to three leading memory-infeasible entries.
+ * With @p concave the envelope makes it monotone; without, throughput
+ * falls and rises again between levels.
+ */
+ScalingCurve
+random_fill_curve(Rng &rng, bool concave, double scale)
+{
+    std::vector<double> table(
+        static_cast<std::size_t>(rng.uniform_int(0, 3)), 0.0);
+    const std::int64_t valid = rng.uniform_int(1, 6);
+    for (std::int64_t k = 0; k < valid; ++k)
+        table.push_back(scale * rng.uniform_real(0.2, 5.0));
+    return ScalingCurve::from_pow2_table(table, concave);
+}
+
+/** @p x moved @p ulps representable doubles up (down if negative). */
+double
+nudge(double x, int ulps)
+{
+    const double to = ulps < 0 ? -std::numeric_limits<double>::infinity()
+                               : std::numeric_limits<double>::infinity();
+    for (int k = 0; k < std::abs(ulps); ++k)
+        x = std::nextafter(x, to);
+    return x;
+}
+
+/**
+ * The level-skip bound is exact: progressive_fill returns the plan (or
+ * nullopt) of progressive_fill_reference and charges the same cost
+ * units, across concave and non-monotone curves, both directions,
+ * start slots 0 and 1, fractional final slots, crowded and empty
+ * availability, and work set to a level's exact capacity (as the scan
+ * sums it and as the bound computes it) give or take a few ulps.
+ */
+TEST(ProgressiveFill, LevelSkipMatchesReference)
+{
+    Rng rng(2107);
+    int fills = 0, feasible = 0, infeasible = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const bool concave = rng.flip(0.5);
+        const double scales[] = {1.0, 1e3, 1e6};
+        const ScalingCurve curve = random_fill_curve(
+            rng, concave, scales[rng.uniform_int(0, 2)]);
+        PlannerConfig config;
+        config.total_gpus = static_cast<GpuCount>(rng.uniform_int(1, 64));
+        config.slot_seconds = rng.flip(0.5) ? 300.0 : 1.0;
+        config.direction = rng.flip(0.5) ? FillDirection::kEarliest
+                                         : FillDirection::kLatest;
+        PlanHorizon horizon;
+        horizon.slots = static_cast<int>(rng.uniform_int(1, 40));
+        horizon.last_weight = rng.flip(0.5) ? 1.0 : rng.uniform_real(0.0, 1.0);
+        const int start = static_cast<int>(rng.uniform_int(0, 1));
+        // Empty, crowded (often below min_workers) or mixed.
+        const int shape = static_cast<int>(rng.uniform_int(0, 2));
+        std::vector<GpuCount> available(
+            static_cast<std::size_t>(horizon.slots), config.total_gpus);
+        for (GpuCount &a : available) {
+            if (shape == 1)
+                a = static_cast<GpuCount>(rng.uniform_int(0, 4));
+            else if (shape == 2)
+                a = static_cast<GpuCount>(
+                    rng.uniform_int(0, config.total_gpus));
+        }
+
+        // Work to try: random amounts up to the widest level's
+        // capacity, and each level's exact capacity, nudged.
+        const Time dt = config.slot_seconds;
+        std::vector<double> works;
+        double peak = 0.0;
+        for (GpuCount level = curve.min_workers();
+             level != 0 && level <= curve.max_useful();
+             level = level < curve.max_useful() ? level * 2 : 0) {
+            double scanned = 0.0;
+            for (int t = start; t < horizon.slots; ++t) {
+                const GpuCount x = curve.usable(
+                    std::min(level, available[static_cast<std::size_t>(t)]));
+                scanned += curve.throughput(x) *
+                           (t == horizon.slots - 1 ? dt * horizon.last_weight
+                                                   : dt);
+            }
+            peak = std::max(peak, curve.throughput(level));
+            const double bound =
+                start < horizon.slots
+                    ? peak * fill_window_seconds(horizon, dt, start)
+                    : 0.0;
+            for (double base : {scanned, bound}) {
+                for (int ulps = -3; ulps <= 3; ++ulps) {
+                    works.push_back(nudge(base, ulps));
+                    works.push_back(nudge(base + kFillEpsilon, ulps));
+                }
+            }
+            for (int k = 0; k < 4; ++k)
+                works.push_back(rng.uniform_real(0.0, 1.2) * bound);
+        }
+
+        for (double work : works) {
+            std::uint64_t cost = 0, reference_cost = 0;
+            const std::optional<SlotPlan> got = progressive_fill(
+                curve, work, available, horizon, config, start, &cost);
+            const std::optional<SlotPlan> want = progressive_fill_reference(
+                curve, work, available, horizon, config, start,
+                &reference_cost);
+            std::ostringstream where;
+            where.precision(17);
+            where << "trial " << trial << " work " << work;
+            ASSERT_EQ(got.has_value(), want.has_value()) << where.str();
+            if (got.has_value()) {
+                EXPECT_EQ(got->gpus, want->gpus) << where.str();
+            }
+            EXPECT_EQ(cost, reference_cost) << where.str();
+            ++fills;
+            ++(want.has_value() ? feasible : infeasible);
+        }
+    }
+    // Both verdicts must be well represented for the check to mean
+    // anything.
+    EXPECT_GT(feasible, fills / 5);
+    EXPECT_GT(infeasible, fills / 5);
 }
 
 /**

@@ -103,6 +103,8 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
     EXPECT_EQ(run_cli(trace + " --noise"), 2);  // value missing
     EXPECT_EQ(run_cli("--generate cluster99 out.csv"), 2);
     EXPECT_EQ(run_cli(trace + " --gpus 16"), 0);
+    // One fault per GPU per 300 s slot is the highest rate accepted.
+    EXPECT_EQ(run_cli(trace + " --gpu-fault-rate 288"), 0);
 
     // Out-of-range values exit 2 with a message naming the flag.
     const std::string journal = testing::TempDir() + "/cli_range_journal";
@@ -131,6 +133,11 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         {"--defrag-budget -3", "--defrag-budget"},
         {"--defrag-steps -1", "--defrag-steps"},
         {"--noise -5", "--noise"},
+        // Fault rates above one per GPU per planning slot were accepted
+        // and the run then did not finish.
+        {"--gpu-fault-rate 289", "--gpu-fault-rate needs"},
+        {"--gpu-fault-rate 1e5", "--gpu-fault-rate needs"},
+        {"--gpu-fault-rate 1e300", "--gpu-fault-rate needs"},
         // NaN and infinities never parse as a value.
         {"--noise nan", "--noise"},
         {"--rpc-drop=nan", "--rpc-drop"},
