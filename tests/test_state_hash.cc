@@ -572,10 +572,12 @@ TEST(StateHash, ServiceRestoredOverStateEqualsRecompute)
  * Pinned decisions: the allocation log and per-job outcomes of the
  * two simulator runs above, plus a multi-rack run with server
  * failures, the only pin whose repacks run with servers down, plus the
- * verdicts and final counters of the serve::Service storm run. Unlike
- * the state-hash pins, these do not depend on how the hash composes the
- * simulator's or the service's state, so they must only move when a
- * decision does.
+ * verdicts and final counters of the serve::Service storm run, plus
+ * the canonical trace under chronus (fixed-size curves through the
+ * shared planning helpers) and edf+elastic (elastic allocation without
+ * admission control). Unlike the state-hash pins, these do not depend
+ * on how the hash composes the simulator's or the service's state, so
+ * they must only move when a decision does.
  */
 TEST(StateHash, PinnedDecisions)
 {
@@ -597,6 +599,12 @@ TEST(StateHash, PinnedDecisions)
          UINT64_C(0x87c6c9143db0709b)},
         {"serve::Service with arrival storm", service_decision_digest,
          UINT64_C(0xda1837d31759a350)},
+        {"canonical chronus",
+         [] { return decision_digest(run_once("chronus", 42)); },
+         UINT64_C(0x7007745d8df6d6e6)},
+        {"canonical edf+elastic",
+         [] { return decision_digest(run_once("edf+elastic", 42)); },
+         UINT64_C(0x578e83b6e0196bd3)},
     };
     for (const Pin &pin : pins) {
         SCOPED_TRACE(pin.name);
