@@ -42,14 +42,8 @@ record_kind_name(RecordKind kind)
         return "submission";
     case RecordKind::kVerdict:
         return "verdict";
-    case RecordKind::kPlanCommit:
-        return "plan-commit";
-    case RecordKind::kFault:
-        return "fault";
     case RecordKind::kAdvance:
         return "advance";
-    case RecordKind::kDefrag:
-        return "defrag";
     case RecordKind::kHead:
         return "head";
     }

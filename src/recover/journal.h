@@ -35,12 +35,16 @@ namespace ef::recover {
 /** "EFJL" little-endian: ElasticFlow JournaL. */
 constexpr std::uint32_t kJournalMagic = 0x4c4a4645u;
 /** 2: record bodies use the recover/fields.h value encoding.
- *  3: word-at-a-time checksums; the first record is a kHead. */
-constexpr std::uint32_t kJournalVersion = 3;
+ *  3: word-at-a-time checksums; the first record is a kHead.
+ *  4: the plan-commit, fault and defrag kinds are gone (nothing read
+ *     them back); the simulator writes only round commits. */
+constexpr std::uint32_t kJournalVersion = 4;
 
 /**
  * Record kinds shared by the simulator and the serve-mode front end.
- * Values are part of the on-disk format; append only.
+ * The simulator writes kHead and kRoundCommit only; the service also
+ * writes kSubmission, kVerdict and kAdvance. Values are part of the
+ * on-disk format: never reuse a removed one (4, 5, 7).
  */
 enum class RecordKind : std::uint8_t {
     /**
@@ -53,14 +57,8 @@ enum class RecordKind : std::uint8_t {
     kSubmission = 2,
     /** An admission/shed verdict that was issued to the caller. */
     kVerdict = 3,
-    /** A committed allocation plan (job → GPU count pairs). */
-    kPlanCommit = 4,
-    /** An injected fault observed by the control plane. */
-    kFault = 5,
     /** An explicit external clock advance (serve mode only). */
     kAdvance = 6,
-    /** A committed background-defrag move batch (DESIGN.md §14). */
-    kDefrag = 7,
     /**
      * First record of every journal: the snapshot chain it pairs with
      * (generation, segment count, bytes, last checksum), then the live

@@ -13,7 +13,7 @@ ChronusScheduler::admit(const JobSpec &job)
     PlannerConfig config =
         planner_config_for(*view_, 600.0, FillDirection::kEarliest);
     return admission_feasible(*view_, config, PlanningMargin{0.02, 60.0},
-                              job, /*fixed_size=*/true, &round_);
+                              job, /*fixed_size=*/true);
 }
 
 SchedulerDecision
@@ -23,8 +23,7 @@ ChronusScheduler::allocate()
     PlannerConfig config =
         planner_config_for(*view_, 600.0, FillDirection::kEarliest);
     return elastic_allocate(*view_, config, PlanningMargin{0.02, 60.0},
-                            /*fixed_size=*/true, &replan_failures_,
-                            &round_);
+                            /*fixed_size=*/true, &replan_failures_);
 }
 
 }  // namespace ef

@@ -29,12 +29,6 @@ class ChronusScheduler : public Scheduler
     SchedulerDecision allocate() override;
 
     Time reschedule_interval() const override { return 600.0; }
-    int replan_failures() const override { return replan_failures_; }
-
-  private:
-    int replan_failures_ = 0;
-    /** Shared admit()/allocate() planner view of the current round. */
-    PlanningRound round_;
 };
 
 }  // namespace ef

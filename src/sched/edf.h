@@ -44,11 +44,9 @@ class EdfScheduler : public Scheduler
     {
         return variant_ == EdfVariant::kWithElastic;
     }
-    int replan_failures() const override { return replan_failures_; }
 
   private:
     EdfVariant variant_;
-    int replan_failures_ = 0;
 };
 
 }  // namespace ef

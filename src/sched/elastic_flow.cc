@@ -32,7 +32,7 @@ ElasticFlowScheduler::admit(const JobSpec &job)
     config.total_gpus = std::max<GpuCount>(
         1, config.total_gpus - config_.failure_headroom_gpus);
     if (!admission_feasible(*view_, config, margin, job,
-                            /*fixed_size=*/false, &round_, &demoted_)) {
+                            /*fixed_size=*/false, &demoted_)) {
         return false;
     }
     if (policy_ != nullptr) {
@@ -56,8 +56,7 @@ ElasticFlowScheduler::allocate()
     std::vector<JobId> hard_parked;
     SchedulerDecision decision = elastic_allocate(
         *view_, planner_config(), margin,
-        /*fixed_size=*/false, &replan_failures_, &round_, &demoted_,
-        &hard_parked);
+        /*fixed_size=*/false, &replan_failures_, &demoted_, &hard_parked);
     if (view_->fault_epoch() > 0) {
         // A hard-SLO job whose deadline no longer fits after a fault
         // shrank capacity is demoted to best-effort, exactly once. On

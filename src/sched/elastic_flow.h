@@ -96,13 +96,6 @@ class ElasticFlowScheduler : public Scheduler
     bool allow_migration() const override { return true; }
 
     /**
-     * Times allocate() found an admitted job unable to meet its
-     * deadline under the current plan (possible only through modelled
-     * overhead drift; should stay 0 with the default margin).
-     */
-    int replan_failures() const override { return replan_failures_; }
-
-    /**
      * Hard-SLO jobs whose deadline became unmeetable after a fault
      * shrank the cluster (view_->fault_epoch() > 0): each is demoted
      * to best-effort exactly once and reported here exactly once.
@@ -110,11 +103,9 @@ class ElasticFlowScheduler : public Scheduler
     std::vector<JobId> take_demotions() override;
 
     /**
-     * Crash recovery (DESIGN.md §12): the only state carried across
-     * rounds that future decisions depend on is the replan-failure
-     * count and the exactly-once demotion bookkeeping; the planning
-     * round cache is rebuilt from the view without affecting
-     * decisions.
+     * Crash recovery (DESIGN.md §12): the state carried across rounds
+     * is the replan-failure count and the exactly-once demotion
+     * bookkeeping.
      */
     void encode_recovery_state(std::string *out) const override;
     bool decode_recovery_state(const std::string &blob) override;
@@ -124,9 +115,6 @@ class ElasticFlowScheduler : public Scheduler
 
     ElasticFlowConfig config_;
     AdmissionPolicy *policy_ = nullptr;
-    int replan_failures_ = 0;
-    /** Shared admit()/allocate() planner view of the current round. */
-    PlanningRound round_;
     /** Every job ever demoted (exactly-once guard). */
     std::set<JobId> demoted_;
     /** Demotions not yet drained by take_demotions(). */

@@ -49,77 +49,24 @@ planner_config_for(const ClusterView &view, Time slot_seconds,
     return config;
 }
 
-const PlanningRound::Jobs &
-PlanningRound::jobs(const ClusterView &view, const PlanningMargin &margin,
-                    bool fixed_size)
-{
-    Key key;
-    key.now = view.now();
-    key.relative = margin.relative;
-    key.allowance = margin.overhead_allowance_s;
-    key.fixed_size = fixed_size;
-    for (JobId id : view.active_jobs()) {
-        double remaining = view.remaining_iterations(id);
-        if (remaining <= 0.0)
-            continue;
-        key.jobs.push_back(JobKey{id, remaining, view.spec(id).deadline});
-    }
-    if (filled_ && key == key_)
-        return jobs_;
-
-    jobs_.slo.clear();
-    jobs_.best_effort.clear();
-    for (const JobKey &jk : key.jobs) {
-        if (view.spec(jk.id).is_best_effort()) {
-            jobs_.best_effort.push_back(
-                fixed_size ? to_fixed_planning_job(view, jk.id, {})
-                           : to_planning_job(view, jk.id, {}));
-        } else {
-            jobs_.slo.push_back(
-                fixed_size ? to_fixed_planning_job(view, jk.id, margin)
-                           : to_planning_job(view, jk.id, margin));
-        }
-    }
-    key_ = std::move(key);
-    filled_ = true;
-    return jobs_;
-}
-
 bool
 admission_feasible(const ClusterView &view, const PlannerConfig &config,
                    const PlanningMargin &margin, const JobSpec &candidate,
-                   bool fixed_size, PlanningRound *round,
-                   const std::set<JobId> *exclude)
+                   bool fixed_size, const std::set<JobId> *exclude)
 {
     EF_CHECK(!candidate.is_best_effort());
-    auto excluded = [exclude](JobId id) {
-        return exclude != nullptr && exclude->count(id) > 0;
-    };
     std::vector<PlanningJob> jobs;
-    if (round != nullptr) {
-        // Soft-deadline jobs are cached in the SLO list (the allocator
-        // wants them there) but never reserve capacity against a hard
-        // admission (§4.4); demoted jobs lost their guarantee the same
-        // way.
-        for (const PlanningJob &job :
-             round->jobs(view, margin, fixed_size).slo) {
-            if (!job.soft && !excluded(job.id))
-                jobs.push_back(job);
-        }
-    } else {
-        for (JobId id : view.active_jobs()) {
-            const JobSpec &spec = view.spec(id);
-            // Best-effort, soft-deadline, and demoted jobs never
-            // reserve capacity against a hard admission (§4.4).
-            if (spec.is_best_effort() || spec.has_soft_deadline() ||
-                excluded(id))
-                continue;
-            if (view.remaining_iterations(id) <= 0.0)
-                continue;
-            jobs.push_back(fixed_size
-                               ? to_fixed_planning_job(view, id, margin)
-                               : to_planning_job(view, id, margin));
-        }
+    for (JobId id : view.active_jobs()) {
+        const JobSpec &spec = view.spec(id);
+        // Best-effort, soft-deadline, and demoted jobs never reserve
+        // capacity against a hard admission (§4.4).
+        if (spec.is_best_effort() || spec.has_soft_deadline() ||
+            (exclude != nullptr && exclude->count(id) > 0))
+            continue;
+        if (view.remaining_iterations(id) <= 0.0)
+            continue;
+        jobs.push_back(fixed_size ? to_fixed_planning_job(view, id, margin)
+                                  : to_planning_job(view, id, margin));
     }
     PlanningJob cand;
     cand.id = candidate.id;
@@ -292,8 +239,7 @@ refresh_min_shares(const PlannerConfig &config, Time now,
 SchedulerDecision
 elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
                  const PlanningMargin &margin, bool fixed_size,
-                 int *replan_failures, PlanningRound *round,
-                 const std::set<JobId> *demoted,
+                 int *replan_failures, const std::set<JobId> *demoted,
                  std::vector<JobId> *hard_parked)
 {
     PlannerConfig config = base_config;
@@ -308,26 +254,19 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
 
     std::vector<PlanningJob> slo;
     std::vector<PlanningJob> best_effort;
-    if (round != nullptr) {
-        const PlanningRound::Jobs &cached =
-            round->jobs(view, margin, fixed_size);
-        slo = cached.slo;
-        best_effort = cached.best_effort;
-    } else {
-        for (JobId id : view.active_jobs()) {
-            if (view.remaining_iterations(id) <= 0.0)
-                continue;
-            if (view.spec(id).is_best_effort()) {
-                // Best-effort jobs never carry the margin (no
-                // guarantee to protect).
-                best_effort.push_back(
-                    fixed_size ? to_fixed_planning_job(view, id, {})
-                               : to_planning_job(view, id, {}));
-            } else {
-                slo.push_back(
-                    fixed_size ? to_fixed_planning_job(view, id, margin)
-                               : to_planning_job(view, id, margin));
-            }
+    for (JobId id : view.active_jobs()) {
+        if (view.remaining_iterations(id) <= 0.0)
+            continue;
+        if (view.spec(id).is_best_effort()) {
+            // Best-effort jobs never carry the margin (no guarantee to
+            // protect).
+            best_effort.push_back(fixed_size
+                                      ? to_fixed_planning_job(view, id, {})
+                                      : to_planning_job(view, id, {}));
+        } else {
+            slo.push_back(fixed_size
+                              ? to_fixed_planning_job(view, id, margin)
+                              : to_planning_job(view, id, margin));
         }
     }
 

@@ -10,6 +10,10 @@
  * with fixed-size curves. Failure-aware policies additionally pass the
  * set of jobs already demoted to best-effort (they stop reserving SLO
  * capacity) and collect the hard-SLO jobs newly parked by a refresh.
+ *
+ * Every call builds its job lists afresh from the view: the job set or
+ * the clock changes between any two calls of a run, so a cache of the
+ * lists keyed by that state never hits.
  */
 #ifndef EF_SCHED_PLANNING_UTIL_H_
 #define EF_SCHED_PLANNING_UTIL_H_
@@ -57,68 +61,16 @@ PlannerConfig planner_config_for(const ClusterView &view,
                                  FillDirection direction);
 
 /**
- * Cached per-round planner view of the active jobs.
- *
- * Admission checks and the allocation pass of one scheduling round
- * previously each rebuilt the PlanningJob lists from the cluster view,
- * copying every job's scaling curve per call. A PlanningRound caches
- * the built lists keyed by a snapshot of everything they derive from
- * (time, margin, job set, remaining work, deadlines) and rebuilds only
- * when that snapshot goes stale. Relies on a job's scaling curve being
- * immutable while the job is active, which every ClusterView in this
- * repo guarantees (curves are fixed at job arrival).
- */
-class PlanningRound
-{
-  public:
-    /** The lists exactly as the planner consumes them. */
-    struct Jobs
-    {
-        /** Deadline (hard and soft) jobs, margin applied. */
-        std::vector<PlanningJob> slo;
-        /** Best-effort jobs, no margin (no guarantee to protect). */
-        std::vector<PlanningJob> best_effort;
-    };
-
-    /** Planner view of @p view, rebuilt iff the snapshot went stale. */
-    const Jobs &jobs(const ClusterView &view,
-                     const PlanningMargin &margin, bool fixed_size);
-
-  private:
-    struct JobKey
-    {
-        JobId id = kInvalidJob;
-        double remaining = 0.0;
-        Time deadline = 0.0;
-        bool operator==(const JobKey &) const = default;
-    };
-    struct Key
-    {
-        Time now = 0.0;
-        double relative = 0.0;
-        double allowance = 0.0;
-        bool fixed_size = false;
-        std::vector<JobKey> jobs;
-        bool operator==(const Key &) const = default;
-    };
-
-    bool filled_ = false;
-    Key key_;
-    Jobs jobs_;
-};
-
-/**
  * Admission check (Algorithm 1) of @p candidate against all active SLO
  * jobs. With @p fixed_size, jobs use their requested GPU counts
- * (Chronus semantics); otherwise full elastic curves. With @p round,
- * the active-job list is served from the round cache instead of being
- * rebuilt from the view.
+ * (Chronus semantics); otherwise full elastic curves. Jobs in
+ * @p exclude (demoted ones) reserve nothing, like best-effort and
+ * soft-deadline jobs.
  */
 bool admission_feasible(const ClusterView &view,
                         const PlannerConfig &config,
                         const PlanningMargin &margin,
                         const JobSpec &candidate, bool fixed_size,
-                        PlanningRound *round = nullptr,
                         const std::set<JobId> *exclude = nullptr);
 
 /**
@@ -176,18 +128,16 @@ MinShareRefresh refresh_min_shares(const PlannerConfig &config, Time now,
  * (possible without admission control, or through overhead drift) are
  * kept running under a progressively relaxed deadline and counted in
  * @p replan_failures. With @p fixed_size, every job's curve is pinned
- * to its requested GPU count. With @p round, the active-job list is
- * served from the round cache instead of being rebuilt from the view.
- * Jobs in @p demoted plan as best-effort regardless of their spec;
- * hard-SLO jobs the refresh had to park (deadline unmeetable even
- * relaxed) are appended to @p hard_parked when given.
+ * to its requested GPU count. Jobs in @p demoted plan as best-effort
+ * regardless of their spec; hard-SLO jobs the refresh had to park
+ * (deadline unmeetable even relaxed) are appended to @p hard_parked
+ * when given.
  */
 SchedulerDecision elastic_allocate(const ClusterView &view,
                                    const PlannerConfig &config,
                                    const PlanningMargin &margin,
                                    bool fixed_size,
                                    int *replan_failures,
-                                   PlanningRound *round = nullptr,
                                    const std::set<JobId> *demoted = nullptr,
                                    std::vector<JobId> *hard_parked =
                                        nullptr);

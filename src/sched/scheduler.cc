@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include "common/check.h"
+#include "recover/fields.h"
 #include "sched/chronus.h"
 #include "sched/edf.h"
 #include "sched/elastic_flow.h"
@@ -10,6 +11,18 @@
 #include "sched/tiresias.h"
 
 namespace ef {
+
+void
+Scheduler::encode_recovery_state(std::string *out) const
+{
+    *out = recover::encode(replan_failures_);
+}
+
+bool
+Scheduler::decode_recovery_state(const std::string &blob)
+{
+    return recover::decode(blob, replan_failures_).ok();
+}
 
 std::unique_ptr<Scheduler>
 make_scheduler(const std::string &name)

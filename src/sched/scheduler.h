@@ -115,7 +115,7 @@ class Scheduler
      * Times the policy found an admitted job's deadline no longer
      * satisfiable during replanning (deadline-aware policies only).
      */
-    virtual int replan_failures() const { return 0; }
+    virtual int replan_failures() const { return replan_failures_; }
 
     /**
      * SLO jobs the policy demoted to best-effort since the last call
@@ -138,29 +138,24 @@ class Scheduler
 
     /**
      * Serialize the policy state that must survive a crash (DESIGN.md
-     * §12): anything carried across rounds that influences future
-     * decisions and is not rebuilt from the ClusterView. Stateless
-     * policies (the default) encode nothing.
+     * §12): anything carried across rounds that is reported or
+     * influences future decisions and is not rebuilt from the
+     * ClusterView. The default encodes the replan-failure count; a
+     * policy with more such state encodes it together with the count.
      */
-    virtual void
-    encode_recovery_state(std::string *out) const
-    {
-        out->clear();
-    }
+    virtual void encode_recovery_state(std::string *out) const;
 
     /**
      * Restore state captured by encode_recovery_state(). Returns false
      * when the blob is incompatible with this policy (the recovery
      * driver surfaces that as a typed state-mismatch error).
      */
-    virtual bool
-    decode_recovery_state(const std::string &blob)
-    {
-        return blob.empty();
-    }
+    virtual bool decode_recovery_state(const std::string &blob);
 
   protected:
     const ClusterView *view_ = nullptr;
+    /** Backs replan_failures(); counted by the planning passes. */
+    int replan_failures_ = 0;
 };
 
 /**

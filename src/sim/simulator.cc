@@ -814,8 +814,6 @@ Simulator::handle_server_down(const Event &event)
     placement_.set_server_available(server, false);
     view_dirty_ = true;  // capacity shrank; victims lost their GPUs
     ++fault_epoch_;
-    journal_append(recover::RecordKind::kFault, now_, FaultType::kServerCrash,
-                   server);
     obs::emit({now_, obs::EventKind::kServerDown, kInvalidJob, server,
                static_cast<std::int64_t>(victims.size())});
     obs::count("sim.faults.server_down");
@@ -850,8 +848,6 @@ Simulator::handle_gpu_down(const Event &event)
     ++result_.gpu_faults;
     ++fault_epoch_;
     view_dirty_ = true;
-    journal_append(recover::RecordKind::kFault, now_, FaultType::kGpuFault,
-                   gpu);
     obs::emit({now_, obs::EventKind::kGpuDown, kInvalidJob, gpu,
                victim != kInvalidJob ? 1 : 0});
     obs::count("sim.faults.gpu_down");
@@ -995,17 +991,22 @@ Simulator::recover_state(const std::string &snapshot,
     if (!st.ok())
         return st;
 
-    // Collect the round commits the re-execution must reproduce. Delta
-    // records (submissions, verdicts, plan commits, faults) are the
-    // audit trail; re-execution regenerates their effects from the
-    // snapshot, so only the commit hashes are needed for verification.
+    // Collect the round commits the re-execution must reproduce.
+    // Re-execution regenerates everything else from the snapshot, so
+    // the simulator journals nothing but these; any other kind after
+    // the head is a journal this simulator did not write.
     replay_.clear();
-    replay_journal_records_ = tail.records.size();
     recovered_journal_bytes_ = tail.valid_bytes;
     for (std::size_t i = 0; i < tail.records.size(); ++i) {
         const recover::JournalRecord &rec = tail.records[i];
-        if (rec.kind != RecordKind::kRoundCommit)
-            continue;
+        if (rec.kind != RecordKind::kRoundCommit) {
+            return Status::error(
+                ErrorCode::kBadRecord,
+                std::string("unexpected ") +
+                    recover::record_kind_name(rec.kind) +
+                    " record in a simulator journal",
+                static_cast<std::int64_t>(i));
+        }
         ReplayCommit rc;
         if (!recover::decode(rec.body, rc).ok()) {
             return Status::error(ErrorCode::kBadRecord,
@@ -1032,10 +1033,11 @@ Simulator::recover_state(const std::string &snapshot,
         sched_crash_cursor_ = replay_.back().crash_cursor;
     }
     recovered_ = true;
+    // Every record read is a round commit to re-execute.
     obs::emit({now_, obs::EventKind::kRecoveryBegin, kInvalidJob,
-               static_cast<std::int64_t>(replay_journal_records_),
+               static_cast<std::int64_t>(replay_.size()),
                static_cast<std::int64_t>(replay_.size())});
-    obs::count("recover.journal_records", replay_journal_records_);
+    obs::count("recover.journal_records", replay_.size());
     if (replay_.empty())
         finish_recovery();  // nothing to re-execute; resume directly
     return Status{};
@@ -1065,19 +1067,7 @@ Simulator::finish_recovery()
     // Deterministic replay cost: journal records re-applied. (A
     // wall-clock replay_ms would break byte-identical obs dumps.)
     obs::observe("recover.replay_cost_units", kReplayEdges,
-                 static_cast<double>(replay_journal_records_));
-}
-
-template <class... T>
-void
-Simulator::journal_append(recover::RecordKind kind, const T &...fields)
-{
-    if (durable_ == nullptr || replaying())
-        return;
-    recover::Status st =
-        durable_->append(kind, recover::encode(fields...));
-    EF_FATAL_IF(!st.ok(),
-                "durability: journal append failed: " << st.to_string());
+                 static_cast<double>(replay_.size()));
 }
 
 void
@@ -1124,10 +1114,13 @@ Simulator::commit_round(bool terminal)
             will_crash = true;
     }
 
-    journal_append(recover::RecordKind::kRoundCommit,
-                   ReplayCommit{round, now_, result_.state_hash,
-                                sched_crash_cursor_, terminal});
-    recover::Status st = durable_->commit();
+    recover::Status st = durable_->append(
+        recover::RecordKind::kRoundCommit,
+        recover::encode(ReplayCommit{round, now_, result_.state_hash,
+                                     sched_crash_cursor_, terminal}));
+    EF_FATAL_IF(!st.ok(),
+                "durability: journal append failed: " << st.to_string());
+    st = durable_->commit();
     EF_FATAL_IF(!st.ok(),
                 "durability: round commit failed: " << st.to_string());
     obs::count("recover.journal_records");
@@ -1250,7 +1243,6 @@ Simulator::flush_replan()
     SchedulerDecision decision = scheduler_->allocate();
     view_dirty_ = false;
     last_decision_time_ = now_;
-    journal_append(recover::RecordKind::kPlanCommit, now_, decision.gpus);
     apply_decision(decision);
     const std::size_t resizes =
         result_.allocation_log.size() - log_before;
@@ -1341,9 +1333,6 @@ Simulator::maybe_defrag()
     const defrag::DefragPlan plan =
         defrag_->plan_round(placement_, eligible);
     if (!plan.moves.empty()) {
-        // Audit trail: the accepted batch, journaled before it takes
-        // effect (replay regenerates it by re-running the SA round).
-        journal_append(recover::RecordKind::kDefrag, now_, plan.moves);
         placement_.apply_moves(plan.moves);
         for (const Migration &m : plan.moves) {
             JobRt &moved = rt(m.job);
@@ -1411,14 +1400,12 @@ Simulator::record_fragmentation()
 void
 Simulator::handle_arrival(JobId id)
 {
-    journal_append(recover::RecordKind::kSubmission, id, now_);
     JobRt &job = rt(id);
     EF_CHECK_MSG(!job.arrived, "second arrival of job " << id);
     obs::emit({now_, obs::EventKind::kJobSubmit, id,
                job.spec.requested_gpus});
     obs::count("sim.jobs.submitted");
     const bool admitted = scheduler_->admit(job.spec);
-    journal_append(recover::RecordKind::kVerdict, id, now_, admitted);
     const std::size_t slot = slot_of(job);
     active_.unseal(slot, job);  // leaves the not-yet-arrived jobs
     job.arrived = true;

@@ -285,10 +285,6 @@ class Simulator : public ClusterView
     void commit_round(bool terminal);
     /** Replay verified: re-anchor the log at the recovered state. */
     void finish_recovery();
-    /** Append one record whose body is @p fields, in order (no-op
-     *  without a log or while replaying). */
-    template <class... T>
-    void journal_append(recover::RecordKind kind, const T &...fields);
     /** Re-executing journaled rounds (journaling suppressed). */
     bool replaying() const { return replay_next_ < replay_.size(); }
 
@@ -355,8 +351,6 @@ class Simulator : public ClusterView
     /** Round commits awaiting re-execution verification. */
     std::vector<ReplayCommit> replay_;
     std::size_t replay_next_ = 0;
-    /** Journal records read at recovery (for obs accounting). */
-    std::uint64_t replay_journal_records_ = 0;
     /** Valid journal bytes at recovery: where post-replay appends
      *  resume, so the pre-crash tail stays recoverable until the next
      *  base subsumes it. */

@@ -247,65 +247,5 @@ TEST(RefreshMinShares, RelaxedReservationStaysInsideRelaxedHorizon)
     }
 }
 
-TEST(PlanningRound, CachesUntilViewStateChanges)
-{
-    JobSpec be = spec_of(2, DnnModel::kVgg16, 256, 8, 50000,
-                         kTimeInfinity);
-    be.kind = JobKind::kBestEffort;
-    FakeView view(
-        TopologySpec::testbed_32(),
-        {spec_of(1, DnnModel::kResNet50, 128, 4, 40000, 4.0 * kHour),
-         be});
-    PlanningMargin margin{0.05, 60.0};
-    PlanningRound round;
-    const PlanningRound::Jobs &first = round.jobs(view, margin, false);
-    ASSERT_EQ(first.slo.size(), 1u);
-    ASSERT_EQ(first.best_effort.size(), 1u);
-    const PlanningJob *slo_addr = first.slo.data();
-
-    // Same snapshot: served from cache (vector storage unchanged).
-    const PlanningRound::Jobs &again = round.jobs(view, margin, false);
-    EXPECT_EQ(again.slo.data(), slo_addr);
-
-    // Progress moves remaining work: the round must rebuild.
-    view.set_remaining(1, 30000.0);
-    const PlanningRound::Jobs &rebuilt = round.jobs(view, margin, false);
-    ASSERT_EQ(rebuilt.slo.size(), 1u);
-    EXPECT_DOUBLE_EQ(rebuilt.slo[0].remaining_iterations,
-                     margin.inflate(30000.0, rebuilt.slo[0].curve));
-
-    // A different margin is a different snapshot too.
-    const PlanningRound::Jobs &other =
-        round.jobs(view, PlanningMargin{}, false);
-    EXPECT_DOUBLE_EQ(other.slo[0].remaining_iterations, 30000.0);
-}
-
-TEST(PlanningRound, SharedRoundMatchesUncachedPlanning)
-{
-    FakeView view(
-        TopologySpec::testbed_32(),
-        {spec_of(1, DnnModel::kResNet50, 128, 4, 40000, 4.0 * kHour),
-         spec_of(2, DnnModel::kVgg16, 256, 8, 60000, 6.0 * kHour)});
-    PlannerConfig config =
-        planner_config_for(view, 300.0, FillDirection::kEarliest);
-    PlanningMargin margin{0.05, 60.0};
-    JobSpec candidate = spec_of(3, DnnModel::kBert, 32, 4, 20000,
-                                5.0 * kHour);
-
-    PlanningRound round;
-    EXPECT_EQ(
-        admission_feasible(view, config, margin, candidate, false),
-        admission_feasible(view, config, margin, candidate, false,
-                           &round));
-    int failures_a = 0;
-    int failures_b = 0;
-    SchedulerDecision plain = elastic_allocate(
-        view, config, margin, false, &failures_a);
-    SchedulerDecision cached = elastic_allocate(
-        view, config, margin, false, &failures_b, &round);
-    EXPECT_EQ(plain.gpus, cached.gpus);
-    EXPECT_EQ(failures_a, failures_b);
-}
-
 }  // namespace
 }  // namespace ef
