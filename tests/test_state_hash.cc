@@ -126,6 +126,17 @@ multi_rack_server_failures()
     return sim.run();
 }
 
+/** The large testbed trace under @p scheduler_name: oversubscribed,
+ *  so Gandiva time-slices (its rotation decides who runs). */
+RunResult
+testbed_large(const std::string &scheduler_name)
+{
+    Trace trace = TraceGenerator::generate(testbed_large_preset());
+    auto scheduler = make_scheduler(scheduler_name);
+    Simulator sim(trace, scheduler.get(), SimConfig{});
+    return sim.run();
+}
+
 /**
  * Digest of what a run decided, independent of how the simulator
  * represents its state: every placement change in the allocation log,
@@ -605,6 +616,9 @@ TEST(StateHash, PinnedDecisions)
         {"canonical edf+elastic",
          [] { return decision_digest(run_once("edf+elastic", 42)); },
          UINT64_C(0x578e83b6e0196bd3)},
+        {"testbed-large gandiva (time-slicing)",
+         [] { return decision_digest(testbed_large("gandiva")); },
+         UINT64_C(0xf79207de500a4b11)},
     };
     for (const Pin &pin : pins) {
         SCOPED_TRACE(pin.name);
