@@ -134,7 +134,7 @@ BM_AllocationLargeObs(benchmark::State &state, bool recorder)
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            run_allocation(config, 0.0, jobs, admission.plans, {}));
+            run_allocation(config, 0.0, admission.ledger, {}));
     }
 }
 BENCHMARK_CAPTURE(BM_AllocationLargeObs, recorder_off, false)

@@ -53,12 +53,13 @@ main()
         std::vector<PlanningJob> jobs = {make_job(1, 3.0, 3.0),
                                          make_job(2, 3.0, 3.5)};
         AdmissionOutcome admission = run_admission(config, 0.0, jobs);
+        const std::vector<PlanningJob> &rows = admission.ledger.jobs;
         AllocationOutcome outcome =
-            run_allocation(config, 0.0, jobs, admission.plans, {});
+            run_allocation(config, 0.0, admission.ledger, {});
         ConsoleTable table({"job", "deadline", "gpus-now", "finish",
                             "met?"});
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const PlanningJob &job = jobs[i];
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const PlanningJob &job = rows[i];
             Time finish = plan_finish_seconds(
                 job.curve, outcome.plans[i], job.remaining_iterations, 1.0);
             table.add_row({job.id == 1 ? "A" : "B",

@@ -69,7 +69,7 @@ BM_ResourceAllocation(benchmark::State &state)
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            run_allocation(config, 0.0, jobs, admission.plans, {}));
+            run_allocation(config, 0.0, admission.ledger, {}));
     }
 }
 BENCHMARK(BM_ResourceAllocation)->Arg(8)->Arg(32);
@@ -104,11 +104,11 @@ BM_ResourceAllocationLarge(benchmark::State &state, Impl mode)
         switch (mode) {
           case Impl::kReference:
             benchmark::DoNotOptimize(run_allocation_reference(
-                config, 0.0, jobs, admission.plans, {}));
+                config, 0.0, admission.ledger, {}));
             break;
           case Impl::kIncremental:
             benchmark::DoNotOptimize(run_allocation(
-                config, 0.0, jobs, admission.plans, {}));
+                config, 0.0, admission.ledger, {}));
             break;
         }
     }

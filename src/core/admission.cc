@@ -109,14 +109,33 @@ progressive_fill_reference(const ScalingCurve &curve,
                               horizon, config, start_slot, cost);
 }
 
-std::optional<SlotPlan>
-progressive_fill(const PlanningJob &job,
-                 const std::vector<GpuCount> &available,
-                 const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot, std::uint64_t *cost)
+bool
+ShareLedger::reserve(PlanningJob &&job, const PlanHorizon &horizon,
+                     const PlannerConfig &config, std::uint64_t *cost)
 {
-    return progressive_fill(job.curve, job.remaining_iterations,
-                            available, horizon, config, start_slot, cost);
+    const std::size_t had = available.size();
+    if (horizon.slots > static_cast<int>(had)) {
+        available.resize(static_cast<std::size_t>(horizon.slots),
+                         config.total_gpus);
+    }
+    std::optional<SlotPlan> plan =
+        progressive_fill(job.curve, job.remaining_iterations, available,
+                         horizon, config, /*start_slot=*/0, cost);
+    if (!plan.has_value()) {
+        available.resize(had);
+        return false;
+    }
+    // A fill never reserves past the horizon it was computed for; the
+    // allocator's scratch buffers rely on it.
+    EF_CHECK(plan->horizon() <= horizon.slots);
+    for (int t = 0; t < plan->horizon(); ++t) {
+        GpuCount &a = available[static_cast<std::size_t>(t)];
+        a -= plan->at(t);
+        EF_CHECK_MSG(a >= 0, "minimum shares over-allocated slot " << t);
+    }
+    jobs.push_back(std::move(job));
+    plans.push_back(std::move(*plan));
+    return true;
 }
 
 AdmissionOutcome
@@ -132,54 +151,41 @@ run_admission(const PlannerConfig &config, Time now,
                              return a.deadline < b.deadline;
                          return a.id < b.id;
                      });
-
-    int max_horizon = 0;
-    std::vector<PlanHorizon> horizons(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const PlanningJob &job = jobs[i];
+    for (const PlanningJob &job : jobs) {
         EF_CHECK_MSG(!job.best_effort(),
                      "best-effort job " << job.id
                                         << " passed to admission control");
-        horizons[i] = plan_horizon(now, job.deadline, config.slot_seconds,
-                                   config.max_slots);
-        max_horizon = std::max(max_horizon, horizons[i].slots);
     }
 
     obs::count("core.admission.runs");
-    std::vector<GpuCount> available(static_cast<std::size_t>(max_horizon),
-                                    config.total_gpus);
+    ShareLedger &ledger = outcome.ledger;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const PlanningJob &job = jobs[i];
-        auto plan = progressive_fill(job, available, horizons[i], config,
-                                     /*start_slot=*/0, &outcome.cost);
-        if (!plan.has_value()) {
+        const JobId id = jobs[i].id;
+        const Time deadline = jobs[i].deadline;
+        const PlanHorizon horizon = plan_horizon(
+            now, deadline, config.slot_seconds, config.max_slots);
+        if (!ledger.reserve(std::move(jobs[i]), horizon, config,
+                            &outcome.cost)) {
             obs::count("core.admission.infeasible");
             if (obs::tracing()) {
-                obs::emit({now, obs::EventKind::kAdmissionOutcome,
-                           job.id, /*feasible=*/0,
-                           static_cast<std::int64_t>(i)});
+                obs::emit({now, obs::EventKind::kAdmissionOutcome, id,
+                           /*feasible=*/0, static_cast<std::int64_t>(i)});
             }
-            return outcome;  // infeasible; plans discarded
+            return outcome;  // infeasible; the ledger stops here
         }
         if (obs::tracing()) {
             // The job's minimum satisfactory share, reported as the
             // peak GPU level of the filled plan.
-            GpuCount peak = 0;
-            for (int t = 0; t < plan->horizon(); ++t)
-                peak = std::max(peak, plan->at(t));
-            obs::TraceEvent share{now, obs::EventKind::kAdmissionShare,
-                                  job.id, peak,
-                                  static_cast<std::int64_t>(
-                                      plan->horizon())};
-            share.x = job.deadline;
+            const std::vector<GpuCount> &plan = ledger.plans.back().gpus;
+            const GpuCount peak =
+                plan.empty() ? 0
+                             : *std::max_element(plan.begin(), plan.end());
+            obs::TraceEvent share{now, obs::EventKind::kAdmissionShare, id,
+                                  peak,
+                                  static_cast<std::int64_t>(plan.size())};
+            share.x = deadline;
             obs::emit(share);
         }
-        for (int t = 0; t < plan->horizon(); ++t) {
-            GpuCount &a = available[static_cast<std::size_t>(t)];
-            a -= plan->at(t);
-            EF_CHECK_MSG(a >= 0, "admission over-allocated slot " << t);
-        }
-        outcome.plans.emplace(job.id, std::move(*plan));
     }
     outcome.feasible = true;
     if (obs::tracing()) {

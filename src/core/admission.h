@@ -16,7 +16,6 @@
 #define EF_CORE_ADMISSION_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -38,22 +37,6 @@ struct PlannerConfig
     FillDirection direction = FillDirection::kEarliest;
     /** Upper bound on planning horizon slots (guards runaway input). */
     int max_slots = 1 << 16;
-};
-
-/** Result of Algorithm 1 over a job set. */
-struct AdmissionOutcome
-{
-    bool feasible = false;
-    /** Minimum-satisfactory-share plan per job (iff feasible). */
-    std::map<JobId, SlotPlan> plans;
-    /**
-     * Planning cost of this pass in deterministic work units (one unit
-     * per slot touched by progressive filling, summed over all level
-     * attempts of all jobs). A pure function of the input — never of
-     * wall clock — so cost-based policies (the service watchdog)
-     * replay identically.
-     */
-    std::uint64_t cost = 0;
 };
 
 /** Tolerance on "remaining iterations satisfied" tests of a fill. */
@@ -91,11 +74,12 @@ level_cannot_finish(double peak_throughput, double window_seconds,
 /**
  * ProgressiveFilling for one job: the smallest GPU level whose
  * per-slot allocation min(level, available) finishes
- * @p job.remaining_iterations within the horizon (the final slot
- * contributes only its usable fraction). Slots [0, start_slot) are
- * untouched (used by Algorithm 2's re-fill with a fixed slot-0
- * allocation). @p available lists free GPUs per slot and must cover
- * horizon.slots entries.
+ * @p remaining_iterations of a job scaling by @p curve within the
+ * horizon (the final slot contributes only its usable fraction). Slots
+ * [0, start_slot) are untouched (used by Algorithm 2's re-fill with a
+ * fixed slot-0 allocation and an adjusted remaining-iterations value).
+ * @p available lists free GPUs per slot and must cover horizon.slots
+ * entries.
  *
  * @return the plan (length <= horizon.slots, trailing zeros trimmed),
  *         or nullopt when even the maximum useful level cannot meet
@@ -113,18 +97,6 @@ level_cannot_finish(double peak_throughput, double window_seconds,
  * attempt); a skipped level is charged the slots - start_slot units
  * its failed scan would have cost. The units are a deterministic
  * measure of planning effort, identical to the reference's.
- */
-std::optional<SlotPlan>
-progressive_fill(const PlanningJob &job,
-                 const std::vector<GpuCount> &available,
-                 const PlanHorizon &horizon, const PlannerConfig &config,
-                 int start_slot = 0, std::uint64_t *cost = nullptr);
-
-/**
- * Same fill without materializing a PlanningJob — the allocator's
- * candidate loop re-fills tails with an adjusted remaining-iterations
- * value, and copying a job (and its curve table) per candidate is
- * measurable on large instances.
  */
 std::optional<SlotPlan>
 progressive_fill(const ScalingCurve &curve, double remaining_iterations,
@@ -147,10 +119,59 @@ progressive_fill_reference(const ScalingCurve &curve,
                            std::uint64_t *cost = nullptr);
 
 /**
+ * The minimum satisfactory shares reserved so far: Algorithm 1's
+ * result and the state Algorithm 2 starts from (DESIGN.md §5). Every
+ * planner pass that reserves shares — run_admission, the per-round
+ * refresh and the service's admission drain — reserves through one
+ * ledger, and run_allocation takes it as it stands.
+ */
+struct ShareLedger
+{
+    /** SLO rows in the order they were reserved. */
+    std::vector<PlanningJob> jobs;
+    /** plans[i] is the minimum satisfactory share of jobs[i]. */
+    std::vector<SlotPlan> plans;
+    /** Free GPUs per slot, total_gpus minus every plan, over at least
+     *  every row's horizon (later slots are implicitly total_gpus). */
+    std::vector<GpuCount> available;
+
+    /**
+     * ProgressiveFilling of @p job over @p horizon against the free
+     * GPUs left (grown to the horizon with config.total_gpus first).
+     * On success the fill is subtracted, @p job is moved in as the
+     * last row with its plan, and true is returned. On failure the
+     * ledger is left exactly as it was, @p job is not moved from, and
+     * false is returned, so the caller can relax the job and retry.
+     * @p cost as in progressive_fill.
+     */
+    bool reserve(PlanningJob &&job, const PlanHorizon &horizon,
+                 const PlannerConfig &config,
+                 std::uint64_t *cost = nullptr);
+};
+
+/** Result of Algorithm 1 over a job set. */
+struct AdmissionOutcome
+{
+    bool feasible = false;
+    /** The jobs in deadline order with their minimum satisfactory
+     *  shares; complete iff feasible. */
+    ShareLedger ledger;
+    /**
+     * Planning cost of this pass in deterministic work units (one unit
+     * per slot touched by progressive filling, summed over all level
+     * attempts of all jobs). A pure function of the input — never of
+     * wall clock — so cost-based policies (the service watchdog)
+     * replay identically.
+     */
+    std::uint64_t cost = 0;
+};
+
+/**
  * Algorithm 1: feasibility of a whole job set (admitted jobs plus a
- * candidate), all with deadlines. Jobs are sorted by deadline
- * internally. Best-effort jobs must not be passed here — they are
- * never admission-controlled.
+ * candidate), all with deadlines. Jobs are sorted by deadline and
+ * reserved in that order, so the outcome's ledger rows are in deadline
+ * order, not in the order of @p jobs. Best-effort jobs must not be
+ * passed here — they are never admission-controlled.
  */
 AdmissionOutcome run_admission(const PlannerConfig &config, Time now,
                                std::vector<PlanningJob> jobs);

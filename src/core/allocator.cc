@@ -171,53 +171,70 @@ outcome_of(std::vector<SlotPlan> plan, std::vector<GpuCount> be_gpus)
     return outcome;
 }
 
-}  // namespace
-
-AllocationOutcome
-run_allocation_reference(const PlannerConfig &config, Time now,
-                         const std::vector<PlanningJob> &slo_jobs,
-                         const std::map<JobId, SlotPlan> &min_share_plans,
-                         const std::vector<PlanningJob> &best_effort_jobs)
+/**
+ * Checks Algorithm 2's inputs and returns each ledger row's planning
+ * horizon; @p horizon receives the farthest (at least 1 slot).
+ */
+std::vector<PlanHorizon>
+row_horizons(const PlannerConfig &config, Time now,
+             const ShareLedger &ledger,
+             const std::vector<PlanningJob> &best_effort_jobs,
+             int *horizon)
 {
     EF_CHECK(config.total_gpus > 0 && config.slot_seconds > 0.0);
-    const Time dt = config.slot_seconds;
-
-    // Planning horizon: the farthest SLO deadline.
-    int horizon = 1;
-    std::vector<PlanHorizon> slo_horizon(slo_jobs.size());
-    for (std::size_t i = 0; i < slo_jobs.size(); ++i) {
-        EF_CHECK_MSG(!slo_jobs[i].best_effort(),
-                     "job " << slo_jobs[i].id
-                            << " without deadline passed as SLO");
-        slo_horizon[i] = plan_horizon(now, slo_jobs[i].deadline,
-                                      dt, config.max_slots);
-        horizon = std::max(horizon, slo_horizon[i].slots);
+    const std::size_t n = ledger.jobs.size();
+    EF_CHECK_MSG(ledger.plans.size() == n,
+                 "share ledger has " << ledger.plans.size()
+                                     << " plans for " << n << " rows");
+    *horizon = 1;
+    std::vector<PlanHorizon> rows(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const PlanningJob &job = ledger.jobs[i];
+        EF_CHECK_MSG(!job.best_effort(),
+                     "job " << job.id << " without deadline passed as SLO");
+        rows[i] = plan_horizon(now, job.deadline, config.slot_seconds,
+                               config.max_slots);
+        *horizon = std::max(*horizon, rows[i].slots);
+        EF_CHECK(ledger.plans[i].horizon() <= rows[i].slots);
     }
-
-    // Start from the minimum satisfactory shares.
-    std::vector<SlotPlan> plan(slo_jobs.size());
-    std::vector<GpuCount> available(static_cast<std::size_t>(horizon),
-                                    config.total_gpus);
-    for (std::size_t i = 0; i < slo_jobs.size(); ++i) {
-        auto it = min_share_plans.find(slo_jobs[i].id);
-        EF_CHECK_MSG(it != min_share_plans.end(),
-                     "job " << slo_jobs[i].id
-                            << " has no minimum satisfactory share");
-        plan[i] = it->second;
-        EF_CHECK(plan[i].horizon() <= horizon);
-        for (int t = 0; t < plan[i].horizon(); ++t) {
-            GpuCount &a = available[static_cast<std::size_t>(t)];
-            a -= plan[i].at(t);
-            EF_CHECK_MSG(a >= 0, "minimum shares exceed the cluster");
-        }
-    }
-
-    std::vector<GpuCount> be_gpus(best_effort_jobs.size(), 0);
     for (const PlanningJob &job : best_effort_jobs) {
         EF_CHECK_MSG(job.best_effort(),
                      "job " << job.id << " with deadline passed as "
                             << "best-effort");
     }
+    return rows;
+}
+
+}  // namespace
+
+AllocationOutcome
+run_allocation_reference(const PlannerConfig &config, Time now,
+                         const ShareLedger &ledger,
+                         const std::vector<PlanningJob> &best_effort_jobs)
+{
+    const Time dt = config.slot_seconds;
+    const std::vector<PlanningJob> &slo_jobs = ledger.jobs;
+    int horizon = 0;
+    const std::vector<PlanHorizon> slo_horizon =
+        row_horizons(config, now, ledger, best_effort_jobs, &horizon);
+
+    // Start from the minimum satisfactory shares, recomputing what
+    // they leave free: the ledger's availability must agree.
+    std::vector<SlotPlan> plan(ledger.plans);
+    std::vector<GpuCount> available(static_cast<std::size_t>(horizon),
+                                    config.total_gpus);
+    for (const SlotPlan &share : plan) {
+        for (int t = 0; t < share.horizon(); ++t) {
+            GpuCount &a = available[static_cast<std::size_t>(t)];
+            a -= share.at(t);
+            EF_CHECK_MSG(a >= 0, "minimum shares exceed the cluster");
+        }
+    }
+    std::vector<GpuCount> held = ledger.available;
+    held.resize(static_cast<std::size_t>(horizon), config.total_gpus);
+    EF_CHECK_MSG(available == held,
+                 "share ledger's availability disagrees with its plans");
+    std::vector<GpuCount> be_gpus(best_effort_jobs.size(), 0);
 
     // Candidate construction.
     auto slo_candidate = [&](std::size_t i) {
@@ -398,55 +415,30 @@ run_allocation_reference(const PlannerConfig &config, Time now,
  */
 AllocationOutcome
 run_allocation(const PlannerConfig &config, Time now,
-               const std::vector<PlanningJob> &slo_jobs,
-               const std::map<JobId, SlotPlan> &min_share_plans,
+               const ShareLedger &ledger,
                const std::vector<PlanningJob> &best_effort_jobs)
 {
-    EF_CHECK(config.total_gpus > 0 && config.slot_seconds > 0.0);
     const Time dt = config.slot_seconds;
+    const std::vector<PlanningJob> &slo_jobs = ledger.jobs;
     const std::size_t n = slo_jobs.size();
     const std::size_t m = best_effort_jobs.size();
-
-    // Planning horizon: the farthest SLO deadline.
-    int horizon = 1;
-    std::vector<PlanHorizon> slo_horizon(n);
+    int horizon = 0;
+    const std::vector<PlanHorizon> slo_horizon =
+        row_horizons(config, now, ledger, best_effort_jobs, &horizon);
     std::vector<GpuCount> slo_max_useful(n);
     GpuCount slo_max_all = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        EF_CHECK_MSG(!slo_jobs[i].best_effort(),
-                     "job " << slo_jobs[i].id
-                            << " without deadline passed as SLO");
-        slo_horizon[i] = plan_horizon(now, slo_jobs[i].deadline,
-                                      dt, config.max_slots);
-        horizon = std::max(horizon, slo_horizon[i].slots);
         slo_max_useful[i] = slo_jobs[i].curve.max_useful();
         slo_max_all = std::max(slo_max_all, slo_max_useful[i]);
     }
 
-    // Start from the minimum satisfactory shares.
-    std::vector<SlotPlan> plan(n);
-    std::vector<GpuCount> available(static_cast<std::size_t>(horizon),
-                                    config.total_gpus);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto it = min_share_plans.find(slo_jobs[i].id);
-        EF_CHECK_MSG(it != min_share_plans.end(),
-                     "job " << slo_jobs[i].id
-                            << " has no minimum satisfactory share");
-        plan[i] = it->second;
-        EF_CHECK(plan[i].horizon() <= horizon);
-        for (int t = 0; t < plan[i].horizon(); ++t) {
-            GpuCount &a = available[static_cast<std::size_t>(t)];
-            a -= plan[i].at(t);
-            EF_CHECK_MSG(a >= 0, "minimum shares exceed the cluster");
-        }
-    }
-
+    // Start from the minimum satisfactory shares and what they left
+    // free, as the ledger holds them (slots it never grew to are
+    // free).
+    std::vector<SlotPlan> plan(ledger.plans);
+    std::vector<GpuCount> available = ledger.available;
+    available.resize(static_cast<std::size_t>(horizon), config.total_gpus);
     std::vector<GpuCount> be_gpus(m, 0);
-    for (const PlanningJob &job : best_effort_jobs) {
-        EF_CHECK_MSG(job.best_effort(),
-                     "job " << job.id << " with deadline passed as "
-                            << "best-effort");
-    }
 
     PlannerConfig refill_config = config;
     refill_config.direction = FillDirection::kEarliest;

@@ -22,7 +22,6 @@
 #ifndef EF_CORE_ALLOCATOR_H_
 #define EF_CORE_ALLOCATOR_H_
 
-#include <map>
 #include <vector>
 
 #include "core/admission.h"
@@ -32,9 +31,9 @@ namespace ef {
 /** Final decision of one scheduling pass, indexed like its inputs. */
 struct AllocationOutcome
 {
-    /** GPUs to hand slo_jobs[i] *now* (slot 0); 0 = suspended. */
+    /** GPUs to hand ledger.jobs[i] *now* (slot 0); 0 = suspended. */
     std::vector<GpuCount> slo_gpus;
-    /** Full plan of slo_jobs[i] (its feasibility witness). */
+    /** Full plan of ledger.jobs[i] (its feasibility witness). */
     std::vector<SlotPlan> plans;
     /** GPUs to hand best_effort_jobs[j] now. */
     std::vector<GpuCount> best_effort_gpus;
@@ -43,28 +42,31 @@ struct AllocationOutcome
 };
 
 /**
- * Algorithm 2. @p slo_jobs must all carry finite deadlines and an
- * entry in @p min_share_plans (produced by run_admission over the same
- * state); @p best_effort_jobs carry deadline = infinity.
+ * Algorithm 2, starting from the minimum satisfactory shares in
+ * @p ledger (run_admission's, or the scheduler's refresh). Its rows
+ * must all carry finite deadlines, one plan each, and its availability
+ * must be what the plans leave free; it is used as it stands, never
+ * rebuilt from the plans. @p best_effort_jobs carry deadline =
+ * infinity.
  */
 AllocationOutcome
 run_allocation(const PlannerConfig &config, Time now,
-               const std::vector<PlanningJob> &slo_jobs,
-               const std::map<JobId, SlotPlan> &min_share_plans,
+               const ShareLedger &ledger,
                const std::vector<PlanningJob> &best_effort_jobs);
 
 /**
  * Direct transcription of Algorithm 2: rebuilds every candidate on
  * every greedy iteration. Kept as the oracle for the equivalence fuzz
  * (tests/test_allocator_equivalence.cc) — run_allocation must produce
- * an identical outcome on any input. Not for production use: it is
- * O(iterations x jobs x horizon) where the incremental version only
- * recomputes candidates an applied winner invalidated.
+ * an identical outcome on any input. It recomputes availability from
+ * the ledger's plans and dies unless that equals the ledger's. Not for
+ * production use: it is O(iterations x jobs x horizon) where the
+ * incremental version only recomputes candidates an applied winner
+ * invalidated.
  */
 AllocationOutcome
 run_allocation_reference(const PlannerConfig &config, Time now,
-                         const std::vector<PlanningJob> &slo_jobs,
-                         const std::map<JobId, SlotPlan> &min_share_plans,
+                         const ShareLedger &ledger,
                          const std::vector<PlanningJob> &best_effort_jobs);
 
 }  // namespace ef

@@ -160,33 +160,17 @@ refresh_min_shares(const PlannerConfig &config, Time now,
                              return a.deadline < b.deadline;
                          return a.id < b.id;
                      });
-    // One plan_horizon per job: the max-horizon scan reuses the
-    // per-job value instead of recomputing it before each fill.
-    int horizon = 1;
-    std::vector<PlanHorizon> horizons(slo.size());
-    for (std::size_t i = 0; i < slo.size(); ++i) {
-        horizons[i] = plan_horizon(now, slo[i].deadline,
-                                   config.slot_seconds, config.max_slots);
-        horizon = std::max(horizon, horizons[i].slots);
-    }
-
     MinShareRefresh refresh;
-    std::vector<GpuCount> &available = refresh.available;
-    available.assign(static_cast<std::size_t>(horizon), config.total_gpus);
-    for (std::size_t i = 0; i < slo.size(); ++i) {
-        PlanningJob &job = slo[i];
-        PlanHorizon d = horizons[i];
-        std::optional<SlotPlan> fill = progressive_fill(
-            job, available, d, config, /*start_slot=*/0, cost);
-        if (!fill.has_value() && job.soft) {
-            // A soft deadline that cannot be met is not an incident:
-            // the job simply continues as best-effort (§4.4).
-            job.deadline = kTimeInfinity;
-            refresh.parked.push_back(std::move(job));
+    ShareLedger &ledger = refresh.ledger;
+    for (PlanningJob &job : slo) {
+        PlanHorizon d = plan_horizon(now, job.deadline,
+                                     config.slot_seconds, config.max_slots);
+        if (ledger.reserve(std::move(job), d, config, cost))
             continue;
-        }
-        if (!fill.has_value() && park_infeasible_hard) {
-            // Post-fault demotion rule: a hard SLO the shrunken
+        if (job.soft || park_infeasible_hard) {
+            // A soft deadline that cannot be met is not an incident:
+            // the job simply continues as best-effort (§4.4). Under
+            // the post-fault demotion rule, a hard SLO the shrunken
             // cluster can no longer satisfy is parked for the caller
             // to demote, not silently relaxed past its guarantee.
             job.deadline = kTimeInfinity;
@@ -196,42 +180,26 @@ refresh_min_shares(const PlannerConfig &config, Time now,
         // Relax a slipped deadline in small steps so the job still
         // finishes as close to its original deadline as the cluster
         // allows, rather than gliding to a distant one.
+        if (replan_failures != nullptr) {
+            ++*replan_failures;
+            EF_DEBUG("job " << job.id
+                            << " cannot meet its deadline; relaxing");
+        }
         Time extension = config.slot_seconds;
-        int tries = 0;
-        while (!fill.has_value() && tries < 24) {
-            ++tries;
-            if (tries == 1 && replan_failures != nullptr) {
-                ++*replan_failures;
-                EF_DEBUG("job " << job.id
-                                << " cannot meet its deadline; relaxing");
-            }
-            if (is_unbounded(job.deadline))
-                break;
+        bool reserved = false;
+        for (int tries = 0;
+             !reserved && tries < 24 && !is_unbounded(job.deadline);
+             ++tries) {
             job.deadline += extension;
             extension *= 1.6;
             d = plan_horizon(now, job.deadline, config.slot_seconds,
                              config.max_slots);
-            if (d.slots > static_cast<int>(available.size()))
-                available.resize(static_cast<std::size_t>(d.slots),
-                                 config.total_gpus);
-            fill = progressive_fill(job, available, d, config,
-                                    /*start_slot=*/0, cost);
+            reserved = ledger.reserve(std::move(job), d, config, cost);
         }
-        if (!fill.has_value()) {
+        if (!reserved) {
             job.deadline = kTimeInfinity;  // park as best-effort-like
             refresh.parked.push_back(std::move(job));
-            continue;
         }
-        // A fill never reserves past the (possibly relaxed) horizon it
-        // was computed for; the allocator's scratch buffers rely on it.
-        EF_CHECK(fill->horizon() <= d.slots);
-        for (int t = 0; t < fill->horizon(); ++t) {
-            GpuCount &a = available[static_cast<std::size_t>(t)];
-            a -= fill->at(t);
-            EF_CHECK(a >= 0);
-        }
-        refresh.min_shares.emplace(job.id, std::move(*fill));
-        refresh.slo.push_back(std::move(job));
     }
     return refresh;
 }
@@ -302,11 +270,12 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
         best_effort.push_back(std::move(job));
     }
 
-    AllocationOutcome outcome = run_allocation(
-        config, now, refresh.slo, refresh.min_shares, best_effort);
+    AllocationOutcome outcome =
+        run_allocation(config, now, refresh.ledger, best_effort);
     SchedulerDecision decision;
-    for (std::size_t i = 0; i < refresh.slo.size(); ++i)
-        decision.gpus[refresh.slo[i].id] = outcome.slo_gpus[i];
+    const std::vector<PlanningJob> &slo_rows = refresh.ledger.jobs;
+    for (std::size_t i = 0; i < slo_rows.size(); ++i)
+        decision.gpus[slo_rows[i].id] = outcome.slo_gpus[i];
     for (std::size_t j = 0; j < best_effort.size(); ++j)
         decision.gpus[best_effort[j].id] = outcome.best_effort_gpus[j];
     return decision;

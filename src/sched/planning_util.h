@@ -88,21 +88,18 @@ bool edf_admission_feasible(const ClusterView &view,
 /** Result of the per-round minimum-share refresh (Algorithm 1 rerun). */
 struct MinShareRefresh
 {
-    /** Feasible SLO jobs, deadlines possibly relaxed in place. */
-    std::vector<PlanningJob> slo;
+    /** Feasible SLO jobs in reservation order, deadlines possibly
+     *  relaxed in place, with their shares and the GPUs left free. */
+    ShareLedger ledger;
     /** Jobs whose deadline could not be met even relaxed; they run on
      *  as best-effort (deadline rewritten to infinity). */
     std::vector<PlanningJob> parked;
-    /** Minimum satisfactory share per job in @p slo. */
-    std::map<JobId, SlotPlan> min_shares;
-    /** Free GPUs per slot once every share in @p min_shares is
-     *  reserved; covers at least every share's horizon. */
-    std::vector<GpuCount> available;
 };
 
 /**
  * Refresh minimum satisfactory shares for @p slo in deadline order
- * (hard before soft), relaxing slipped deadlines in growing steps so a
+ * (hard before soft), reserving each into the refresh's ledger and
+ * relaxing slipped deadlines in growing steps so a
  * drifted job finishes as close to its original deadline as the
  * cluster allows. With @p park_infeasible_hard (the post-fault
  * demotion rule), a hard job whose original deadline cannot be met is

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -413,21 +412,10 @@ Service::run_round(Time t)
         obs::count("serve.demotions");
     }
 
-    // Residual availability after the refreshed minimum shares, as the
-    // refresh left it; grown lazily to whatever horizon a candidate
-    // needs.
-    std::map<JobId, SlotPlan> shares = std::move(refresh.min_shares);
-    std::vector<GpuCount> available = std::move(refresh.available);
-    auto ensure_slots = [&](int horizon) {
-        if (static_cast<int>(available.size()) < horizon) {
-            available.resize(static_cast<std::size_t>(horizon),
-                             config_.total_gpus);
-        }
-    };
-
+    // Admissions reserve into the refresh's ledger, after its rows.
+    ShareLedger &ledger = refresh.ledger;
     const bool token = governor_.try_acquire(t);
     const std::size_t batch = pending_.size();
-    std::vector<PlanningJob> alloc_slo = std::move(refresh.slo);
     std::uint64_t drain_cost = 0;
     while (!pending_.empty()) {
         Submission sub = std::move(pending_.front());
@@ -435,49 +423,37 @@ Service::run_round(Time t)
         const JobSpec &spec = sub.spec;
         // The submission as an active row: its curve and work, no
         // deadline yet.
-        const auto to_row = [&sub] {
-            PlanningJob job;
-            job.id = sub.spec.id;
-            job.curve = std::move(sub.curve);
-            job.remaining_iterations =
-                static_cast<double>(sub.spec.iterations);
-            return job;
-        };
+        PlanningJob job;
+        job.id = spec.id;
+        job.curve = std::move(sub.curve);
+        job.remaining_iterations = static_cast<double>(spec.iterations);
         if (spec.is_best_effort()) {
             if (best_effort_.rows.size() >=
                 config_.max_active_best_effort) {
                 decide(sub, t, ShedVerdict::kShedQueueFull);
                 continue;
             }
-            best_effort_.insert(to_row(), 0);
+            best_effort_.insert(std::move(job), 0);
             decide(sub, t, ShedVerdict::kAdmittedBestEffort);
             continue;
         }
+        PlanningJob share = job;
+        share.remaining_iterations =
+            margin.inflate(share.remaining_iterations, share.curve);
+        share.deadline = spec.deadline;
+        share.soft = spec.has_soft_deadline();
         const PlanHorizon d =
             plan_horizon(t, spec.deadline, planner_.slot_seconds,
                          planner_.max_slots);
-        ensure_slots(d.slots);
-        const double inflated = margin.inflate(
-            static_cast<double>(spec.iterations), sub.curve);
-        auto fill = progressive_fill(sub.curve, inflated, available, d,
-                                     planner_, /*start_slot=*/0,
-                                     &drain_cost);
-        if (fill.has_value()) {
-            for (int s = 0; s < fill->horizon(); ++s) {
-                available[static_cast<std::size_t>(s)] -= fill->at(s);
-            }
-            PlanningJob job = to_row();
+        if (ledger.reserve(std::move(share), d, planner_, &drain_cost)) {
             job.deadline = spec.deadline;
             job.soft = spec.has_soft_deadline();
-            alloc_slo.push_back(job);
-            alloc_slo.back().remaining_iterations = inflated;
-            shares.emplace(spec.id, std::move(*fill));
             slo_.insert(std::move(job), 0);
             decide(sub, t, ShedVerdict::kAdmitted);
         } else if (config_.degrade_infeasible &&
                    best_effort_.rows.size() <
                        config_.max_active_best_effort) {
-            best_effort_.insert(to_row(), 0);
+            best_effort_.insert(std::move(job), 0);
             decide(sub, t, ShedVerdict::kDegraded);
         } else {
             decide(sub, t, ShedVerdict::kShedInfeasible);
@@ -486,10 +462,10 @@ Service::run_round(Time t)
     stats_.planning_cost += drain_cost;
 
     // Every active row is in exactly one of the two lists.
-    const AllocationOutcome outcome = run_allocation(
-        planner_, t, alloc_slo, shares, best_effort_.rows);
-    for (std::size_t k = 0; k < alloc_slo.size(); ++k)
-        slo_.set_gpus(slo_.find(alloc_slo[k].id), outcome.slo_gpus[k]);
+    const AllocationOutcome outcome =
+        run_allocation(planner_, t, ledger, best_effort_.rows);
+    for (std::size_t k = 0; k < ledger.jobs.size(); ++k)
+        slo_.set_gpus(slo_.find(ledger.jobs[k].id), outcome.slo_gpus[k]);
     for (std::size_t j = 0; j < best_effort_.rows.size(); ++j)
         best_effort_.set_gpus(j, outcome.best_effort_gpus[j]);
 

@@ -55,9 +55,64 @@ TEST(Admission, PaperFigure4Example)
     };
     AdmissionOutcome outcome = run_admission(unit_config(4), 0.0, jobs);
     ASSERT_TRUE(outcome.feasible);
-    EXPECT_EQ(outcome.plans.at(1).gpus, (std::vector<GpuCount>{1}));
-    EXPECT_EQ(outcome.plans.at(2).gpus, (std::vector<GpuCount>{2}));
-    EXPECT_EQ(outcome.plans.at(3).gpus, (std::vector<GpuCount>{1, 4}));
+    const ShareLedger &ledger = outcome.ledger;
+    ASSERT_EQ(ledger.plans.size(), 3u);
+    EXPECT_EQ(ledger.plans[0].gpus, (std::vector<GpuCount>{1}));
+    EXPECT_EQ(ledger.plans[1].gpus, (std::vector<GpuCount>{2}));
+    EXPECT_EQ(ledger.plans[2].gpus, (std::vector<GpuCount>{1, 4}));
+    // Slot 0 is full; slot 1 is job C's alone.
+    EXPECT_EQ(ledger.available, (std::vector<GpuCount>{0, 0}));
+}
+
+TEST(Admission, LedgerRowsAreInDeadlineOrder)
+{
+    std::vector<PlanningJob> jobs = {
+        make_job(7, fig4_curve(), 1.0, 3.0),
+        make_job(5, fig4_curve(), 1.0, 1.0),
+        make_job(6, fig4_curve(), 1.0, 2.0),
+    };
+    AdmissionOutcome outcome = run_admission(unit_config(4), 0.0, jobs);
+    ASSERT_TRUE(outcome.feasible);
+    ASSERT_EQ(outcome.ledger.jobs.size(), 3u);
+    EXPECT_EQ(outcome.ledger.jobs[0].id, 5);
+    EXPECT_EQ(outcome.ledger.jobs[1].id, 6);
+    EXPECT_EQ(outcome.ledger.jobs[2].id, 7);
+}
+
+TEST(ShareLedger, FailedReserveLeavesTheLedgerAsItWas)
+{
+    const PlannerConfig config = unit_config(4);
+    ShareLedger ledger;
+    ASSERT_TRUE(ledger.reserve(make_job(1, fig4_curve(), 1.5, 1.0),
+                               plan_horizon(0.0, 1.0, 1.0, 64), config));
+    const std::vector<GpuCount> before = ledger.available;
+    EXPECT_EQ(before, (std::vector<GpuCount>{2}));
+
+    // Six iterations by t = 3 need more than four GPUs per slot can do.
+    PlanningJob late = make_job(2, fig4_curve(), 6.0, 3.0);
+    std::uint64_t cost = 0;
+    EXPECT_FALSE(ledger.reserve(std::move(late),
+                                plan_horizon(0.0, 3.0, 1.0, 64), config,
+                                &cost));
+    EXPECT_GT(cost, 0u);
+    EXPECT_EQ(ledger.available, before);
+    EXPECT_EQ(ledger.jobs.size(), 1u);
+    EXPECT_EQ(ledger.plans.size(), 1u);
+    // Not moved from: the caller can relax the job and retry.
+    EXPECT_EQ(late.id, 2);
+    EXPECT_FALSE(late.curve.empty());
+
+    late.deadline = 5.0;
+    ASSERT_TRUE(ledger.reserve(std::move(late),
+                               plan_horizon(0.0, 5.0, 1.0, 64), config));
+    ASSERT_EQ(ledger.jobs.size(), 2u);
+    EXPECT_EQ(ledger.jobs[1].id, 2);
+    ASSERT_EQ(ledger.available.size(), 5u);
+    for (int t = 0; t < 5; ++t) {
+        EXPECT_EQ(ledger.available[static_cast<std::size_t>(t)],
+                  4 - ledger.plans[0].at(t) - ledger.plans[1].at(t))
+            << "slot " << t;
+    }
 }
 
 TEST(Admission, DropsWhenNoLevelSuffices)
@@ -81,7 +136,7 @@ TEST(Admission, MinimumSatisfactoryShareUsesSmallestLevel)
     };
     AdmissionOutcome outcome = run_admission(unit_config(4), 0.0, jobs);
     ASSERT_TRUE(outcome.feasible);
-    EXPECT_EQ(outcome.plans.at(1).gpus,
+    EXPECT_EQ(outcome.ledger.plans.at(0).gpus,
               (std::vector<GpuCount>{1, 1, 1}));
 }
 
@@ -94,7 +149,7 @@ TEST(Admission, TighterDeadlineRaisesShare)
     };
     AdmissionOutcome outcome = run_admission(unit_config(4), 0.0, jobs);
     ASSERT_TRUE(outcome.feasible);
-    EXPECT_EQ(outcome.plans.at(1).at(0), 2);
+    EXPECT_EQ(outcome.ledger.plans.at(0).at(0), 2);
 }
 
 TEST(Admission, ZeroRemainingJobGetsEmptyPlan)
@@ -104,7 +159,7 @@ TEST(Admission, ZeroRemainingJobGetsEmptyPlan)
     };
     AdmissionOutcome outcome = run_admission(unit_config(4), 0.0, jobs);
     ASSERT_TRUE(outcome.feasible);
-    EXPECT_EQ(outcome.plans.at(1).horizon(), 0);
+    EXPECT_EQ(outcome.ledger.plans.at(0).horizon(), 0);
 }
 
 TEST(Admission, PastDeadlineInfeasible)
@@ -130,8 +185,8 @@ TEST(ProgressiveFill, LatestDirectionPacksLate)
     config.direction = FillDirection::kLatest;
     PlanningJob job = make_job(1, fig4_curve(), 2.0, 4.0);
     std::vector<GpuCount> avail(4, 4);
-    auto plan = progressive_fill(job, avail, PlanHorizon{4, 1.0},
-                                 config);
+    auto plan = progressive_fill(job.curve, job.remaining_iterations,
+                                 avail, PlanHorizon{4, 1.0}, config);
     ASSERT_TRUE(plan.has_value());
     // Two iterations at level 1 occupy the last two slots.
     EXPECT_EQ(plan->gpus, (std::vector<GpuCount>{0, 0, 1, 1}));
@@ -142,8 +197,8 @@ TEST(ProgressiveFill, EarliestDirectionPacksEarly)
     PlannerConfig config = unit_config(4);
     PlanningJob job = make_job(1, fig4_curve(), 2.0, 4.0);
     std::vector<GpuCount> avail(4, 4);
-    auto plan = progressive_fill(job, avail, PlanHorizon{4, 1.0},
-                                 config);
+    auto plan = progressive_fill(job.curve, job.remaining_iterations,
+                                 avail, PlanHorizon{4, 1.0}, config);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->gpus, (std::vector<GpuCount>{1, 1}));
 }
@@ -153,8 +208,9 @@ TEST(ProgressiveFill, StartSlotLeavesPrefixUntouched)
     PlannerConfig config = unit_config(4);
     PlanningJob job = make_job(1, fig4_curve(), 2.0, 4.0);
     std::vector<GpuCount> avail(4, 4);
-    auto plan = progressive_fill(job, avail, PlanHorizon{4, 1.0},
-                                 config, /*start_slot=*/2);
+    auto plan = progressive_fill(job.curve, job.remaining_iterations,
+                                 avail, PlanHorizon{4, 1.0}, config,
+                                 /*start_slot=*/2);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->at(0), 0);
     EXPECT_EQ(plan->at(1), 0);
@@ -169,8 +225,8 @@ TEST(ProgressiveFill, FractionalLastSlotCountsPartially)
     std::vector<GpuCount> avail(1, 4);
     // Half a slot at level 1 yields 0.5 < 1 -> level 2 yields 0.75 <
     // 1 -> level 4 yields 1.0 >= 1.
-    auto plan = progressive_fill(job, avail, PlanHorizon{1, 0.5},
-                                 config);
+    auto plan = progressive_fill(job.curve, job.remaining_iterations,
+                                 avail, PlanHorizon{1, 0.5}, config);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->at(0), 4);
 }
@@ -362,17 +418,26 @@ TEST(Admission, FeasiblePlansRespectInvariants)
         AdmissionOutcome outcome = run_admission(config, 0.0, jobs);
         if (!outcome.feasible)
             continue;
+        const ShareLedger &ledger = outcome.ledger;
+        ASSERT_EQ(ledger.jobs.size(), n);
+        ASSERT_EQ(ledger.plans.size(), n);
         int horizon = 0;
-        for (const auto &[id, plan] : outcome.plans)
+        for (const SlotPlan &plan : ledger.plans)
             horizon = std::max(horizon, plan.horizon());
-        for (int t = 0; t < horizon; ++t) {
+        ASSERT_GE(static_cast<int>(ledger.available.size()), horizon);
+        for (int t = 0; t < static_cast<int>(ledger.available.size());
+             ++t) {
             GpuCount used = 0;
-            for (const auto &[id, plan] : outcome.plans)
+            for (const SlotPlan &plan : ledger.plans)
                 used += plan.at(t);
             EXPECT_LE(used, gpus) << "trial " << trial << " slot " << t;
+            EXPECT_EQ(ledger.available[static_cast<std::size_t>(t)],
+                      gpus - used)
+                << "trial " << trial << " slot " << t;
         }
-        for (const PlanningJob &job : jobs) {
-            const SlotPlan &plan = outcome.plans.at(job.id);
+        for (std::size_t i = 0; i < n; ++i) {
+            const PlanningJob &job = ledger.jobs[i];
+            const SlotPlan &plan = ledger.plans[i];
             EXPECT_GE(plan_iterations(job.curve, plan, 1.0),
                       job.remaining_iterations - 1e-6)
                 << "trial " << trial << " job " << job.id;

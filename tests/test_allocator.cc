@@ -33,15 +33,20 @@ make_job(JobId id, std::vector<double> table, double remaining,
     return job;
 }
 
-/** Admission + allocation in one call (what the scheduler does). */
+/**
+ * Admission + allocation in one call (what the scheduler does). The
+ * outcome is indexed by ledger row, which is deadline order; every
+ * caller below lists its SLO jobs in that order already.
+ */
 AllocationOutcome
 plan(const PlannerConfig &config, std::vector<PlanningJob> slo,
      std::vector<PlanningJob> best_effort = {})
 {
     AdmissionOutcome admission = run_admission(config, 0.0, slo);
     EXPECT_TRUE(admission.feasible);
-    return run_allocation(config, 0.0, slo, admission.plans,
-                          best_effort);
+    for (std::size_t i = 0; i < slo.size(); ++i)
+        EXPECT_EQ(admission.ledger.jobs.at(i).id, slo[i].id);
+    return run_allocation(config, 0.0, admission.ledger, best_effort);
 }
 
 TEST(Allocator, Figure3BothJobsMeetDeadlines)
@@ -193,8 +198,9 @@ TEST(Allocator, InvariantPropertySweep)
         AdmissionOutcome admission = run_admission(config, 0.0, slo);
         if (!admission.feasible)
             continue;
+        slo = admission.ledger.jobs;  // the outcome's row order
         AllocationOutcome outcome =
-            run_allocation(config, 0.0, slo, admission.plans, {});
+            run_allocation(config, 0.0, admission.ledger, {});
 
         int horizon = 0;
         for (const SlotPlan &p : outcome.plans)
@@ -224,14 +230,30 @@ TEST(Allocator, InvariantPropertySweep)
     }
 }
 
-TEST(Allocator, MissingMinShareDies)
+/** A ledger with fewer plans than SLO rows (a row without a minimum
+ *  satisfactory share) is refused. */
+TEST(Allocator, LedgerWithoutAPlanPerRowDies)
 {
-    std::vector<PlanningJob> jobs = {
-        make_job(1, {1.0}, 1.0, 5.0),
-    };
-    std::map<JobId, SlotPlan> empty;
-    EXPECT_DEATH(run_allocation(unit_config(2), 0.0, jobs, empty, {}),
-                 "minimum satisfactory share");
+    ShareLedger ledger;
+    ledger.jobs = {make_job(1, {1.0}, 1.0, 5.0)};
+    EXPECT_DEATH(run_allocation(unit_config(2), 0.0, ledger, {}),
+                 "1 rows");
+}
+
+/** The reference recomputes availability from the plans and refuses a
+ *  ledger whose own availability disagrees (a share not subtracted). */
+TEST(Allocator, ReferenceRefusesLedgerAvailabilityOffItsPlans)
+{
+    const PlannerConfig config = unit_config(2);
+    AdmissionOutcome admission =
+        run_admission(config, 0.0, {make_job(1, {1.0}, 3.0, 5.0)});
+    ASSERT_TRUE(admission.feasible);
+    ShareLedger ledger = admission.ledger;
+    EXPECT_EQ(run_allocation_reference(config, 0.0, ledger, {}).slo_gpus,
+              run_allocation(config, 0.0, ledger, {}).slo_gpus);
+    ledger.available.assign(ledger.available.size(), config.total_gpus);
+    EXPECT_DEATH(run_allocation_reference(config, 0.0, ledger, {}),
+                 "disagrees with its plans");
 }
 
 }  // namespace

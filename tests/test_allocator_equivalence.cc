@@ -8,11 +8,14 @@
  * Coverage spans best-effort-only, SLO-only, and mixed queues, both
  * fill directions for the minimum-share plans, and cluster sizes from
  * starved to abundant (up to 2048 GPUs, where the incremental
- * allocator's skip certificates fire). Min-share plans come from run_admission over
- * the same state, exactly as elastic_allocate wires them.
+ * allocator's skip certificates fire). The share ledger comes from
+ * run_admission over the same state, its rows shuffled as a service
+ * round's may be.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -123,20 +126,31 @@ check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
             random_job(rng, next_id++, now, true, draws.jobs));
     }
 
-    std::map<JobId, SlotPlan> min_shares;
+    ShareLedger ledger;
     if (!slo_jobs.empty()) {
         AdmissionOutcome admitted =
             run_admission(config, now, slo_jobs);
         if (!admitted.feasible)
             return false;
-        min_shares = std::move(admitted.plans);
+        ledger = std::move(admitted.ledger);
+    }
+    // Production ledgers are not in deadline order (the service
+    // appends its admissions after the refresh's rows): shuffle the
+    // rows, plans in lockstep, so ties break on arbitrary indices.
+    std::vector<std::size_t> order(ledger.jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    ShareLedger shuffled;
+    shuffled.available = ledger.available;
+    for (std::size_t k : order) {
+        shuffled.jobs.push_back(ledger.jobs[k]);
+        shuffled.plans.push_back(ledger.plans[k]);
     }
 
-    AllocationOutcome fast = run_allocation(config, now, slo_jobs,
-                                            min_shares,
-                                            best_effort_jobs);
+    AllocationOutcome fast =
+        run_allocation(config, now, shuffled, best_effort_jobs);
     AllocationOutcome slow = run_allocation_reference(
-        config, now, slo_jobs, min_shares, best_effort_jobs);
+        config, now, shuffled, best_effort_jobs);
 
     std::ostringstream label;
     label << "seed=" << seed << " slo=" << shape.slo_jobs
@@ -151,7 +165,7 @@ check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
     for (std::size_t i = 0; i < slow.plans.size() && i < fast.plans.size();
          ++i) {
         EXPECT_EQ(fast.plans[i].gpus, slow.plans[i].gpus)
-            << label.str() << " job " << slo_jobs[i].id;
+            << label.str() << " job " << shuffled.jobs[i].id;
     }
     return true;
 }

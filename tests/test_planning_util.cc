@@ -229,21 +229,29 @@ TEST(RefreshMinShares, RelaxedReservationStaysInsideRelaxedHorizon)
     MinShareRefresh refresh =
         refresh_min_shares(config, now, slo, &failures);
     EXPECT_EQ(failures, 1);
-    ASSERT_EQ(refresh.slo.size(), 2u);
+    const ShareLedger &ledger = refresh.ledger;
+    ASSERT_EQ(ledger.jobs.size(), 2u);
+    ASSERT_EQ(ledger.plans.size(), 2u);
     EXPECT_TRUE(refresh.parked.empty());
-    for (const PlanningJob &job : refresh.slo) {
+    for (std::size_t i = 0; i < ledger.jobs.size(); ++i) {
+        const PlanningJob &job = ledger.jobs[i];
         PlanHorizon d = plan_horizon(now, job.deadline,
                                      config.slot_seconds,
                                      config.max_slots);
-        const SlotPlan &share = refresh.min_shares.at(job.id);
-        EXPECT_LE(share.horizon(), d.slots)
+        EXPECT_LE(ledger.plans[i].horizon(), d.slots)
             << "job " << job.id << " reserves past its relaxed horizon";
     }
-    // The hopeless job's deadline was actually relaxed, not dropped.
-    for (const PlanningJob &job : refresh.slo) {
-        if (job.id == 1) {
-            EXPECT_GT(job.deadline, now + 600.0);
-        }
+    // Rows keep deadline order as given; the hopeless job's deadline
+    // was actually relaxed, not dropped.
+    EXPECT_EQ(ledger.jobs[0].id, 1);
+    EXPECT_GT(ledger.jobs[0].deadline, now + 600.0);
+    // The ledger's availability is what the two shares leave free.
+    for (std::size_t t = 0; t < ledger.available.size(); ++t) {
+        EXPECT_EQ(ledger.available[t],
+                  config.total_gpus -
+                      ledger.plans[0].at(static_cast<int>(t)) -
+                      ledger.plans[1].at(static_cast<int>(t)))
+            << "slot " << t;
     }
 }
 

@@ -140,7 +140,7 @@ check_theorem2(const std::vector<PlanningJob> &jobs, GpuCount gpus,
     AdmissionOutcome admission = run_admission(config, 0.0, jobs);
     ASSERT_TRUE(admission.feasible) << label;
     AllocationOutcome outcome =
-        run_allocation(config, 0.0, jobs, admission.plans, {});
+        run_allocation(config, 0.0, admission.ledger, {});
 
     double greedy_time = 0.0;
     GpuCount greedy_slot0 = 0;
@@ -173,7 +173,7 @@ check_theorem2_exact(const std::vector<PlanningJob> &jobs,
     AdmissionOutcome admission = run_admission(config, 0.0, jobs);
     ASSERT_TRUE(admission.feasible) << label;
     AllocationOutcome outcome =
-        run_allocation(config, 0.0, jobs, admission.plans, {});
+        run_allocation(config, 0.0, admission.ledger, {});
     double greedy_time = 0.0;
     GpuCount greedy_slot0 = 0;
     for (const SlotPlan &plan : outcome.plans) {
