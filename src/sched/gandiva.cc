@@ -1,9 +1,11 @@
 #include "sched/gandiva.h"
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
+#include "recover/fields.h"
 
 namespace ef {
 
@@ -11,25 +13,24 @@ SchedulerDecision
 GandivaScheduler::allocate()
 {
     EF_CHECK(view_ != nullptr);
-    std::vector<JobId> jobs = view_->active_jobs();
-
     // Least-recently-served first: suspended jobs starve the longest
-    // and therefore get the next slice; ties go to earlier submission.
-    std::stable_sort(jobs.begin(), jobs.end(), [this](JobId a, JobId b) {
-        Time la = last_served_.count(a) ? last_served_.at(a) : -1.0;
-        Time lb = last_served_.count(b) ? last_served_.at(b) : -1.0;
-        if (la != lb)
-            return la < lb;
-        const JobSpec &sa = view_->spec(a);
-        const JobSpec &sb = view_->spec(b);
-        if (sa.submit_time != sb.submit_time)
-            return sa.submit_time < sb.submit_time;
-        return a < b;
-    });
+    // and therefore get the next slice; ties go to earlier submission,
+    // then to the lower id. One sort key per job (never-served jobs
+    // count as served at -1), so the sort does no lookups.
+    const std::vector<JobId> active = view_->active_jobs();
+    std::vector<std::tuple<Time, Time, JobId>> order;
+    order.reserve(active.size());
+    for (JobId id : active) {
+        const auto served = last_served_.find(id);
+        order.emplace_back(
+            served != last_served_.end() ? served->second : -1.0,
+            view_->spec(id).submit_time, id);
+    }
+    std::sort(order.begin(), order.end());
 
     SchedulerDecision decision;
     GpuCount free = view_->total_gpus();
-    for (JobId id : jobs) {
+    for (const auto &[served, submitted, id] : order) {
         if (view_->remaining_iterations(id) <= 0.0)
             continue;
         GpuCount req = view_->spec(id).requested_gpus;
@@ -42,6 +43,18 @@ GandivaScheduler::allocate()
         }
     }
     return decision;
+}
+
+void
+GandivaScheduler::encode_recovery_state(std::string *out) const
+{
+    *out = recover::encode(replan_failures_, last_served_);
+}
+
+bool
+GandivaScheduler::decode_recovery_state(const std::string &blob)
+{
+    return recover::decode(blob, replan_failures_, last_served_).ok();
 }
 
 }  // namespace ef

@@ -28,6 +28,11 @@ class GandivaScheduler : public Scheduler
 
     Time reschedule_interval() const override { return 1800.0; }
 
+    /** The replan-failure count and last_served_: the rotation must
+     *  survive a crash, or a recovered run slices differently. */
+    void encode_recovery_state(std::string *out) const override;
+    bool decode_recovery_state(const std::string &blob) override;
+
   private:
     /** Last time each job held GPUs (drives the rotation). */
     std::map<JobId, Time> last_served_;

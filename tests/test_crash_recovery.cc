@@ -353,6 +353,42 @@ TEST(CrashRecovery, ReplanFailuresSurviveRecovery)
     }
 }
 
+// Every policy's cross-round state is in its recovery blob: a run
+// crashed late on the large testbed (where gandiva time-slices, so its
+// rotation decides who runs) and recovered ends in the same state.
+TEST(CrashRecovery, EveryPolicyRecoversALateCrash)
+{
+    const Trace trace = testbed_large_trace();
+    for (const std::string &name : all_scheduler_names()) {
+        SCOPED_TRACE(name);
+        SimConfig base = scripted_base();
+        base.durability.snapshot_every = 4;
+        const RunResult baseline = run_sim(trace, base, name);
+        ASSERT_GT(baseline.state_hash_samples, 8u);
+        // Late, but while the cluster is still oversubscribed: in the
+        // last few rounds gandiva has nothing left to rotate.
+        const std::uint64_t late = baseline.state_hash_samples * 9 / 10;
+
+        SimConfig config = empty_script_base();
+        config.durability.snapshot_every = 4;
+        const RunResult recovered = crash_then_recover(
+            trace, config, fresh_dir("ef_crash_late_" + name),
+            static_cast<std::int64_t>(late), name);
+        EXPECT_EQ(recovered.state_hash, baseline.state_hash);
+    }
+}
+
+// A blob without gandiva's rotation (the base scheduler's format, the
+// replan-failure count alone) is refused, never half-restored.
+TEST(CrashRecovery, GandivaRefusesABlobWithoutItsRotation)
+{
+    auto gandiva = make_scheduler("gandiva");
+    std::string blob;
+    gandiva->encode_recovery_state(&blob);
+    EXPECT_TRUE(gandiva->decode_recovery_state(blob));
+    EXPECT_FALSE(gandiva->decode_recovery_state(recover::encode(3)));
+}
+
 TEST(CrashRecovery, MismatchedTraceIsTypedError)
 {
     const Trace trace = small_trace(42);
