@@ -1,6 +1,8 @@
 #include "sched/edf.h"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "common/check.h"
 
@@ -42,21 +44,21 @@ EdfScheduler::allocate()
     }
 
     // Plain EDF: deadline order, each job takes as many GPUs as still
-    // help it, best-effort jobs last in submission order.
-    std::vector<JobId> jobs = view_->active_jobs();
-    std::stable_sort(jobs.begin(), jobs.end(), [this](JobId a, JobId b) {
-        const JobSpec &sa = view_->spec(a);
-        const JobSpec &sb = view_->spec(b);
-        if (sa.deadline != sb.deadline)
-            return sa.deadline < sb.deadline;
-        if (sa.submit_time != sb.submit_time)
-            return sa.submit_time < sb.submit_time;
-        return a < b;
-    });
+    // help it, best-effort jobs last in submission order. One
+    // (deadline, submit time, id) key per job, so the sort does no
+    // lookups.
+    const std::vector<JobId> active = view_->active_jobs();
+    std::vector<std::tuple<Time, Time, JobId>> order;
+    order.reserve(active.size());
+    for (JobId id : active) {
+        const JobSpec &spec = view_->spec(id);
+        order.emplace_back(spec.deadline, spec.submit_time, id);
+    }
+    std::sort(order.begin(), order.end());
 
     SchedulerDecision decision;
     GpuCount free = view_->total_gpus();
-    for (JobId id : jobs) {
+    for (const auto &[deadline, submitted, id] : order) {
         if (view_->remaining_iterations(id) <= 0.0)
             continue;
         GpuCount g = view_->curve(id).usable(free);

@@ -29,67 +29,68 @@ SchedulerDecision
 ThemisScheduler::allocate()
 {
     EF_CHECK(view_ != nullptr);
-    std::vector<JobId> jobs = view_->active_jobs();
 
     // Lease semantics: a running job keeps its GPUs until it finishes;
     // freed GPUs are auctioned to the waiting jobs with the worst
     // finish-time fairness. A waiting job whose rho is far beyond a
     // running job's can reclaim that job's lease (fairness trigger).
+    // Each job's rho is taken once, as its sort key; the lease loop
+    // reuses it.
+    struct Ranked
+    {
+        double rho;
+        JobId id;
+    };
     SchedulerDecision decision;
     GpuCount free = view_->total_gpus();
-    std::vector<JobId> waiting;
-    std::vector<JobId> running;
-    for (JobId id : jobs) {
+    std::vector<Ranked> waiting;
+    std::vector<Ranked> running;
+    for (JobId id : view_->active_jobs()) {
         if (view_->remaining_iterations(id) <= 0.0)
             continue;
+        const Ranked job{finish_time_fairness(id), id};
         if (view_->current_gpus(id) > 0)
-            running.push_back(id);
+            running.push_back(job);
         else
-            waiting.push_back(id);
+            waiting.push_back(job);
     }
-    for (JobId id : running) {
-        GpuCount req = view_->spec(id).requested_gpus;
-        decision.gpus[id] = req;
+    for (const Ranked &job : running) {
+        GpuCount req = view_->spec(job.id).requested_gpus;
+        decision.gpus[job.id] = req;
         free -= req;
     }
 
-    std::stable_sort(waiting.begin(), waiting.end(),
-                     [this](JobId a, JobId b) {
-                         double ra = finish_time_fairness(a);
-                         double rb = finish_time_fairness(b);
-                         if (ra != rb)
-                             return ra > rb;
-                         return a < b;
-                     });
-    std::stable_sort(running.begin(), running.end(),
-                     [this](JobId a, JobId b) {
-                         double ra = finish_time_fairness(a);
-                         double rb = finish_time_fairness(b);
-                         if (ra != rb)
-                             return ra < rb;  // best-treated first
-                         return a < b;
-                     });
+    std::sort(waiting.begin(), waiting.end(),
+              [](const Ranked &a, const Ranked &b) {
+                  if (a.rho != b.rho)
+                      return a.rho > b.rho;
+                  return a.id < b.id;
+              });
+    std::sort(running.begin(), running.end(),
+              [](const Ranked &a, const Ranked &b) {
+                  if (a.rho != b.rho)
+                      return a.rho < b.rho;  // best-treated first
+                  return a.id < b.id;
+              });
 
     constexpr double kPreemptionFactor = 3.0;
     std::size_t victim = 0;
-    for (JobId id : waiting) {
-        GpuCount req = view_->spec(id).requested_gpus;
-        double rho = finish_time_fairness(id);
+    for (const Ranked &job : waiting) {
+        GpuCount req = view_->spec(job.id).requested_gpus;
         // Reclaim leases from the best-treated running jobs while this
         // starving job is markedly worse off.
         while (req > free && victim < running.size() &&
-               rho > kPreemptionFactor *
-                         finish_time_fairness(running[victim])) {
-            JobId v = running[victim];
+               job.rho > kPreemptionFactor * running[victim].rho) {
+            JobId v = running[victim].id;
             free += decision.gpus[v];
             decision.gpus[v] = 0;
             ++victim;
         }
         if (req <= free) {
-            decision.gpus[id] = req;
+            decision.gpus[job.id] = req;
             free -= req;
         } else {
-            decision.gpus[id] = 0;
+            decision.gpus[job.id] = 0;
         }
     }
     return decision;

@@ -1,6 +1,8 @@
 #include "sched/tiresias.h"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "common/check.h"
 
@@ -22,25 +24,21 @@ SchedulerDecision
 TiresiasScheduler::allocate()
 {
     EF_CHECK(view_ != nullptr);
-    std::vector<JobId> jobs = view_->active_jobs();
-
     // 2D-LAS: queue index first (less attained service wins), FIFO by
-    // submission inside a queue.
-    std::stable_sort(jobs.begin(), jobs.end(), [this](JobId a, JobId b) {
-        int qa = queue_of(view_->attained_gpu_seconds(a));
-        int qb = queue_of(view_->attained_gpu_seconds(b));
-        if (qa != qb)
-            return qa < qb;
-        const JobSpec &sa = view_->spec(a);
-        const JobSpec &sb = view_->spec(b);
-        if (sa.submit_time != sb.submit_time)
-            return sa.submit_time < sb.submit_time;
-        return a < b;
-    });
+    // submission inside a queue. One (queue, submit time, id) key per
+    // job, so the sort does no lookups.
+    const std::vector<JobId> active = view_->active_jobs();
+    std::vector<std::tuple<int, Time, JobId>> order;
+    order.reserve(active.size());
+    for (JobId id : active) {
+        order.emplace_back(queue_of(view_->attained_gpu_seconds(id)),
+                           view_->spec(id).submit_time, id);
+    }
+    std::sort(order.begin(), order.end());
 
     SchedulerDecision decision;
     GpuCount free = view_->total_gpus();
-    for (JobId id : jobs) {
+    for (const auto &[queue, submitted, id] : order) {
         if (view_->remaining_iterations(id) <= 0.0)
             continue;
         GpuCount req = view_->spec(id).requested_gpus;
