@@ -13,12 +13,13 @@
 #ifndef EF_RECOVER_CODEC_H_
 #define EF_RECOVER_CODEC_H_
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/hash.h"
 
 namespace ef::recover {
 
@@ -40,20 +41,6 @@ enum class ErrorCode {
     /** Decoded state is incompatible with the running configuration. */
     kStateMismatch,
 };
-
-/** Little-endian value of the @p n <= 8 bytes at @p p, zero-padded. */
-inline std::uint64_t
-load_le(const std::uint8_t *p, std::size_t n)
-{
-    std::uint64_t w = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(&w, p, n);
-    } else {
-        for (std::size_t b = 0; b < n; ++b)
-            w |= static_cast<std::uint64_t>(p[b]) << (8 * b);
-    }
-    return w;
-}
 
 /** Stable lowercase name for an ErrorCode ("checksum-mismatch", ...). */
 const char *error_code_name(ErrorCode code);

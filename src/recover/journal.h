@@ -37,8 +37,10 @@ constexpr std::uint32_t kJournalMagic = 0x4c4a4645u;
 /** 2: record bodies use the recover/fields.h value encoding.
  *  3: word-at-a-time checksums; the first record is a kHead.
  *  4: the plan-commit, fault and defrag kinds are gone (nothing read
- *     them back); the simulator writes only round commits. */
-constexpr std::uint32_t kJournalVersion = 4;
+ *     them back); the simulator writes only round commits.
+ *  5: the state hashes that round commits carry (simulator and
+ *     service) are chained with the word hasher, not FNV-1a. */
+constexpr std::uint32_t kJournalVersion = 5;
 
 /**
  * Record kinds shared by the simulator and the serve-mode front end.

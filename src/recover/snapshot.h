@@ -40,8 +40,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
  *  5: the service's active jobs travel as id-ordered rows with their GPU
  *  counts in an aligned column, instead of as id-keyed maps.
  *  6: the simulator carries no service queue or governor, its run
- *  totals no service counters, and its event kinds no service round. */
-constexpr std::uint32_t kSnapshotVersion = 6;
+ *  totals no service counters, and its event kinds no service round.
+ *  7: the chained state hashes it carries come from the word hasher,
+ *  not FNV-1a. */
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /** The end of a chain: what a journal head pairs with. */
 struct ChainTip

@@ -545,7 +545,7 @@ Service::write_snapshot()
 void
 Service::fold_round_hash(Time t, std::size_t batch, bool forced)
 {
-    Fnv1a h;
+    WordHash h;
     h.u64(hash_);
     h.f64(t);
     h.u64(batch);

@@ -188,8 +188,8 @@ class Service
     const ServiceConfig &config() const { return config_; }
 
     /**
-     * Chained FNV-1a digest over every committed round: clock, verdict
-     * counters, active set (ids + remaining work), current
+     * Chained word-hash digest over every committed round: clock,
+     * verdict counters, active set (ids + remaining work), current
      * allocations, and the governor's bucket state. Two runs match
      * iff their whole decision histories match. The active set and
      * allocations enter as kept sums of per-row digests (DESIGN.md

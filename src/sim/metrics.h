@@ -113,7 +113,7 @@ struct RunResult
 
     // --- determinism audit ----------------------------------------------
     /**
-     * Chained FNV-1a digest of Simulator::state_hash() sampled at
+     * Chained word-hash digest of Simulator::state_hash() sampled at
      * every replan and once after the run. A pure function of (trace,
      * scheduler, config): any cross-run difference means a hidden
      * nondeterminism source. Compare via run_trace --state-hash.

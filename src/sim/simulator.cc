@@ -942,7 +942,7 @@ Simulator::recomputed_state_hash() const
 void
 Simulator::audit_state(bool terminal)
 {
-    Fnv1a h;
+    WordHash h;
     h.u64(result_.state_hash);
     h.u64(state_hash());
     result_.state_hash = h.digest();

@@ -160,10 +160,11 @@ class Simulator : public ClusterView
     recover::Status write_snapshot_now();
 
     /**
-     * Determinism auditor: FNV-1a hash of the hashed fields listed in
-     * fields() — event clock, job table (state, progress, attained
-     * service, pause windows), concrete GPU allocations and
-     * availability, and the optional fault and defrag state.
+     * Determinism auditor: word hash (common/hash.h) of the hashed
+     * fields listed in fields() — event clock, job table (state,
+     * progress, attained service, pause windows), concrete GPU
+     * allocations and availability, and the optional fault and defrag
+     * state.
      * Sampled and chained into RunResult::state_hash at every replan;
      * two runs of the same (trace, scheduler, config) must produce
      * identical digests, otherwise a hidden nondeterminism source

@@ -461,21 +461,28 @@ TEST(CrashRecovery, ForeignRecordKindIsTypedError)
     EXPECT_EQ(st.code, recover::ErrorCode::kBadRecord) << st.to_string();
 }
 
-// Journal version 3 could hold record kinds that no longer exist; the
-// reader must refuse such a file as a whole rather than replay it.
+// Journal version 3 could hold record kinds that no longer exist, and
+// version 4's round commits carry state hashes chained with FNV-1a,
+// which re-execution would call a divergence. The reader must refuse
+// such a file as a whole rather than replay it.
 TEST(CrashRecovery, OldJournalVersionIsTypedError)
 {
     const std::string dir = fresh_dir("ef_crash_old_version");
     const SimConfig config = crashed_journal(dir);
     const std::string path = recover::DurableLog::journal_path(dir);
-    std::string journal = read_file(path);
-    ASSERT_GT(journal.size(), 8u);
-    journal[4] = 3;  // little-endian u32 version after the magic
-    write_file(path, journal);
+    const std::string current = read_file(path);
+    ASSERT_GT(current.size(), 8u);
+    for (char version : {3, 4}) {
+        SCOPED_TRACE(static_cast<int>(version));
+        std::string journal = current;
+        journal[4] = version;  // little-endian u32 version after the magic
+        write_file(path, journal);
 
-    const recover::Status st = recover_status(config);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code, recover::ErrorCode::kBadVersion) << st.to_string();
+        const recover::Status st = recover_status(config);
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code, recover::ErrorCode::kBadVersion)
+            << st.to_string();
+    }
 }
 
 // --- crash windows inside a checkpoint's commit ------------------------

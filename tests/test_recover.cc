@@ -434,13 +434,14 @@ TEST(Journal, VersionOneFilesAreTyped)
 {
     // Version 1 predates the fields() byte layout: both file kinds
     // written with it must be refused, not misread. So must a version 4
-    // snapshot, whose service state predates the aligned GPU column,
-    // and a version 5 one, whose simulator state still holds the
-    // streaming-admission queue.
+    // snapshot, whose service state predates the aligned GPU column, a
+    // version 5 one, whose simulator state still holds the
+    // streaming-admission queue, and a version 6 one (or a version 4
+    // journal), whose chained state hashes were taken with FNV-1a.
     const std::string snap = temp_path("ef_snap_v1.bin");
     recover::ChainTip tip;
     std::string bytes;
-    for (std::uint8_t version : {1, 4, 5}) {
+    for (std::uint8_t version : {1, 4, 5, 6}) {
         SCOPED_TRACE(static_cast<int>(version));
         ASSERT_TRUE(
             recover::write_base_file(snap, 1, "payload", &tip).ok());
@@ -454,12 +455,15 @@ TEST(Journal, VersionOneFilesAreTyped)
     }
 
     const std::string journal = temp_path("ef_journal_v1.bin");
-    bytes = journal_with_records(journal, 1);
-    bytes[4] = 1;
-    write_file(journal, bytes);
-    JournalContents contents;
-    EXPECT_EQ(recover::read_journal(journal, &contents).code,
-              ErrorCode::kBadVersion);
+    for (std::uint8_t version : {1, 4}) {
+        SCOPED_TRACE(static_cast<int>(version));
+        bytes = journal_with_records(journal, 1);
+        bytes[4] = static_cast<char>(version);
+        write_file(journal, bytes);
+        JournalContents contents;
+        EXPECT_EQ(recover::read_journal(journal, &contents).code,
+                  ErrorCode::kBadVersion);
+    }
 }
 
 TEST(Journal, FuzzRandomCutsNeverCrash)

@@ -225,6 +225,57 @@ TEST(ServiceRecovery, MismatchedConfigIsTypedError)
     EXPECT_EQ(st.code, recover::ErrorCode::kStateMismatch);
 }
 
+// A directory written before the state hash became a word hash holds
+// round commits and a snapshot hash chained with FNV-1a; replaying it
+// would abort as a divergence. Both files carry their version, and an
+// older one is a typed kBadVersion.
+TEST(ServiceRecovery, OldFormatVersionsAreTypedErrors)
+{
+    const std::vector<serve::Submission> subs = burst_stream(24, 5);
+    const std::string dir = fresh_dir("ef_service_old_version");
+    {
+        serve::Service service(pressured_config());
+        ASSERT_TRUE(service.bind_durability(dir, 4, false).ok());
+        for (const serve::Submission &sub : subs)
+            service.submit(sub);
+    }
+    const std::string snapshot_path = recover::DurableLog::snapshot_path(dir);
+    const std::string journal_path = recover::DurableLog::journal_path(dir);
+    const std::string snapshot = read_file(snapshot_path);
+    const std::string journal = read_file(journal_path);
+    ASSERT_GT(snapshot.size(), 8u);
+    ASSERT_GT(journal.size(), 8u);
+
+    // The previous journal version next to a current snapshot, then the
+    // previous snapshot version next to a current journal.
+    const struct
+    {
+        const char *name;
+        const std::string &path;
+        char version;
+    } cases[] = {{"journal v4", journal_path, 4},
+                 {"snapshot v6", snapshot_path, 6}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        write_file(snapshot_path, snapshot);
+        write_file(journal_path, journal);
+        std::string old = read_file(c.path);
+        old[4] = c.version;  // little-endian u32 version after the magic
+        write_file(c.path, old);
+        serve::Service recovered(pressured_config());
+        const recover::Status st = recovered.bind_durability(dir, 4, true);
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.code, recover::ErrorCode::kBadVersion)
+            << st.to_string();
+    }
+
+    // The files as written still recover.
+    write_file(snapshot_path, snapshot);
+    write_file(journal_path, journal);
+    serve::Service recovered(pressured_config());
+    EXPECT_TRUE(recovered.bind_durability(dir, 4, true).ok());
+}
+
 /** The snapshot and journal a durable service leaves after each
  *  prefix of @p subs: [n] = after n submissions. */
 std::vector<std::pair<std::string, std::string>>
