@@ -8,9 +8,11 @@
  * Coverage spans best-effort-only, SLO-only, and mixed queues, both
  * fill directions for the minimum-share plans, and cluster sizes from
  * starved to abundant (up to 2048 GPUs, where the incremental
- * allocator's skip certificates fire). The share ledger comes from
- * run_admission over the same state, its rows shuffled as a service
- * round's may be.
+ * allocator's skip certificates fire). Curves that start above one
+ * GPU and best-effort rows with no work left exercise the allocator's
+ * best-effort start scan, and service-shaped rounds its early return.
+ * The share ledger comes from run_admission over the same state, its
+ * rows shuffled as a service round's may be.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include <optional>
 #include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/allocator.h"
@@ -26,14 +29,21 @@
 namespace ef {
 namespace {
 
+/** A concave curve whose first @p max_leading_zeros or fewer table
+ *  entries are zero, so min_workers() is 1, 2, ... up to
+ *  2^max_leading_zeros. */
 ScalingCurve
-random_curve(std::mt19937 &rng)
+random_curve(std::mt19937 &rng, int max_leading_zeros)
 {
     std::uniform_int_distribution<int> entries(1, 8);
     std::uniform_real_distribution<double> base(0.5, 4.0);
     std::uniform_real_distribution<double> gain(1.0, 2.0);
-    int count = entries(rng);
     std::vector<double> table;
+    if (max_leading_zeros > 0) {
+        std::uniform_int_distribution<int> zeros(0, max_leading_zeros);
+        table.assign(static_cast<std::size_t>(zeros(rng)), 0.0);
+    }
+    int count = entries(rng);
     double tpt = base(rng);
     for (int k = 0; k < count; ++k) {
         table.push_back(tpt);
@@ -50,6 +60,11 @@ struct JobDraw
     /** Deadline / single-GPU runtime, between "tight" and "slack". */
     double min_slack = 0.3;
     double max_slack = 4.0;
+    /** Curves start at up to 2^max_leading_zeros GPUs. */
+    int max_leading_zeros = 0;
+    /** Share of best-effort jobs drawn with no work left (0 or
+     *  exactly the allocator's epsilon, which counts as none). */
+    double idle_best_effort = 0.0;
 };
 
 PlanningJob
@@ -58,10 +73,18 @@ random_job(std::mt19937 &rng, JobId id, Time now, bool best_effort,
 {
     PlanningJob job;
     job.id = id;
-    job.curve = random_curve(rng);
+    job.curve = random_curve(rng, draw.max_leading_zeros);
     std::uniform_real_distribution<double> iters(draw.min_iterations,
                                                  draw.max_iterations);
     job.remaining_iterations = iters(rng);
+    if (best_effort && draw.idle_best_effort > 0.0) {
+        std::uniform_real_distribution<double> share(0.0, 1.0);
+        const double u = share(rng);
+        if (u < draw.idle_best_effort)
+            job.remaining_iterations = u < draw.idle_best_effort / 2
+                                           ? 0.0
+                                           : kFillEpsilon;
+    }
     if (!best_effort) {
         // Admission filters the infeasible deadlines.
         double solo = job.remaining_iterations /
@@ -96,13 +119,21 @@ struct Draws
     std::optional<JobDraw> odd_slo;
 };
 
+/** One generated allocation input. */
+struct Instance
+{
+    PlannerConfig config;
+    Time now = 0.0;
+    ShareLedger ledger;
+    std::vector<PlanningJob> best_effort_jobs;
+};
+
 /**
- * Generate one instance from @p seed, run both implementations, and
- * compare. Returns false when admission rejected the SLO set (the
- * instance is skipped, not counted).
+ * Generate one instance from @p seed, or nullopt when admission
+ * rejected its SLO set.
  */
-bool
-check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
+std::optional<Instance>
+make_instance(std::uint32_t seed, const Shape &shape, const Draws &draws)
 {
     std::mt19937 rng(seed);
     const Time now = 137.5;  // deliberately not slot-aligned
@@ -131,7 +162,7 @@ check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
         AdmissionOutcome admitted =
             run_admission(config, now, slo_jobs);
         if (!admitted.feasible)
-            return false;
+            return std::nullopt;
         ledger = std::move(admitted.ledger);
     }
     // Production ledgers are not in deadline order (the service
@@ -146,11 +177,30 @@ check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
         shuffled.jobs.push_back(ledger.jobs[k]);
         shuffled.plans.push_back(ledger.plans[k]);
     }
+    return Instance{config, now, std::move(shuffled),
+                    std::move(best_effort_jobs)};
+}
 
-    AllocationOutcome fast =
-        run_allocation(config, now, shuffled, best_effort_jobs);
+/**
+ * Generate one instance from @p seed, run both implementations, and
+ * compare. Returns false when admission rejected the SLO set (the
+ * instance is skipped, not counted). @p out, when non-null, receives
+ * the instance and the reference's outcome.
+ */
+bool
+check_one(std::uint32_t seed, const Shape &shape, const Draws &draws,
+          std::pair<Instance, AllocationOutcome> *out = nullptr)
+{
+    std::optional<Instance> made = make_instance(seed, shape, draws);
+    if (!made.has_value())
+        return false;
+    const Instance &in = *made;
+    const ShareLedger &shuffled = in.ledger;
+
+    AllocationOutcome fast = run_allocation(in.config, in.now, shuffled,
+                                            in.best_effort_jobs);
     AllocationOutcome slow = run_allocation_reference(
-        config, now, shuffled, best_effort_jobs);
+        in.config, in.now, shuffled, in.best_effort_jobs);
 
     std::ostringstream label;
     label << "seed=" << seed << " slo=" << shape.slo_jobs
@@ -167,6 +217,8 @@ check_one(std::uint32_t seed, const Shape &shape, const Draws &draws)
         EXPECT_EQ(fast.plans[i].gpus, slow.plans[i].gpus)
             << label.str() << " job " << shuffled.jobs[i].id;
     }
+    if (out != nullptr)
+        *out = {std::move(*made), std::move(slow)};
     return true;
 }
 
@@ -270,6 +322,119 @@ TEST(AllocatorEquivalence, CrowdedTails)
     int compared = run_shapes(shapes, 50'000, 100, tight_and_slack);
     EXPECT_GE(compared, 40) << "admission rejected too many instances "
                             << "for the fuzz to be meaningful";
+}
+
+/** True when the reference gave slot 0 to best-effort starts alone:
+ *  nothing left idle, no SLO row grew, no best-effort row past its
+ *  start. */
+bool
+starts_used_up_slot0(const Instance &in, const AllocationOutcome &out)
+{
+    if (out.unallocated != 0)
+        return false;
+    for (std::size_t i = 0; i < out.slo_gpus.size(); ++i) {
+        if (out.slo_gpus[i] != in.ledger.plans[i].at(0))
+            return false;
+    }
+    for (std::size_t j = 0; j < out.best_effort_gpus.size(); ++j) {
+        const GpuCount g = out.best_effort_gpus[j];
+        if (g != 0 && g != in.best_effort_jobs[j].curve.next_step(0))
+            return false;
+    }
+    return true;
+}
+
+TEST(AllocatorEquivalence, WideStartsAndIdleRows)
+{
+    // Curves start at 1 to 8 GPUs and a fifth of the best-effort rows
+    // have no work, so the start scan skips rows: idle ones, and wide
+    // starts that no longer fit while a later narrow one still does.
+    // Ending the scan at the first start that does not fit, or
+    // starting an idle row, diverges from the reference here.
+    std::vector<Shape> shapes = {
+        {0, 12, 16, FillDirection::kEarliest},
+        {0, 30, 24, FillDirection::kEarliest},
+        {4, 12, 32, FillDirection::kLatest},
+        {8, 24, 48, FillDirection::kEarliest},
+        {6, 6, 64, FillDirection::kLatest},  // starts leave GPUs over
+    };
+    const Draws wide{{10.0, 5000.0, 1.0, 4.0, 3, 0.2}, std::nullopt};
+    int compared = run_shapes(shapes, 60'000, 40, wide);
+    EXPECT_GE(compared, 120) << "admission rejected too many instances "
+                             << "for the fuzz to be meaningful";
+}
+
+TEST(AllocatorEquivalence, ServiceRounds)
+{
+    // A service round's shape: about 16 SLO rows and 250 best-effort
+    // rows on 64 GPUs. In most instances the best-effort starts use up
+    // slot 0, so run_allocation returns right after its start scan;
+    // the 128-GPU shape leaves GPUs to the growth heap after the scan.
+    std::vector<Shape> shapes = {
+        {16, 250, 64, FillDirection::kEarliest},
+        {16, 250, 64, FillDirection::kLatest},
+        {12, 240, 64, FillDirection::kEarliest},
+        {8, 4, 128, FillDirection::kEarliest},
+    };
+    const Draws service{{10.0, 5000.0, 1.0, 4.0, 3, 0.1}, std::nullopt};
+    int compared = 0;
+    int starts_only = 0;
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+        for (std::uint32_t k = 0; k < 20; ++k) {
+            std::pair<Instance, AllocationOutcome> got;
+            const std::uint32_t seed =
+                70'000 + static_cast<std::uint32_t>(s) * 1000 + k;
+            if (!check_one(seed, shapes[s], service, &got))
+                continue;
+            ++compared;
+            if (starts_used_up_slot0(got.first, got.second))
+                ++starts_only;
+        }
+    }
+    EXPECT_GE(compared, 60) << "admission rejected too many instances "
+                            << "for the fuzz to be meaningful";
+    // Both phases are covered: the early return and the heap.
+    EXPECT_GE(starts_only, compared / 2);
+    EXPECT_LT(starts_only, compared);
+}
+
+/** A best-effort job with @p iterations left on the curve @p table. */
+PlanningJob
+best_effort_job(JobId id, std::vector<double> table, double iterations)
+{
+    PlanningJob job;
+    job.id = id;
+    job.curve = ScalingCurve::from_pow2_table(std::move(table));
+    job.remaining_iterations = iterations;
+    return job;
+}
+
+TEST(AllocatorEquivalence, SkippedWideStart)
+{
+    // Row 0 starts at 4 GPUs, leaving 1 (of 5) or 4 (of 8) in slot 0.
+    // Row 1's start of 8 no longer fits, but row 2's start of 1 after
+    // it still does. On 5 GPUs that uses slot 0 up; on 8 the growth
+    // phase then takes row 2 to 4 (row 0's doubling does not fit).
+    const std::vector<PlanningJob> jobs = {
+        best_effort_job(1, {0.0, 0.0, 4.0, 6.0}, 1000.0),
+        best_effort_job(2, {0.0, 0.0, 0.0, 2.0, 3.0}, 1000.0),
+        best_effort_job(3, {1.0, 1.8, 3.0}, 1000.0),
+    };
+    PlannerConfig config;
+    config.slot_seconds = 60.0;
+    const ShareLedger none;
+    for (const auto &[gpus, want] :
+         {std::pair<GpuCount, std::vector<GpuCount>>{5, {4, 0, 1}},
+          std::pair<GpuCount, std::vector<GpuCount>>{8, {4, 0, 4}}}) {
+        config.total_gpus = gpus;
+        AllocationOutcome fast = run_allocation(config, 0.0, none, jobs);
+        AllocationOutcome slow =
+            run_allocation_reference(config, 0.0, none, jobs);
+        EXPECT_EQ(slow.best_effort_gpus, want) << gpus << " GPUs";
+        EXPECT_EQ(fast.best_effort_gpus, want) << gpus << " GPUs";
+        EXPECT_EQ(fast.unallocated, slow.unallocated) << gpus << " GPUs";
+        EXPECT_EQ(fast.unallocated, 0) << gpus << " GPUs";
+    }
 }
 
 }  // namespace
