@@ -13,8 +13,10 @@ namespace {
 /**
  * ProgressiveFilling's level walk. With @p kBounded, a level the
  * level-skip bound rules out is charged its scan's cost and not
- * scanned; the levels that are scanned run exactly as in the
- * unbounded walk.
+ * scanned, and usable(level) is looked up once per scanned level
+ * rather than in every slot with that many GPUs free. The levels that
+ * are scanned get exactly the unbounded walk's values; that walk keeps
+ * the literal per-slot usable(min(level, available)) as the oracle.
  */
 template <bool kBounded>
 std::optional<SlotPlan>
@@ -59,14 +61,26 @@ fill_levels(const ScalingCurve &curve, double remaining_iterations,
         plan.gpus.assign(static_cast<std::size_t>(slots), 0);
         double remaining = remaining_iterations;
         bool satisfied = false;
+        // Every slot with at least `level` GPUs free runs
+        // usable(level).
+        const GpuCount level_x = kBounded ? curve.usable(level) : 0;
+        const double level_tpt = kBounded ? curve.throughput(level_x) : 0.0;
 
         auto fill_slot = [&](int t) {
             if (cost != nullptr)
                 ++*cost;
-            GpuCount x = curve.usable(std::min(
-                level, available[static_cast<std::size_t>(t)]));
+            const GpuCount a = available[static_cast<std::size_t>(t)];
+            GpuCount x = 0;
+            double tpt = 0.0;
+            if (kBounded && a >= level) {
+                x = level_x;
+                tpt = level_tpt;
+            } else {
+                x = curve.usable(std::min(level, a));
+                tpt = curve.throughput(x);
+            }
             plan.gpus[static_cast<std::size_t>(t)] = x;
-            remaining -= curve.throughput(x) * slot_capacity(t);
+            remaining -= tpt * slot_capacity(t);
             return remaining <= kFillEpsilon;
         };
 

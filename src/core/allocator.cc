@@ -373,13 +373,16 @@ run_allocation_reference(const PlannerConfig &config, Time now,
     return outcome;
 }
 
+namespace {
+
 /*
- * Incremental formulation of the same greedy. The reference rebuilds
- * every candidate on every iteration, which is O(jobs × horizon) work
- * per handed-out GPU step. Here each job's candidate is computed once
- * and pushed into a lazy max-heap; after a winner is applied, only the
- * candidates its availability change can actually affect are
- * recomputed:
+ * Incremental formulation of the greedy's growth phase: everything
+ * after run_allocation's best-effort start scan. The reference
+ * rebuilds every candidate on every iteration, which is
+ * O(jobs × horizon) work per handed-out GPU step. Here each job's
+ * candidate is computed once and pushed into a lazy max-heap; after a
+ * winner is applied, only the candidates its availability change can
+ * actually affect are recomputed:
  *
  *  - A best-effort winner consumes slot-0 GPUs only. No other
  *    candidate's *content* depends on slot-0 headroom — only the
@@ -412,33 +415,31 @@ run_allocation_reference(const PlannerConfig &config, Time now,
  *    pref_min[d] >= slo_max_useful[k] is then implied, and a skipped
  *    scan iteration has no side effects, so eliding the whole O(n)
  *    loop is exact.
+ *
+ * @p plan, @p available and @p be_gpus hold the state after the start
+ * scan and receive the final one. Best-effort rows the scan did not
+ * start can never start (their start no longer fits, or they have no
+ * work), so only the started rows get candidates.
  */
-AllocationOutcome
-run_allocation(const PlannerConfig &config, Time now,
-               const ShareLedger &ledger,
-               const std::vector<PlanningJob> &best_effort_jobs)
+void
+grow_allocation(const PlannerConfig &config,
+                const std::vector<PlanningJob> &slo_jobs,
+                const std::vector<PlanHorizon> &slo_horizon,
+                const std::vector<PlanningJob> &best_effort_jobs,
+                std::vector<SlotPlan> &plan,
+                std::vector<GpuCount> &available,
+                std::vector<GpuCount> &be_gpus)
 {
     const Time dt = config.slot_seconds;
-    const std::vector<PlanningJob> &slo_jobs = ledger.jobs;
     const std::size_t n = slo_jobs.size();
     const std::size_t m = best_effort_jobs.size();
-    int horizon = 0;
-    const std::vector<PlanHorizon> slo_horizon =
-        row_horizons(config, now, ledger, best_effort_jobs, &horizon);
+    const int horizon = static_cast<int>(available.size());
     std::vector<GpuCount> slo_max_useful(n);
     GpuCount slo_max_all = 0;
     for (std::size_t i = 0; i < n; ++i) {
         slo_max_useful[i] = slo_jobs[i].curve.max_useful();
         slo_max_all = std::max(slo_max_all, slo_max_useful[i]);
     }
-
-    // Start from the minimum satisfactory shares and what they left
-    // free, as the ledger holds them (slots it never grew to are
-    // free).
-    std::vector<SlotPlan> plan(ledger.plans);
-    std::vector<GpuCount> available = ledger.available;
-    available.resize(static_cast<std::size_t>(horizon), config.total_gpus);
-    std::vector<GpuCount> be_gpus(m, 0);
 
     PlannerConfig refill_config = config;
     refill_config.direction = FillDirection::kEarliest;
@@ -589,11 +590,10 @@ run_allocation(const PlannerConfig &config, Time now,
         if (st.dead)
             return;
         const PlanningJob &job = best_effort_jobs[j];
-        if (job.remaining_iterations <= kIterEpsilon) {
-            st.dead = true;
-            return;
-        }
+        // Only started rows get here, with work left: the start scan
+        // handed out every start.
         GpuCount g = be_gpus[j];
+        EF_DCHECK(g > 0);
         GpuCount gn = job.curve.next_step(g);
         if (gn == 0) {
             st.dead = true;
@@ -610,21 +610,19 @@ run_allocation(const PlannerConfig &config, Time now,
         st.cand.valid = true;
         st.cand.delta = delta;
         st.cand.new_gpus = gn;
-        if (g == 0) {
-            st.cand.priority = kStartPriority;
-        } else {
-            st.cand.priority = (best_effort_gpu_seconds(job, g) -
-                                best_effort_gpu_seconds(job, gn)) /
-                               static_cast<double>(delta);
-        }
+        st.cand.priority = (best_effort_gpu_seconds(job, g) -
+                            best_effort_gpu_seconds(job, gn)) /
+                           static_cast<double>(delta);
         heap.push(HeapEntry{st.cand.priority, false,
                             static_cast<std::uint32_t>(j), st.epoch});
     };
 
     for (std::size_t i = 0; i < n; ++i)
         compute_slo(i);
-    for (std::size_t j = 0; j < m; ++j)
-        compute_be(j);
+    for (std::size_t j = 0; j < m; ++j) {
+        if (be_gpus[j] > 0)
+            compute_be(j);
+    }
 
     // Greedy loop: hand out slot-0 GPUs to the best marginal return.
     while (available[0] > 0 && !heap.empty()) {
@@ -725,6 +723,55 @@ run_allocation(const PlannerConfig &config, Time now,
             be_gpus[j] = st.cand.new_gpus;
             compute_be(j);
         }
+    }
+}
+
+}  // namespace
+
+/*
+ * Algorithm 2 in two phases, with the same winners in the same order
+ * as run_allocation_reference (DESIGN.md §10, "Best-effort start
+ * phase"). A start's priority is kStartPriority = +inf and every
+ * other candidate's is finite, with ties broken by index, so the
+ * greedy first hands next_step(0) GPUs to the best-effort rows in
+ * index order while they fit in slot 0. That phase is one scan here;
+ * grow_allocation runs the rest, and only if slot 0 has GPUs left.
+ */
+AllocationOutcome
+run_allocation(const PlannerConfig &config, Time now,
+               const ShareLedger &ledger,
+               const std::vector<PlanningJob> &best_effort_jobs)
+{
+    const std::size_t n = ledger.jobs.size();
+    const std::size_t m = best_effort_jobs.size();
+    int horizon = 0;
+    const std::vector<PlanHorizon> slo_horizon =
+        row_horizons(config, now, ledger, best_effort_jobs, &horizon);
+
+    // Start from the minimum satisfactory shares and what they left
+    // free, as the ledger holds them (slots it never grew to are
+    // free).
+    std::vector<SlotPlan> plan(ledger.plans);
+    std::vector<GpuCount> available = ledger.available;
+    available.resize(static_cast<std::size_t>(horizon), config.total_gpus);
+    std::vector<GpuCount> be_gpus(m, 0);
+
+    // Best-effort starts. A row with no work left, or whose start does
+    // not fit what is left of slot 0, is skipped: slot-0 headroom only
+    // shrinks, so it could never start later either.
+    for (std::size_t j = 0; j < m && available[0] > 0; ++j) {
+        const PlanningJob &job = best_effort_jobs[j];
+        if (job.remaining_iterations <= kIterEpsilon)
+            continue;
+        const GpuCount start = job.curve.next_step(0);
+        if (start == 0 || start > available[0])
+            continue;
+        be_gpus[j] = start;
+        available[0] -= start;
+    }
+    if (available[0] > 0) {
+        grow_allocation(config, ledger.jobs, slo_horizon, best_effort_jobs,
+                        plan, available, be_gpus);
     }
 
     AllocationOutcome outcome =
