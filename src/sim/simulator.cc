@@ -266,7 +266,6 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
         defrag_ = std::make_unique<defrag::Defragmenter>(
             config_.defrag, &topology_, &perf_);
     }
-    fingerprint_ = compute_fingerprint();
 }
 
 Simulator::~Simulator() = default;
@@ -1170,6 +1169,9 @@ Simulator::prepare_durability()
                  "prepare_durability needs a journal_dir");
     EF_FATAL_IF(cfg.snapshot_every < 1,
                 "durability.snapshot_every must be >= 1");
+    // Only durable runs read or write checkpoints, so only they pay
+    // for the pass over the trace.
+    fingerprint_ = compute_fingerprint();
     if (cfg.recover) {
         std::string snapshot;
         recover::JournalContents contents;

@@ -277,7 +277,8 @@ class Simulator : public ClusterView
         }
     };
     /** Digest of the (trace, scheduler, config) shape a snapshot is
-     *  only valid against; fingerprint_ holds it from construction. */
+     *  only valid against; prepare_durability() stores it in
+     *  fingerprint_. */
     std::uint64_t compute_fingerprint() const;
     recover::Status recover_state(const std::string &snapshot,
                                   const recover::JournalContents &tail);
@@ -299,7 +300,8 @@ class Simulator : public ClusterView
     Trace trace_;
     Scheduler *scheduler_;
     SimConfig config_;
-    /** compute_fingerprint(): trace, topology and config are fixed. */
+    /** compute_fingerprint(), set by prepare_durability(): trace,
+     *  topology and config are fixed by then. */
     std::uint64_t fingerprint_ = 0;
 
     Topology topology_;
