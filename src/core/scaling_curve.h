@@ -22,6 +22,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -29,7 +30,14 @@
 
 namespace ef {
 
-/** Throughput (iterations/sec) at power-of-two GPU counts. */
+/**
+ * Throughput (iterations/sec) at power-of-two GPU counts.
+ *
+ * A curve is an immutable shared handle: the table and everything
+ * derived from it live in one heap representation, built once and
+ * never changed, so copying a curve bumps a reference count and copies
+ * share one table (DESIGN.md §5). A default-constructed curve is empty.
+ */
 class ScalingCurve
 {
   public:
@@ -45,54 +53,56 @@ class ScalingCurve
     static ScalingCurve from_pow2_table(std::vector<double> table,
                                         bool enforce_concave = true);
 
-    bool empty() const { return table_.empty(); }
+    bool empty() const { return rep_ == nullptr; }
 
     /**
      * Throughput with @p gpus GPUs: counts round down to the nearest
      * power of two and clamp to the tabulated maximum; returns 0 for
      * counts below min_workers() or non-positive.
      *
-     * Hot path of Algorithms 1–2: the clamped log2 index is
-     * precomputed per bit width at construction, so a lookup is one
-     * bit_width plus two array reads — no loops or divisions.
+     * Hot path of Algorithms 1–2: the throughput of every bit width is
+     * precomputed at construction, so a lookup is one bit_width plus
+     * one array read — no loops or divisions.
      */
     double throughput(GpuCount gpus) const
     {
-        EF_CHECK(!table_.empty());
+        EF_CHECK(rep_ != nullptr);
         if (gpus <= 0)
             return 0.0;
-        return table_[index_[bit_width_of(gpus)]];
+        return rep_->by_width[bit_width_of(gpus)];
     }
 
     /** Largest tabulated GPU count (a power of two). */
     GpuCount max_tabulated() const
     {
-        EF_CHECK(!table_.empty());
-        return GpuCount(1) << (table_.size() - 1);
+        EF_CHECK(rep_ != nullptr);
+        return GpuCount(1) << (rep_->table.size() - 1);
     }
 
     /** Smallest GPU count with positive throughput. */
     GpuCount min_workers() const
     {
-        EF_CHECK(!table_.empty());
-        return min_workers_;
+        EF_CHECK(rep_ != nullptr);
+        return rep_->min_workers;
     }
 
     /**
      * Largest GPU count worth allocating: beyond it, throughput stops
-     * improving (by more than a relative epsilon).
+     * improving (by more than a relative epsilon). 0 when empty.
      */
-    GpuCount max_useful() const { return max_useful_; }
+    GpuCount max_useful() const { return rep_ ? rep_->max_useful : 0; }
 
     /**
      * Largest usable allocation given @p available GPUs: the largest
      * power of two <= min(available, max_useful()), or 0 when even
-     * min_workers() does not fit.
+     * min_workers() does not fit (always, for an empty curve).
      */
     GpuCount usable(GpuCount available) const
     {
-        GpuCount cap = std::min(available, max_useful_);
-        if (cap < min_workers_)
+        if (rep_ == nullptr)
+            return 0;
+        GpuCount cap = std::min(available, rep_->max_useful);
+        if (cap < rep_->min_workers)
             return 0;  // also covers non-positive availability
         return static_cast<GpuCount>(
             std::bit_floor(static_cast<std::uint32_t>(cap)));
@@ -108,25 +118,50 @@ class ScalingCurve
     /** True when the valid region has non-increasing marginal gains. */
     bool concave() const;
 
-    const std::vector<double> &table() const { return table_; }
+    /** The table (entry k: throughput at 2^k GPUs); empty when the
+     *  curve is. Copies of a curve return the same vector. */
+    const std::vector<double> &table() const;
 
-    /** Persistent state (recover/fields.h): the table, journal only;
-     *  decode validates it and re-derives the rest. */
-    template <class V>
-    void
-    fields(V &v)
-    {
-        v.journal(table_);
-        v.after_decode([this] { return adopt_table() == nullptr; });
-    }
+    /** Whether @p other has this curve's table, bit for bit (copies
+     *  always do; two empty curves do too). */
+    bool same_table(const ScalingCurve &other) const;
+
+    /**
+     * Persistent form (recover/fields.h): a curve travels as its table
+     * and decodes through adopt_wire(), which validates the table and
+     * derives the rest in whatever section it was read.
+     */
+    using Wire = std::vector<double>;
+    const Wire &wire() const { return table(); }
+    /** Take a decoded @p table; false when it is malformed (the curve
+     *  is then unchanged). A table equal to the current one keeps the
+     *  current, shared representation. */
+    bool adopt_wire(Wire &&table);
 
   private:
-    /** Validate table_ and derive the members below from it; on a
-     *  malformed table, what is wrong with it (nothing derived). */
-    const char *adopt_table();
-    /** Derive min_workers_, max_useful_ and index_ from table_, whose
-     *  first positive entry is at @p first. */
-    void derive(std::size_t first);
+    /** One entry per possible bit width of a GpuCount (plus width 0). */
+    static constexpr std::size_t kIndexEntries = 34;
+
+    /** The shared, immutable representation. */
+    struct Rep
+    {
+        std::vector<double> table;  // index k -> throughput at 2^k GPUs
+        GpuCount min_workers = 0;
+        GpuCount max_useful = 0;
+        /** bit_width(gpus) -> throughput at min(2^(w-1), max tabulated). */
+        std::array<double, kIndexEntries> by_width{};
+
+        /** Validate table and derive the members above from it; on a
+         *  malformed table, what is wrong with it (nothing derived). */
+        const char *adopt_table();
+        /** Derive the members above from table, whose first positive
+         *  entry is at @p first. */
+        void derive(std::size_t first);
+    };
+
+    explicit ScalingCurve(std::shared_ptr<const Rep> rep)
+        : rep_(std::move(rep))
+    {}
 
     /** bit_width(gpus) for positive counts; 1 + floor(log2(gpus)). */
     static int bit_width_of(GpuCount gpus)
@@ -134,16 +169,7 @@ class ScalingCurve
         return std::bit_width(static_cast<std::uint32_t>(gpus));
     }
 
-    void rebuild_index();
-
-    /** One entry per possible bit width of a GpuCount (plus width 0). */
-    static constexpr std::size_t kIndexEntries = 34;
-
-    std::vector<double> table_;     // index k -> throughput at 2^k GPUs
-    GpuCount max_useful_ = 0;
-    GpuCount min_workers_ = 0;
-    /** bit_width(gpus) -> clamped table index (min(log2, size-1)). */
-    std::array<std::uint8_t, kIndexEntries> index_{};
+    std::shared_ptr<const Rep> rep_;
 };
 
 /**

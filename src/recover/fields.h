@@ -88,6 +88,10 @@
  * in the base and head sections only, where everything listed before
  * them is final.
  *
+ * A Handle (an immutable shared value such as a ScalingCurve) maps as
+ * its wire() value, and decodes by handing the value read to its
+ * adopt_wire(), which validates it wherever it is read.
+ *
  * Values map the same way to hash and wire: bool as one byte (one
  * word in the hash, which mixes whole 64-bit words), integers and
  * enums as 64 bits (enums range-checked on decode against
@@ -108,6 +112,7 @@
 #define EF_RECOVER_FIELDS_H_
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -153,9 +158,21 @@ concept Bool =
 template <class T>
 concept Word = std::is_integral_v<T> || std::is_enum_v<T>;
 
+/**
+ * An immutable value behind a handle (a shared representation): it
+ * travels as its wire() value, and decoding hands the value read to
+ * adopt_wire(), whose false rejects the payload (kBadRecord).
+ */
+template <class T>
+concept Handle = requires(const T &c, T &m, typename T::Wire w) {
+    { c.wire() } -> std::same_as<const typename T::Wire &>;
+    { m.adopt_wire(std::move(w)) } -> std::same_as<bool>;
+};
+
 /** A struct with its own fields() list. */
 template <class T>
 concept Record = std::is_class_v<T> && !std::is_same_v<T, std::string> &&
+                 !Handle<T> &&
                  // ef-lint: allow(nondet: names ef::Rng's engine type)
                  !std::is_same_v<T, std::mt19937_64> && !Pointer<T> &&
                  !Container<T> && !Bool<T>;
@@ -338,6 +355,8 @@ class Emitter
         } else if constexpr (kind::Container<U>) {
             sink_.u64(x.size());
             items(x);
+        } else if constexpr (kind::Handle<U>) {
+            put(x.wire());
         } else {
             const_cast<U &>(x).fields(*this);
         }
@@ -743,6 +762,12 @@ class Reader
                 return;
             x.clear();
             elements(x, n);
+        } else if constexpr (kind::Handle<U>) {
+            // Validated wherever it is read, in any section.
+            typename U::Wire wire;
+            field(wire);
+            if (ok() && !x.adopt_wire(std::move(wire)))
+                fail();
         } else {
             x.fields(*this);
         }

@@ -62,7 +62,7 @@ EdfScheduler::allocate()
         if (view_->remaining_iterations(id) <= 0.0)
             continue;
         GpuCount g = view_->curve(id).usable(free);
-        decision.gpus[id] = g;
+        decision.set(id, g);
         free -= g;
     }
     return decision;

@@ -35,11 +35,11 @@ GandivaScheduler::allocate()
             continue;
         GpuCount req = view_->spec(id).requested_gpus;
         if (req <= free) {
-            decision.gpus[id] = req;
+            decision.set(id, req);
             free -= req;
             last_served_[id] = view_->now();
         } else {
-            decision.gpus[id] = 0;
+            decision.set(id, 0);
         }
     }
     return decision;

@@ -40,6 +40,7 @@ ThemisScheduler::allocate()
     {
         double rho;
         JobId id;
+        GpuCount lease = 0;  ///< GPUs a running job holds in the decision
     };
     SchedulerDecision decision;
     GpuCount free = view_->total_gpus();
@@ -54,10 +55,10 @@ ThemisScheduler::allocate()
         else
             waiting.push_back(job);
     }
-    for (const Ranked &job : running) {
-        GpuCount req = view_->spec(job.id).requested_gpus;
-        decision.gpus[job.id] = req;
-        free -= req;
+    for (Ranked &job : running) {
+        job.lease = view_->spec(job.id).requested_gpus;
+        decision.set(job.id, job.lease);
+        free -= job.lease;
     }
 
     std::sort(waiting.begin(), waiting.end(),
@@ -81,16 +82,15 @@ ThemisScheduler::allocate()
         // starving job is markedly worse off.
         while (req > free && victim < running.size() &&
                job.rho > kPreemptionFactor * running[victim].rho) {
-            JobId v = running[victim].id;
-            free += decision.gpus[v];
-            decision.gpus[v] = 0;
+            free += running[victim].lease;
+            decision.set(running[victim].id, 0);
             ++victim;
         }
         if (req <= free) {
-            decision.gpus[job.id] = req;
+            decision.set(job.id, req);
             free -= req;
         } else {
-            decision.gpus[job.id] = 0;
+            decision.set(job.id, 0);
         }
     }
     return decision;

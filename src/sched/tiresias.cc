@@ -43,10 +43,10 @@ TiresiasScheduler::allocate()
             continue;
         GpuCount req = view_->spec(id).requested_gpus;
         if (req <= free) {
-            decision.gpus[id] = req;
+            decision.set(id, req);
             free -= req;
         } else {
-            decision.gpus[id] = 0;
+            decision.set(id, 0);
         }
     }
     return decision;

@@ -328,6 +328,40 @@ TEST(CrashRecovery, RecoverWithoutCrashIsIdempotent)
     expect_identical(first, again, "recover after completion");
 }
 
+TEST(CrashRecovery, RecoveredJobsShareTheirShapeCurve)
+{
+    // A restored job table decodes a curve per row; each row that
+    // equals its shape's curve goes back to sharing it.
+    const Trace trace = small_trace(42);
+    const std::string dir = fresh_dir("ef_crash_shared_curves");
+    SimConfig config;
+    config.durability.journal_dir = dir;
+    config.durability.snapshot_every = 4;
+    run_sim(trace, config);
+
+    SimConfig recover_config = config;
+    recover_config.durability.recover = true;
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(trace, scheduler.get(), recover_config);
+    ASSERT_TRUE(sim.prepare_durability().ok());
+    auto fresh_scheduler = make_scheduler("elasticflow");
+    const Simulator fresh(trace, fresh_scheduler.get(), SimConfig{});
+    int shared = 0;
+    for (const JobSpec &a : trace.jobs) {
+        EXPECT_TRUE(sim.curve(a.id).same_table(fresh.curve(a.id)));
+        EXPECT_EQ(&sim.curve(a.id).table(), &sim.curve_for(a).table());
+        for (const JobSpec &b : trace.jobs) {
+            if (a.id < b.id && a.model == b.model &&
+                a.global_batch == b.global_batch) {
+                EXPECT_EQ(&sim.curve(a.id).table(),
+                          &sim.curve(b.id).table());
+                ++shared;
+            }
+        }
+    }
+    EXPECT_GT(shared, 0);
+}
+
 // The replan-failure count is carried across rounds and reported at
 // the end of the run: a recovered run must report the failures counted
 // before its snapshot too, under every policy that counts them.

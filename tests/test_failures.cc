@@ -191,7 +191,7 @@ TEST(Failures, PostFailureReplanIsNeverElided)
                 GpuCount req = view_->spec(id).requested_gpus;
                 if (view_->remaining_iterations(id) > 0.0 &&
                     req <= free) {
-                    decision.gpus[id] = req;
+                    decision.set(id, req);
                     free -= req;
                 }
             }

@@ -37,7 +37,7 @@ class FixedScheduler : public Scheduler
         for (JobId id : view_->active_jobs()) {
             GpuCount req = view_->spec(id).requested_gpus;
             if (view_->remaining_iterations(id) > 0.0 && req <= free) {
-                decision.gpus[id] = req;
+                decision.set(id, req);
                 free -= req;
             }
         }

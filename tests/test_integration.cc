@@ -49,7 +49,7 @@ TEST(Fidelity, FluidSimMatchesExecutorOnFixedAllocation)
             SchedulerDecision d;
             for (JobId id : view_->active_jobs()) {
                 if (view_->remaining_iterations(id) > 0)
-                    d.gpus[id] = 8;
+                    d.set(id, 8);
             }
             return d;
         }

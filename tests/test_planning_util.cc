@@ -190,7 +190,7 @@ TEST(ElasticAllocate, SuspendedWhenNothingFits)
     SchedulerDecision decision = elastic_allocate(
         view, config, PlanningMargin{}, false, &failures);
     GpuCount total = 0;
-    for (const auto &[id, g] : decision.gpus)
+    for (const auto &[id, g] : decision.entries())
         total += g;
     EXPECT_LE(total, 32);
     EXPECT_GT(failures, 0);  // both deadlines are hopeless

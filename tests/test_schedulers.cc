@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 #include "test_util.h"
@@ -34,6 +37,46 @@ TEST(Factory, MakesEveryScheduler)
         EXPECT_EQ(scheduler->name(), name);
     }
     EXPECT_DEATH(make_scheduler("nope"), "unknown scheduler");
+}
+
+TEST(SchedulerDecision, LastWriteWins)
+{
+    SchedulerDecision decision;
+    decision.set(7, 4);
+    decision.set(3, 2);
+    decision.set(7, 8);
+    decision.set(3, 0);
+    EXPECT_EQ(decision.of(7), 8);
+    EXPECT_EQ(decision.of(3), 0);
+    EXPECT_EQ(decision.entries().size(), 2u);
+}
+
+TEST(SchedulerDecision, AbsentJobGetsZero)
+{
+    SchedulerDecision decision;
+    EXPECT_EQ(decision.of(1), 0);
+    decision.set(2, 4);
+    decision.set(5, 1);
+    for (JobId absent : {JobId{0}, JobId{1}, JobId{3}, JobId{6}})
+        EXPECT_EQ(decision.of(absent), 0) << absent;
+    EXPECT_EQ(decision.of(2), 4);
+    EXPECT_EQ(decision.of(5), 1);
+}
+
+TEST(SchedulerDecision, SetOrderDoesNotMatter)
+{
+    const std::vector<SchedulerDecision::Entry> want = {
+        {1, 2}, {4, 8}, {9, 0}, {12, 1}, {30, 16}};
+    std::vector<SchedulerDecision::Entry> order = want;
+    int orders = 0;
+    do {
+        SchedulerDecision decision;
+        for (const auto &[id, g] : order)
+            decision.set(id, g);
+        EXPECT_EQ(decision.entries(), want);
+        ++orders;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(orders, 120);
 }
 
 TEST(Factory, ComparisonOrderMatchesPaper)

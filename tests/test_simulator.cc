@@ -30,7 +30,7 @@ class FixedScheduler : public Scheduler
         for (JobId id : view_->active_jobs()) {
             GpuCount req = view_->spec(id).requested_gpus;
             if (view_->remaining_iterations(id) > 0.0 && req <= free) {
-                decision.gpus[id] = req;
+                decision.set(id, req);
                 free -= req;
             }
         }
@@ -173,7 +173,7 @@ TEST(Simulator, OverSubscribedDecisionDies)
         {
             SchedulerDecision decision;
             for (JobId id : view_->active_jobs())
-                decision.gpus[id] = view_->total_gpus();
+                decision.set(id, view_->total_gpus());
             return decision;
         }
     };
@@ -325,6 +325,34 @@ TEST(Simulator, FailureAtArrivalBurstCoalescesIntoOneReplan)
     }
     EXPECT_TRUE(evicted_at_600);
     EXPECT_TRUE(replaced_at_600);
+}
+
+TEST(Simulator, JobsOfOneShapeShareOneCurve)
+{
+    Trace trace = TraceBuilder(TopologySpec::testbed_32())
+                      .slo(DnnModel::kResNet50, 128, 4, 0.0, kHour, 2.0)
+                      .slo(DnnModel::kResNet50, 128, 8, 10.0, kHour, 2.0)
+                      .slo(DnnModel::kResNet50, 256, 4, 20.0, kHour, 2.0)
+                      .slo(DnnModel::kBert, 128, 4, 30.0, kHour, 2.0)
+                      .build();
+    FixedScheduler scheduler;
+    Simulator sim(trace, &scheduler);
+    const std::vector<double> *shared = &sim.curve(0).table();
+    EXPECT_EQ(&sim.curve(1).table(), shared);
+    EXPECT_NE(&sim.curve(2).table(), shared);
+    EXPECT_NE(&sim.curve(3).table(), shared);
+    EXPECT_NE(&sim.curve(3).table(), &sim.curve(2).table());
+    // Admission sees the same curve for a trace shape.
+    for (const JobSpec &spec : trace.jobs)
+        EXPECT_EQ(&sim.curve_for(spec).table(), &sim.curve(spec.id).table());
+    // A shape outside the trace gets a fresh curve of the same value
+    // a job of that shape would hold.
+    JobSpec other = trace.jobs[0];
+    other.model = DnnModel::kVgg16;
+    const ScalingCurve fresh = sim.curve_for(other);
+    EXPECT_FALSE(fresh.empty());
+    EXPECT_TRUE(fresh.same_table(sim.curve_for(other)));
+    EXPECT_NE(&fresh.table(), &sim.curve_for(other).table());
 }
 
 }  // namespace
