@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <tuple>
 
 #include "cluster/buddy.h"
 #include "common/check.h"
@@ -26,6 +27,8 @@ PlacementManager::PlacementManager(const Topology *topology)
     down_per_server_.assign(static_cast<std::size_t>(
                                 topology_->num_servers()),
                             0);
+    available_gpus_ = topology_->total_gpus();
+    idle_gpus_ = available_gpus_;
 }
 
 GpuCount
@@ -34,34 +37,19 @@ PlacementManager::total_gpus() const
     return topology_->total_gpus();
 }
 
-GpuCount
-PlacementManager::available_gpus() const
+std::pair<GpuCount, GpuCount>
+PlacementManager::scan_capacity() const
 {
-    GpuCount total = 0;
+    GpuCount available = 0;
+    GpuCount idle = 0;
     for (int s = 0; s < topology_->num_servers(); ++s) {
-        if (server_up_[static_cast<std::size_t>(s)]) {
-            total += topology_->gpus_per_server() -
-                     down_per_server_[static_cast<std::size_t>(s)];
+        const auto i = static_cast<std::size_t>(s);
+        if (server_up_[i]) {
+            available += topology_->gpus_per_server() - down_per_server_[i];
+            idle += free_per_server_[i];
         }
     }
-    return total;
-}
-
-GpuCount
-PlacementManager::idle_gpus() const
-{
-    GpuCount total = 0;
-    for (int s = 0; s < topology_->num_servers(); ++s) {
-        if (server_up_[static_cast<std::size_t>(s)])
-            total += free_per_server_[static_cast<std::size_t>(s)];
-    }
-    return total;
-}
-
-GpuCount
-PlacementManager::used_gpus() const
-{
-    return available_gpus() - idle_gpus();
+    return {available, idle};
 }
 
 bool
@@ -129,6 +117,12 @@ PlacementManager::set_server_available(int server, bool available)
                                << " must be drained before going down");
     }
     const auto s = static_cast<std::size_t>(server);
+    if (server_up_[s] != available) {
+        const GpuCount sign = available ? 1 : -1;
+        available_gpus_ +=
+            sign * (topology_->gpus_per_server() - down_per_server_[s]);
+        idle_gpus_ += sign * free_per_server_[s];
+    }
     server_up_digest_.unseal(s, static_cast<bool>(server_up_[s]));
     server_up_[s] = available;
     server_up_digest_.seal(s, available);
@@ -158,6 +152,10 @@ PlacementManager::set_gpu_available(GpuCount gpu, bool available)
         --free_per_server_[s];
         ++down_per_server_[s];
         ++down_gpus_;
+        if (server_up_[s]) {
+            --available_gpus_;
+            --idle_gpus_;
+        }
     } else {
         EF_CHECK_MSG(!gpu_up_[g], "GPU " << gpu << " is not down");
         gpu_up_digest_.unseal(g, false);
@@ -166,6 +164,10 @@ PlacementManager::set_gpu_available(GpuCount gpu, bool available)
         ++free_per_server_[s];
         --down_per_server_[s];
         --down_gpus_;
+        if (server_up_[s]) {
+            ++available_gpus_;
+            ++idle_gpus_;
+        }
     }
 }
 
@@ -194,7 +196,10 @@ PlacementManager::assign(JobId job, std::vector<GpuCount> gpus)
         EF_CHECK_MSG(gpu_up_[static_cast<std::size_t>(g)],
                      "GPU " << g << " is down");
         set_owner(g, job);
-        --free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
+        const auto s = static_cast<std::size_t>(topology_->server_of(g));
+        --free_per_server_[s];
+        if (server_up_[s])
+            --idle_gpus_;
     }
     job_gpus_[job] = std::move(gpus);
 }
@@ -206,7 +211,10 @@ PlacementManager::unassign(JobId job)
     EF_CHECK(it != job_gpus_.end());
     for (GpuCount g : it->second) {
         set_owner(g, kInvalidJob);
-        ++free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
+        const auto s = static_cast<std::size_t>(topology_->server_of(g));
+        ++free_per_server_[s];
+        if (server_up_[s])
+            ++idle_gpus_;
     }
     job_gpus_.erase(it);
 }
@@ -252,6 +260,7 @@ PlacementManager::rebuild()
             job_gpus_[owner].push_back(static_cast<GpuCount>(g));
         }
     }
+    std::tie(available_gpus_, idle_gpus_) = scan_capacity();
     return true;
 }
 
@@ -1225,6 +1234,8 @@ PlacementManager::validate() const
     EF_CHECK(free_check == free_per_server_);
     EF_CHECK(down_check == down_per_server_);
     EF_CHECK(down_total == down_gpus_);
+    EF_CHECK(scan_capacity() ==
+             std::make_pair(available_gpus_, idle_gpus_));
     for (int s = 0; s < topology_->num_servers(); ++s) {
         if (!server_up_[static_cast<std::size_t>(s)]) {
             EF_CHECK(free_per_server_[static_cast<std::size_t>(s)] +

@@ -15,8 +15,9 @@
 #ifndef EF_CLUSTER_PLACEMENT_H_
 #define EF_CLUSTER_PLACEMENT_H_
 
-#include <optional>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -66,11 +67,11 @@ class PlacementManager
     const Topology &topology() const { return *topology_; }
 
     GpuCount total_gpus() const;
-    /** GPUs in servers that are currently up. */
-    GpuCount available_gpus() const;
-    /** Idle GPUs in servers that are currently up. */
-    GpuCount idle_gpus() const;
-    GpuCount used_gpus() const;
+    /** Up GPUs in servers that are currently up (a counter). */
+    GpuCount available_gpus() const { return available_gpus_; }
+    /** Idle up GPUs in servers that are currently up (a counter). */
+    GpuCount idle_gpus() const { return idle_gpus_; }
+    GpuCount used_gpus() const { return available_gpus_ - idle_gpus_; }
 
     bool is_placed(JobId job) const;
     /** Sorted GPU ids of a placed job. */
@@ -175,9 +176,12 @@ class PlacementManager
     void validate() const;
 
   private:
-    /** Re-derive the per-job lists and per-server counters from the
-     *  per-GPU and per-server tables; false on an inconsistent table. */
+    /** Re-derive the per-job lists and the counters from the per-GPU
+     *  and per-server tables; false on an inconsistent table. */
     bool rebuild();
+    /** available_gpus() and idle_gpus() by a scan over the servers:
+     *  what the counters must equal. */
+    std::pair<GpuCount, GpuCount> scan_capacity() const;
     void assign(JobId job, std::vector<GpuCount> gpus);
     void unassign(JobId job);
     /** The one write path of gpu_owner_ (keeps owner_digest_). */
@@ -223,6 +227,10 @@ class PlacementManager
     std::vector<bool> gpu_up_;                  // size total_gpus
     std::vector<GpuCount> down_per_server_;
     GpuCount down_gpus_ = 0;
+    /** available_gpus() and idle_gpus(), kept current by assign,
+     *  unassign and the availability setters. */
+    GpuCount available_gpus_ = 0;
+    GpuCount idle_gpus_ = 0;
     /** Hash caches of the three tables above (recover::SplitCache). */
     recover::SplitCache owner_digest_;
     recover::SplitCache gpu_up_digest_;

@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "cluster/placement.h"
 #include "common/rng.h"
@@ -397,6 +399,102 @@ TEST_F(PlacementTest, OwnershipDigestTracksEveryMutation)
         manager_.release(job);
     EXPECT_EQ(recover::digest(manager_), empty);
     expect_digest_current(manager_, "releasing everything");
+}
+
+/** available_gpus() and idle_gpus() of @p pm, counted GPU by GPU. */
+std::pair<GpuCount, GpuCount>
+count_capacity(const PlacementManager &pm, const Topology &topo)
+{
+    GpuCount available = 0;
+    GpuCount idle = 0;
+    for (GpuCount g = 0; g < topo.total_gpus(); ++g) {
+        if (!pm.server_available(topo.server_of(g)) || !pm.gpu_available(g))
+            continue;
+        ++available;
+        idle += pm.owner_of(g) == kInvalidJob ? 1 : 0;
+    }
+    return {available, idle};
+}
+
+TEST_F(PlacementTest, CapacityCountersFollowEveryMutation)
+{
+    Rng rng(7);
+    std::set<JobId> live;
+    JobId next = 0;
+    const auto check = [&](int step) {
+        manager_.validate();
+        EXPECT_EQ(std::make_pair(manager_.available_gpus(),
+                                 manager_.idle_gpus()),
+                  count_capacity(manager_, topo_))
+            << "step " << step;
+        EXPECT_EQ(manager_.used_gpus(),
+                  manager_.available_gpus() - manager_.idle_gpus());
+    };
+    check(-1);
+    EXPECT_EQ(manager_.available_gpus(), topo_.total_gpus());
+    for (int step = 0; step < 800; ++step) {
+        const double op = rng.uniform_real(0.0, 1.0);
+        if (op < 0.35 || live.empty()) {
+            const GpuCount size = GpuCount(1) << rng.uniform_int(0, 4);
+            if (manager_.place(next, size, PlacementStrategy::kBestFitCompact,
+                               true)
+                    .ok) {
+                live.insert(next);
+            }
+            ++next;
+        } else if (op < 0.5) {
+            auto it = live.begin();
+            std::advance(it, rng.uniform_int(
+                                 0, static_cast<std::int64_t>(
+                                        live.size()) - 1));
+            manager_.resize(*it, GpuCount(1) << rng.uniform_int(0, 5),
+                            PlacementStrategy::kBestFitCompact, true);
+        } else if (op < 0.7) {
+            auto it = live.begin();
+            std::advance(it, rng.uniform_int(
+                                 0, static_cast<std::int64_t>(
+                                        live.size()) - 1));
+            manager_.release(*it);
+            live.erase(it);
+        } else if (op < 0.85) {
+            // A GPU fault or repair, on an up or a down server.
+            const GpuCount gpu = static_cast<GpuCount>(
+                rng.uniform_int(0, topo_.total_gpus() - 1));
+            if (!manager_.gpu_available(gpu))
+                manager_.set_gpu_available(gpu, true);
+            else if (manager_.owner_of(gpu) == kInvalidJob)
+                manager_.set_gpu_available(gpu, false);
+        } else {
+            // A server crash (once drained) or repair; setting the
+            // current state again is a no-op.
+            const int server = static_cast<int>(
+                rng.uniform_int(0, topo_.num_servers() - 1));
+            if (!manager_.server_available(server)) {
+                manager_.set_server_available(server, true);
+            } else {
+                for (JobId job : manager_.placed_jobs()) {
+                    const std::vector<GpuCount> &gpus = manager_.gpus_of(job);
+                    if (std::any_of(gpus.begin(), gpus.end(),
+                                    [&](GpuCount g) {
+                                        return topo_.server_of(g) == server;
+                                    })) {
+                        manager_.release(job);
+                        live.erase(job);
+                    }
+                }
+                manager_.set_server_available(server, false);
+                manager_.set_server_available(server, false);
+            }
+        }
+        check(step);
+    }
+
+    // A decoded manager rebuilds the counters from its tables.
+    PlacementManager back(&topo_);
+    ASSERT_TRUE(recover::decode(recover::encode(manager_), back).ok());
+    EXPECT_EQ(back.available_gpus(), manager_.available_gpus());
+    EXPECT_EQ(back.idle_gpus(), manager_.idle_gpus());
+    back.validate();
 }
 
 TEST_F(PlacementTest, OwnershipDigestUnderRandomChurn)
