@@ -15,27 +15,24 @@ PlanningMargin::inflate(double remaining, const ScalingCurve &curve) const
 }
 
 PlanningJob
-to_planning_job(const ClusterView &view, JobId id,
-                const PlanningMargin &margin)
+to_planning_job(const ClusterView &view, const JobSpec &spec,
+                double remaining, const PlanningMargin &margin)
 {
-    const JobSpec &spec = view.spec(id);
     PlanningJob job;
-    job.id = id;
-    job.curve = view.curve(id);
-    job.remaining_iterations =
-        margin.inflate(view.remaining_iterations(id), job.curve);
+    job.id = spec.id;
+    job.curve = view.curve(spec.id);
+    job.remaining_iterations = margin.inflate(remaining, job.curve);
     job.deadline = spec.deadline;
     job.soft = spec.has_soft_deadline();
     return job;
 }
 
 PlanningJob
-to_fixed_planning_job(const ClusterView &view, JobId id,
-                      const PlanningMargin &margin)
+to_fixed_planning_job(const ClusterView &view, const JobSpec &spec,
+                      double remaining, const PlanningMargin &margin)
 {
-    PlanningJob job = to_planning_job(view, id, margin);
-    job.curve = restrict_to_fixed_size(job.curve,
-                                       view.spec(id).requested_gpus);
+    PlanningJob job = to_planning_job(view, spec, remaining, margin);
+    job.curve = restrict_to_fixed_size(job.curve, spec.requested_gpus);
     return job;
 }
 
@@ -64,10 +61,12 @@ admission_feasible(const ClusterView &view, const PlannerConfig &config,
         if (spec.is_best_effort() || spec.has_soft_deadline() ||
             (exclude != nullptr && exclude->count(id) > 0))
             continue;
-        if (view.remaining_iterations(id) <= 0.0)
+        const double remaining = view.remaining_iterations(id);
+        if (remaining <= 0.0)
             continue;
-        jobs.push_back(fixed_size ? to_fixed_planning_job(view, id, margin)
-                                  : to_planning_job(view, id, margin));
+        jobs.push_back(
+            fixed_size ? to_fixed_planning_job(view, spec, remaining, margin)
+                       : to_planning_job(view, spec, remaining, margin));
     }
     PlanningJob cand;
     cand.id = candidate.id;
@@ -94,9 +93,10 @@ edf_admission_feasible(const ClusterView &view,
         const JobSpec &spec = view.spec(id);
         if (spec.is_best_effort())
             continue;
-        if (view.remaining_iterations(id) <= 0.0)
+        const double remaining = view.remaining_iterations(id);
+        if (remaining <= 0.0)
             continue;
-        jobs.push_back(to_planning_job(view, id, {}));
+        jobs.push_back(to_planning_job(view, spec, remaining, {}));
     }
     PlanningJob cand;
     cand.id = candidate.id;
@@ -224,18 +224,21 @@ elastic_allocate(const ClusterView &view, const PlannerConfig &base_config,
     std::vector<PlanningJob> slo;
     std::vector<PlanningJob> best_effort;
     for (JobId id : view.active_jobs()) {
-        if (view.remaining_iterations(id) <= 0.0)
+        const double remaining = view.remaining_iterations(id);
+        if (remaining <= 0.0)
             continue;
-        if (view.spec(id).is_best_effort()) {
+        const JobSpec &spec = view.spec(id);
+        if (spec.is_best_effort()) {
             // Best-effort jobs never carry the margin (no guarantee to
             // protect).
-            best_effort.push_back(fixed_size
-                                      ? to_fixed_planning_job(view, id, {})
-                                      : to_planning_job(view, id, {}));
+            best_effort.push_back(
+                fixed_size ? to_fixed_planning_job(view, spec, remaining, {})
+                           : to_planning_job(view, spec, remaining, {}));
         } else {
-            slo.push_back(fixed_size
-                              ? to_fixed_planning_job(view, id, margin)
-                              : to_planning_job(view, id, margin));
+            slo.push_back(
+                fixed_size
+                    ? to_fixed_planning_job(view, spec, remaining, margin)
+                    : to_planning_job(view, spec, remaining, margin));
         }
     }
 

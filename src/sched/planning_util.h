@@ -44,15 +44,17 @@ struct PlanningMargin
     double inflate(double remaining, const ScalingCurve &curve) const;
 };
 
-/** Planner view of one active job; margin inflates remaining work. */
-PlanningJob to_planning_job(const ClusterView &view, JobId id,
-                            const PlanningMargin &margin);
+/** Planner view of active job @p spec with @p remaining iterations, as
+ *  the caller read them from @p view; margin inflates remaining work. */
+PlanningJob to_planning_job(const ClusterView &view, const JobSpec &spec,
+                            double remaining, const PlanningMargin &margin);
 
 /**
  * Planner view of an active job with its curve pinned to a fixed GPU
  * count (server-centric baselines).
  */
-PlanningJob to_fixed_planning_job(const ClusterView &view, JobId id,
+PlanningJob to_fixed_planning_job(const ClusterView &view,
+                                  const JobSpec &spec, double remaining,
                                   const PlanningMargin &margin);
 
 /** Default planner config for a view. */

@@ -115,7 +115,9 @@ TEST(PlanningUtil, ToPlanningJobReflectsViewState)
                   {spec_of(7, DnnModel::kResNet50, 128, 4, 10000,
                            2.0 * kHour)});
     view.set_remaining(7, 4000.0);
-    PlanningJob job = to_planning_job(view, 7, PlanningMargin{});
+    PlanningJob job = to_planning_job(view, view.spec(7),
+                                      view.remaining_iterations(7),
+                                      PlanningMargin{});
     EXPECT_EQ(job.id, 7);
     EXPECT_DOUBLE_EQ(job.remaining_iterations, 4000.0);
     EXPECT_DOUBLE_EQ(job.deadline, 2.0 * kHour);
@@ -127,7 +129,8 @@ TEST(PlanningUtil, FixedPlanningJobPinsRequestedSize)
     FakeView view(TopologySpec::testbed_32(),
                   {spec_of(1, DnnModel::kResNet50, 128, 4, 10000,
                            2.0 * kHour)});
-    PlanningJob job = to_fixed_planning_job(view, 1, PlanningMargin{});
+    PlanningJob job = to_fixed_planning_job(
+        view, view.spec(1), view.remaining_iterations(1), PlanningMargin{});
     EXPECT_EQ(job.curve.min_workers(), 4);
     EXPECT_EQ(job.curve.max_useful(), 4);
 }
