@@ -62,6 +62,16 @@ struct TopologySpec
     /** Per-ring-step latency (seconds) added per communication hop. */
     double per_step_latency_s = 30e-6;
 
+    /** Persistent state (recover/fields.h); journal only. */
+    template <class V>
+    void
+    fields(V &v)
+    {
+        v.journal(num_racks, servers_per_rack, gpus_per_server,
+                  intra_server_gbps, per_nic_gbps, nics_per_server,
+                  cross_rack_factor, per_step_latency_s);
+    }
+
     /** Convenience: paper's testbed (16 servers x 8 A100 = 128 GPUs). */
     static TopologySpec testbed_128();
     /**

@@ -39,8 +39,10 @@ constexpr std::uint32_t kJournalMagic = 0x4c4a4645u;
  *  4: the plan-commit, fault and defrag kinds are gone (nothing read
  *     them back); the simulator writes only round commits.
  *  5: the state hashes that round commits carry (simulator and
- *     service) are chained with the word hasher, not FNV-1a. */
-constexpr std::uint32_t kJournalVersion = 5;
+ *     service) are chained with the word hasher, not FNV-1a.
+ *  6: the simulator's head carries job rows without spec, curve,
+ *     noise factor or attained-service copy. */
+constexpr std::uint32_t kJournalVersion = 6;
 
 /**
  * Record kinds shared by the simulator and the serve-mode front end.

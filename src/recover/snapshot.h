@@ -42,8 +42,11 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
  *  6: the simulator carries no service queue or governor, its run
  *  totals no service counters, and its event kinds no service round.
  *  7: the chained state hashes it carries come from the word hasher,
- *  not FNV-1a. */
-constexpr std::uint32_t kSnapshotVersion = 7;
+ *  not FNV-1a.
+ *  8: the simulator's job rows carry no spec, curve, noise factor or
+ *  attained-service copy (the trace and config rebuild them), and its
+ *  fingerprint covers every spec field, the topology and the noise. */
+constexpr std::uint32_t kSnapshotVersion = 8;
 
 /** The end of a chain: what a journal head pairs with. */
 struct ChainTip

@@ -16,20 +16,27 @@
 
 namespace ef {
 
-/** Everything that happened to one submitted job. */
-struct JobOutcome
+/** What a run tallies for one submitted job while it runs: its
+ *  JobOutcome but the spec and the attained service, which the trace
+ *  and the simulator's job row hold. */
+struct JobTally
 {
-    JobSpec spec;
     bool admitted = false;   ///< false = dropped at submission
     bool finished = false;
     Time finish_time = kTimeInfinity;
     Time first_run_time = kTimeInfinity;
-    double gpu_seconds = 0.0;  ///< attained service
     int scaling_events = 0;    ///< allocation size changes
     int migrations = 0;        ///< defragmentation relocations
     int failures_suffered = 0; ///< node/GPU-failure evictions (§4.4)
     /** SLO became unmeetable after a fault; runs on as best-effort. */
     bool demoted = false;
+};
+
+/** Everything that happened to one submitted job. */
+struct JobOutcome : JobTally
+{
+    JobSpec spec;
+    double gpu_seconds = 0.0;  ///< attained service
 
     /** Did the job complete by its deadline? (Dropped jobs did not.) */
     bool met_deadline() const

@@ -45,8 +45,12 @@ trace_ids(const std::vector<GpuCount> &gpus)
 struct Simulator::JobRt
 {
     JobId id = kInvalidJob;
-    JobSpec spec;
+    /** What the trace and the config fix for the job — its trace row,
+     *  its shape's shared curve, its noise factor — set by bind() at
+     *  construction and after a decode, never journaled. */
+    const JobSpec *spec = nullptr;
     ScalingCurve curve;
+    double noise_factor = 1.0;      ///< executor-vs-profile mismatch
     bool arrived = false;
     JobState state = JobState::kWaiting;
 
@@ -57,17 +61,17 @@ struct Simulator::JobRt
 
     GpuCount gpus = 0;              ///< currently held GPUs
     double current_tpt = 0.0;       ///< iterations/sec on the placement
-    double noise_factor = 1.0;      ///< executor-vs-profile mismatch
     double checkpoint_iters = 0.0;  ///< progress safe from failures
 
     double straggler_factor = 1.0;  ///< >1 while a worker straggles
     Time straggler_until = -kTimeInfinity;
 
-    JobOutcome outcome;
+    /** The report row; run() adds the spec and the attained service. */
+    JobTally outcome;
 
     double remaining() const
     {
-        return std::max(0.0, static_cast<double>(spec.iterations) -
+        return std::max(0.0, static_cast<double>(spec->iterations) -
                                  executed);
     }
     bool active() const
@@ -77,12 +81,8 @@ struct Simulator::JobRt
     }
 
     /**
-     * Persistent state. The spec and curve are set from the trace at
-     * construction and never change (the curve is shared with every
-     * job of its shape), and the noise factor is drawn
-     * once per job from a seeded stream, so they are journaled but not
-     * hashed. The outcome is the report row, journaled so a recovered
-     * run reports the same jobs; its spec is a copy of the job's.
+     * Persistent state. The tally is journaled but not hashed, so a
+     * recovered run reports the same jobs.
      */
     template <class V>
     void
@@ -91,15 +91,10 @@ struct Simulator::JobRt
         v(id, state, arrived, executed, attained_gpu_seconds,
           last_update, progress_resume, checkpoint_iters, current_tpt,
           straggler_factor, straggler_until, gpus);
-        v.journal(spec, curve, noise_factor, outcome.admitted,
-                  outcome.finished, outcome.finish_time,
-                  outcome.first_run_time, outcome.gpu_seconds,
-                  outcome.scaling_events, outcome.migrations,
-                  outcome.failures_suffered, outcome.demoted);
-        v.after_decode([this] {
-            outcome.spec = spec;
-            return spec.id == id;
-        });
+        v.journal(outcome.admitted, outcome.finished, outcome.finish_time,
+                  outcome.first_run_time, outcome.scaling_events,
+                  outcome.migrations, outcome.failures_suffered,
+                  outcome.demoted);
     }
 };
 
@@ -153,7 +148,8 @@ Simulator::fields(V &v)
     // active jobs, in submission order (DESIGN.md §7).
     v.split(jobs_, [](const JobRt &job) { return job.active(); }, active_);
     v.after_decode([this] {
-        // The table is the trace's, slot for slot.
+        // The table is the trace's, slot for slot. A base decodes its
+        // rows afresh, so each is bound to its trace row again.
         if (jobs_.size() != trace_.jobs.size())
             return false;
         arrived_ = 0;
@@ -162,13 +158,9 @@ Simulator::fields(V &v)
             JobRt &job = jobs_[i];
             if (job.id != trace_.jobs[i].id)
                 return false;
+            bind(job, trace_.jobs[i]);
             arrived_ += job.arrived ? 1 : 0;
             admitted_ += job.outcome.admitted ? 1 : 0;
-            // A decoded row holds its own copy of its curve; an equal
-            // one goes back to sharing its shape's.
-            const ScalingCurve shared = curve_for(trace_.jobs[i]);
-            if (job.curve.same_table(shared))
-                job.curve = shared;
         }
         return true;
     });
@@ -252,17 +244,7 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
                                  static_cast<std::uint32_t>(jobs_.size()));
         JobRt &job = jobs_.emplace_back();
         job.id = spec.id;
-        job.spec = spec;
-        job.curve = curve_for(spec);
-        job.outcome.spec = spec;
-        if (config_.noise.throughput_error > 0.0) {
-            // Deterministic per-job factor in [1 - e, 1 + e].
-            Rng noise_rng(0x9e3779b9u ^
-                          static_cast<std::uint64_t>(spec.id) * 2654435761u);
-            job.noise_factor = 1.0 + noise_rng.uniform_real(
-                                         -config_.noise.throughput_error,
-                                         config_.noise.throughput_error);
-        }
+        bind(job, spec);
     }
     std::sort(slot_of_id_.begin(), slot_of_id_.end());
     const auto dup = std::adjacent_find(
@@ -282,6 +264,21 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
 }
 
 Simulator::~Simulator() = default;
+
+void
+Simulator::bind(JobRt &job, const JobSpec &spec) const
+{
+    job.spec = &spec;
+    job.curve = curve_for(spec);
+    if (config_.noise.throughput_error > 0.0) {
+        // Deterministic per-job factor in [1 - e, 1 + e].
+        Rng noise_rng(0x9e3779b9u ^
+                      static_cast<std::uint64_t>(spec.id) * 2654435761u);
+        job.noise_factor = 1.0 + noise_rng.uniform_real(
+                                     -config_.noise.throughput_error,
+                                     config_.noise.throughput_error);
+    }
+}
 
 const Simulator::JobRt *
 Simulator::find(JobId id) const
@@ -342,7 +339,7 @@ Simulator::active_jobs() const
 const JobSpec &
 Simulator::spec(JobId job) const
 {
-    return rt(job).spec;
+    return *rt(job).spec;
 }
 
 const ScalingCurve &
@@ -402,13 +399,13 @@ Simulator::advance_progress(Time to)
         }
         job.attained_gpu_seconds +=
             static_cast<double>(job.gpus) * (to - t0);
-        job.outcome.gpu_seconds = job.attained_gpu_seconds;
         if (job.state == JobState::kRunning) {
             Time start = std::max(t0, job.progress_resume);
             if (to > start) {
                 job.executed += job.current_tpt * (to - start);
                 job.executed = std::min(
-                    job.executed, static_cast<double>(job.spec.iterations));
+                    job.executed,
+                    static_cast<double>(job.spec->iterations));
                 // Periodic auto-checkpointing: progress older than one
                 // checkpoint interval is safe from node failures.
                 double interval_iters =
@@ -441,15 +438,15 @@ Simulator::refresh_throughput(JobRt &job)
         return;
     }
     PlacementShape shape =
-        perf_.shape_of(placement_.gpus_of(job.spec.id));
+        perf_.shape_of(placement_.gpus_of(job.id));
     job.current_tpt =
-        perf_.throughput(job.spec.model, job.spec.global_batch, shape) *
+        perf_.throughput(job.spec->model, job.spec->global_batch, shape) *
         job.noise_factor;
     // A straggling worker gates the whole data-parallel group.
     if (now_ < job.straggler_until)
         job.current_tpt /= job.straggler_factor;
     EF_CHECK_MSG(job.current_tpt > 0.0,
-                 "job " << job.spec.id << " placed on an infeasible "
+                 "job " << job.id << " placed on an infeasible "
                         << job.gpus << "-GPU configuration");
     schedule_completion(job);
 }
@@ -462,7 +459,7 @@ Simulator::schedule_completion(JobRt &job)
     Time start = std::max(now_, job.progress_resume);
     Time done = start + job.remaining() / job.current_tpt;
     push_event(Event{done, next_seq_++, Event::kCompletion,
-                       job.spec.id});
+                       job.id});
 }
 
 bool
@@ -505,7 +502,7 @@ Simulator::deliver_resize(JobId id, Time *penalty)
 void
 Simulator::apply_resize(JobRt &job, GpuCount desired)
 {
-    const JobId id = job.spec.id;
+    const JobId id = job.id;
     const GpuCount old = job.gpus;
     if (desired == old)
         return;
@@ -558,7 +555,7 @@ Simulator::apply_resize(JobRt &job, GpuCount desired)
         JobRt &other = rt(m.job);
         ++other.outcome.migrations;
         charge_pause(other, overhead_.migration_seconds(
-                                other.spec.model, other.gpus));
+                                other.spec->model, other.gpus));
         if (other.state == JobState::kRunning)
             refresh_throughput(other);
         result_.allocation_log.push_back(
@@ -605,7 +602,7 @@ Simulator::apply_resize(JobRt &job, GpuCount desired)
     obs::count("sim.scalings");
     if (is_unbounded(job.outcome.first_run_time))
         job.outcome.first_run_time = now_;
-    charge_pause(job, overhead_.scaling_seconds(job.spec.model, old,
+    charge_pause(job, overhead_.scaling_seconds(job.spec->model, old,
                                                 desired) +
                           rpc_penalty);
     if (fault_ != nullptr && fault_->straggler_starts()) {
@@ -975,23 +972,14 @@ Simulator::audit_state(bool terminal)
 std::uint64_t
 Simulator::compute_fingerprint() const
 {
-    // The shape a snapshot is only valid against. Deliberately absent:
-    // the fault *rates* (the injector's RNG cursors are in the
-    // snapshot body).
+    // The inputs a snapshot is only valid against. Every job's spec in
+    // full, the topology and the noise setting: a resume rebuilds each
+    // row's spec, curve, throughput and noise factor from them.
+    // Deliberately absent: the fault *rates* (the injector's RNG
+    // cursors are in the snapshot body).
     Fnv1a h;
-    h.str(trace_.name);
-    h.u64(trace_.jobs.size());
-    for (const JobSpec &job : trace_.jobs) {
-        // Trace *content*, not just its shape: two presets that differ
-        // only in generator seed must not share a fingerprint.
-        h.i64(job.id);
-        h.f64(job.submit_time);
-        h.i64(job.iterations);
-        h.f64(job.deadline);
-        h.i64(job.requested_gpus);
-    }
-    h.i64(topology_.total_gpus());
-    h.i64(topology_.num_servers());
+    h.str(recover::encode(trace_.name, trace_.topology, trace_.jobs));
+    h.f64(config_.noise.throughput_error);
     h.str(result_.scheduler_name);
     h.byte(fault_ != nullptr ? 1 : 0);
     h.byte(defrag_ != nullptr ? 1 : 0);
@@ -1345,8 +1333,8 @@ Simulator::maybe_defrag()
             continue;
         defrag::DefragJob dj;
         dj.id = job.id;
-        dj.model = job.spec.model;
-        dj.global_batch = job.spec.global_batch;
+        dj.model = job.spec->model;
+        dj.global_batch = job.spec->global_batch;
         eligible.push_back(dj);
     }
     std::sort(eligible.begin(), eligible.end(),
@@ -1362,7 +1350,7 @@ Simulator::maybe_defrag()
             JobRt &moved = rt(m.job);
             ++moved.outcome.migrations;
             charge_pause(moved, overhead_.migration_seconds(
-                                    moved.spec.model, moved.gpus));
+                                    moved.spec->model, moved.gpus));
             if (moved.state == JobState::kRunning)
                 refresh_throughput(moved);
             result_.allocation_log.push_back(
@@ -1427,9 +1415,9 @@ Simulator::handle_arrival(JobId id)
     JobRt &job = rt(id);
     EF_CHECK_MSG(!job.arrived, "second arrival of job " << id);
     obs::emit({now_, obs::EventKind::kJobSubmit, id,
-               job.spec.requested_gpus});
+               job.spec->requested_gpus});
     obs::count("sim.jobs.submitted");
-    const bool admitted = scheduler_->admit(job.spec);
+    const bool admitted = scheduler_->admit(*job.spec);
     const std::size_t slot = slot_of(job);
     active_.unseal(slot, job);  // leaves the not-yet-arrived jobs
     job.arrived = true;
@@ -1467,7 +1455,7 @@ Simulator::handle_completion_check(JobId id)
         return;  // stale event: the job was slowed after scheduling
 
     const GpuCount held = job.gpus;
-    job.executed = static_cast<double>(job.spec.iterations);
+    job.executed = static_cast<double>(job.spec->iterations);
     job.state = JobState::kFinished;
     job.outcome.finished = true;
     job.outcome.finish_time = now_;
@@ -1513,7 +1501,7 @@ Simulator::run()
     }
     if (!recovered_) {
         for (const JobRt &job : jobs_) {
-            push_event(Event{job.spec.submit_time, next_seq_++,
+            push_event(Event{job.spec->submit_time, next_seq_++,
                              Event::kArrival, job.id});
         }
         if (fault_ != nullptr) {
@@ -1610,9 +1598,9 @@ Simulator::run()
     }
 
     result_.jobs.clear();
-    for (JobRt &job : jobs_) {
-        job.outcome.gpu_seconds = job.attained_gpu_seconds;
-        result_.jobs.push_back(job.outcome);
+    for (const JobRt &job : jobs_) {
+        result_.jobs.push_back(JobOutcome{job.outcome, *job.spec,
+                                          job.attained_gpu_seconds});
         if (job.outcome.finished) {
             result_.makespan =
                 std::max(result_.makespan, job.outcome.finish_time);

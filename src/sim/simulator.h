@@ -277,8 +277,8 @@ class Simulator : public ClusterView
             v.journal(round, time, hash, crash_cursor, terminal);
         }
     };
-    /** Digest of the (trace, scheduler, config) shape a snapshot is
-     *  only valid against; prepare_durability() stores it in
+    /** Digest of the trace, topology, scheduler and config a snapshot
+     *  is only valid against; prepare_durability() stores it in
      *  fingerprint_. */
     std::uint64_t compute_fingerprint() const;
     recover::Status recover_state(const std::string &snapshot,
@@ -293,6 +293,9 @@ class Simulator : public ClusterView
 
     /** A fresh curve for @p spec's shape on this topology. */
     ScalingCurve build_curve(const JobSpec &spec) const;
+    /** Point @p job at its trace row @p spec, its shape's curve and its
+     *  noise factor: what the snapshot leaves to the trace and config. */
+    void bind(JobRt &job, const JobSpec &spec) const;
 
     JobRt &rt(JobId id);
     const JobRt &rt(JobId id) const;
@@ -301,6 +304,7 @@ class Simulator : public ClusterView
     /** Index of @p job in jobs_. */
     std::size_t slot_of(const JobRt &job) const;
 
+    /** The input, never changed: each job row points at its spec. */
     Trace trace_;
     Scheduler *scheduler_;
     SimConfig config_;

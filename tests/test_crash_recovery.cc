@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <initializer_list>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "recover/fields.h"
@@ -284,9 +286,11 @@ TEST(CrashRecovery, ChurnWithClusterFaultsRecovers)
 {
     // Crash recovery composed with the rest of the fault model: GPU
     // faults, RPC loss, and stragglers are all active, so the replay
-    // must restore every RNG cursor exactly.
+    // must restore every RNG cursor exactly. Throughput noise too: a
+    // resume draws each job's noise factor again from the config.
     const Trace trace = small_trace(21);
     SimConfig base;
+    base.noise.throughput_error = 0.02;
     base.faults.seed = 5;
     base.faults.gpu_mtbf_s = 12.0 * kHour;
     base.faults.rpc_drop_prob = 0.01;
@@ -330,14 +334,18 @@ TEST(CrashRecovery, RecoverWithoutCrashIsIdempotent)
 
 TEST(CrashRecovery, RecoveredJobsShareTheirShapeCurve)
 {
-    // A restored job table decodes a curve per row; each row that
-    // equals its shape's curve goes back to sharing it.
+    // A checkpoint carries no curves, so a restored job row never
+    // decodes one: it takes its shape's curve from the trace, shared
+    // with every job of that shape and with curve_for().
     const Trace trace = small_trace(42);
     const std::string dir = fresh_dir("ef_crash_shared_curves");
     SimConfig config;
     config.durability.journal_dir = dir;
     config.durability.snapshot_every = 4;
     run_sim(trace, config);
+    const std::string files =
+        read_file(recover::DurableLog::snapshot_path(dir)) +
+        read_file(recover::DurableLog::journal_path(dir));
 
     SimConfig recover_config = config;
     recover_config.durability.recover = true;
@@ -348,7 +356,10 @@ TEST(CrashRecovery, RecoveredJobsShareTheirShapeCurve)
     const Simulator fresh(trace, fresh_scheduler.get(), SimConfig{});
     int shared = 0;
     for (const JobSpec &a : trace.jobs) {
-        EXPECT_TRUE(sim.curve(a.id).same_table(fresh.curve(a.id)));
+        EXPECT_EQ(files.find(recover::encode(sim.curve(a.id))),
+                  std::string::npos)
+            << "job " << a.id << "'s curve is in the checkpoint";
+        EXPECT_EQ(sim.curve(a.id).table(), fresh.curve(a.id).table());
         EXPECT_EQ(&sim.curve(a.id).table(), &sim.curve_for(a).table());
         for (const JobSpec &b : trace.jobs) {
             if (a.id < b.id && a.model == b.model &&
@@ -436,14 +447,45 @@ TEST(CrashRecovery, MismatchedTraceIsTypedError)
         sim.run();
         ASSERT_TRUE(sim.crashed());
     }
-    const Trace other = small_trace(43);
     SimConfig recover_config = config;
     recover_config.durability.recover = true;
-    auto scheduler = make_scheduler("elasticflow");
-    Simulator sim(other, scheduler.get(), recover_config);
-    recover::Status st = sim.prepare_durability();
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code, recover::ErrorCode::kStateMismatch);
+    const auto resume = [](const Trace &input, const SimConfig &with) {
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(input, scheduler.get(), with);
+        return sim.prepare_durability();
+    };
+
+    // A resume rebuilds each job's spec, curve and noise factor from
+    // the trace and the config, so a change to any spec field, or to
+    // the noise setting, must be refused.
+    const JobSpec &job = trace.jobs[3];
+    std::vector<std::pair<std::string, Trace>> inputs;
+    inputs.emplace_back("another trace", small_trace(43));
+    inputs.emplace_back("model", trace);
+    inputs.back().second.jobs[3].model = job.model == DnnModel::kVgg16
+                                             ? DnnModel::kResNet50
+                                             : DnnModel::kVgg16;
+    inputs.emplace_back("global batch", trace);
+    inputs.back().second.jobs[3].global_batch = 2 * job.global_batch;
+    inputs.emplace_back("kind", trace);
+    inputs.back().second.jobs[3].kind = job.kind == JobKind::kSlo
+                                            ? JobKind::kSoftDeadline
+                                            : JobKind::kSlo;
+    inputs.emplace_back("user", trace);
+    inputs.back().second.jobs[3].user = job.user + "-other";
+    for (const auto &[name, input] : inputs) {
+        EXPECT_EQ(resume(input, recover_config).code,
+                  recover::ErrorCode::kStateMismatch)
+            << name;
+    }
+    SimConfig noisy = recover_config;
+    noisy.noise.throughput_error = 0.02;
+    EXPECT_EQ(resume(trace, noisy).code,
+              recover::ErrorCode::kStateMismatch)
+        << "noise";
+
+    // The trace and config the run was written with still resume.
+    EXPECT_TRUE(resume(trace, recover_config).ok());
 }
 
 /** Crash testbed-small (seed 42) at round 3 under @p dir and return
@@ -495,9 +537,10 @@ TEST(CrashRecovery, ForeignRecordKindIsTypedError)
     EXPECT_EQ(st.code, recover::ErrorCode::kBadRecord) << st.to_string();
 }
 
-// Journal version 3 could hold record kinds that no longer exist, and
+// Journal version 3 could hold record kinds that no longer exist,
 // version 4's round commits carry state hashes chained with FNV-1a,
-// which re-execution would call a divergence. The reader must refuse
+// which re-execution would call a divergence, and version 5's head
+// carries job rows with their spec and curve. The reader must refuse
 // such a file as a whole rather than replay it.
 TEST(CrashRecovery, OldJournalVersionIsTypedError)
 {
@@ -506,7 +549,7 @@ TEST(CrashRecovery, OldJournalVersionIsTypedError)
     const std::string path = recover::DurableLog::journal_path(dir);
     const std::string current = read_file(path);
     ASSERT_GT(current.size(), 8u);
-    for (char version : {3, 4}) {
+    for (char version : {3, 4, 5}) {
         SCOPED_TRACE(static_cast<int>(version));
         std::string journal = current;
         journal[4] = version;  // little-endian u32 version after the magic

@@ -436,12 +436,14 @@ TEST(Journal, VersionOneFilesAreTyped)
     // written with it must be refused, not misread. So must a version 4
     // snapshot, whose service state predates the aligned GPU column, a
     // version 5 one, whose simulator state still holds the
-    // streaming-admission queue, and a version 6 one (or a version 4
-    // journal), whose chained state hashes were taken with FNV-1a.
+    // streaming-admission queue, a version 6 one (or a version 4
+    // journal), whose chained state hashes were taken with FNV-1a, and
+    // a version 7 one (or a version 5 journal), whose simulator job
+    // rows carry their spec and curve.
     const std::string snap = temp_path("ef_snap_v1.bin");
     recover::ChainTip tip;
     std::string bytes;
-    for (std::uint8_t version : {1, 4, 5, 6}) {
+    for (std::uint8_t version : {1, 4, 5, 6, 7}) {
         SCOPED_TRACE(static_cast<int>(version));
         ASSERT_TRUE(
             recover::write_base_file(snap, 1, "payload", &tip).ok());
@@ -455,7 +457,7 @@ TEST(Journal, VersionOneFilesAreTyped)
     }
 
     const std::string journal = temp_path("ef_journal_v1.bin");
-    for (std::uint8_t version : {1, 4}) {
+    for (std::uint8_t version : {1, 4, 5}) {
         SCOPED_TRACE(static_cast<int>(version));
         bytes = journal_with_records(journal, 1);
         bytes[4] = static_cast<char>(version);

@@ -246,15 +246,17 @@ TEST(ServiceRecovery, OldFormatVersionsAreTypedErrors)
     ASSERT_GT(snapshot.size(), 8u);
     ASSERT_GT(journal.size(), 8u);
 
-    // The previous journal version next to a current snapshot, then the
-    // previous snapshot version next to a current journal.
+    // Older journal versions next to a current snapshot, then older
+    // snapshot versions next to a current journal.
     const struct
     {
         const char *name;
         const std::string &path;
         char version;
     } cases[] = {{"journal v4", journal_path, 4},
-                 {"snapshot v6", snapshot_path, 6}};
+                 {"journal v5", journal_path, 5},
+                 {"snapshot v6", snapshot_path, 6},
+                 {"snapshot v7", snapshot_path, 7}};
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
         write_file(snapshot_path, snapshot);
