@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -13,15 +12,6 @@ namespace {
 
 /** Relative gain below which an extra doubling is "not useful". */
 constexpr double kUsefulGainEpsilon = 1e-6;
-
-/** Equal bits: a -0.0 is not a 0.0 here. */
-bool
-same_bits(const std::vector<double> &a, const std::vector<double> &b)
-{
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
 
 }  // namespace
 
@@ -67,16 +57,8 @@ ScalingCurve::table() const
 }
 
 bool
-ScalingCurve::same_table(const ScalingCurve &other) const
-{
-    return rep_ == other.rep_ || same_bits(table(), other.table());
-}
-
-bool
 ScalingCurve::adopt_wire(Wire &&table)
 {
-    if (rep_ != nullptr && same_bits(rep_->table, table))
-        return true;
     auto rep = std::make_shared<Rep>();
     rep->table = std::move(table);
     if (rep->adopt_table() != nullptr)

@@ -122,10 +122,6 @@ class ScalingCurve
      *  curve is. Copies of a curve return the same vector. */
     const std::vector<double> &table() const;
 
-    /** Whether @p other has this curve's table, bit for bit (copies
-     *  always do; two empty curves do too). */
-    bool same_table(const ScalingCurve &other) const;
-
     /**
      * Persistent form (recover/fields.h): a curve travels as its table
      * and decodes through adopt_wire(), which validates the table and
@@ -133,9 +129,8 @@ class ScalingCurve
      */
     using Wire = std::vector<double>;
     const Wire &wire() const { return table(); }
-    /** Take a decoded @p table; false when it is malformed (the curve
-     *  is then unchanged). A table equal to the current one keeps the
-     *  current, shared representation. */
+    /** Take a decoded @p table into a representation of its own;
+     *  false when it is malformed (the curve is then unchanged). */
     bool adopt_wire(Wire &&table);
 
   private:

@@ -152,15 +152,12 @@ TEST(ScalingCurve, CopiesShareOneRepresentation)
     assigned = copy;
     EXPECT_EQ(&copy.table(), &curve.table());
     EXPECT_EQ(&assigned.table(), &curve.table());
-    EXPECT_TRUE(assigned.same_table(curve));
 
     // An equal table built separately is equal but not shared.
     const ScalingCurve twin =
         ScalingCurve::from_pow2_table({1.0, 1.8, 3.0, 4.0});
     EXPECT_NE(&twin.table(), &curve.table());
-    EXPECT_TRUE(twin.same_table(curve));
-    EXPECT_FALSE(
-        twin.same_table(ScalingCurve::from_pow2_table({1.0, 1.8, 3.0})));
+    EXPECT_EQ(twin.table(), curve.table());
 }
 
 TEST(ScalingCurve, EmptyCurve)
@@ -173,7 +170,6 @@ TEST(ScalingCurve, EmptyCurve)
     EXPECT_EQ(empty.usable(8), 0);
     EXPECT_EQ(empty.usable(-3), 0);
     EXPECT_TRUE(empty.concave());
-    EXPECT_TRUE(empty.same_table(ScalingCurve{}));
     EXPECT_DEATH(empty.throughput(1), "");
     EXPECT_DEATH(empty.min_workers(), "");
     EXPECT_DEATH(empty.max_tabulated(), "");
@@ -237,7 +233,7 @@ TEST(ScalingCurveCodec, RoundTripGivesAnEqualCurve)
         ScalingCurve::from_pow2_table({0.0, 1.7, 3.1, 4.4});
     ScalingCurve back;
     ASSERT_TRUE(recover::decode(recover::encode(curve), back).ok());
-    EXPECT_TRUE(back.same_table(curve));
+    EXPECT_EQ(back.table(), curve.table());
     EXPECT_EQ(back.min_workers(), curve.min_workers());
     EXPECT_EQ(back.max_useful(), curve.max_useful());
     EXPECT_EQ(back.max_tabulated(), curve.max_tabulated());
@@ -247,22 +243,6 @@ TEST(ScalingCurveCodec, RoundTripGivesAnEqualCurve)
     recover::Encoder table;
     recover::Writer(table).put(curve.table());
     EXPECT_EQ(recover::encode(curve), table.take());
-}
-
-TEST(ScalingCurveCodec, DecodingAnEqualTableKeepsTheSharedRepresentation)
-{
-    const ScalingCurve curve =
-        ScalingCurve::from_pow2_table({1.0, 1.8, 3.0, 4.0});
-    const std::string bytes = recover::encode(curve);
-
-    ScalingCurve row = curve;
-    ASSERT_TRUE(recover::decode(bytes, row).ok());
-    EXPECT_EQ(&row.table(), &curve.table());
-
-    ScalingCurve other = ScalingCurve::from_pow2_table({2.0, 3.0});
-    ASSERT_TRUE(recover::decode(bytes, other).ok());
-    EXPECT_NE(&other.table(), &curve.table());
-    EXPECT_TRUE(other.same_table(curve));
 }
 
 TEST(ScalingCurveCodec, MalformedTableIsATypedErrorInEverySection)
@@ -283,7 +263,7 @@ TEST(ScalingCurveCodec, MalformedTableIsATypedErrorInEverySection)
             recover::encode_section(section, nullptr, table);
         CurveTable good = table;
         ASSERT_TRUE(recover::decode_section(bytes, section, good).ok());
-        EXPECT_TRUE(good.rows[1].curve.same_table(table.rows[1].curve));
+        EXPECT_EQ(good.rows[1].curve.table(), table.rows[1].curve.table());
         for (const double bad : {nan, -1.0, 0.0}) {
             CurveTable back = table;
             EXPECT_EQ(recover::decode_section(patch(bytes, 2.5, bad),

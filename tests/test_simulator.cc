@@ -351,7 +351,7 @@ TEST(Simulator, JobsOfOneShapeShareOneCurve)
     other.model = DnnModel::kVgg16;
     const ScalingCurve fresh = sim.curve_for(other);
     EXPECT_FALSE(fresh.empty());
-    EXPECT_TRUE(fresh.same_table(sim.curve_for(other)));
+    EXPECT_EQ(fresh.table(), sim.curve_for(other).table());
     EXPECT_NE(&fresh.table(), &sim.curve_for(other).table());
 }
 
