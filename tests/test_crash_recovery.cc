@@ -711,13 +711,12 @@ TEST(CrashWindow, AfterBaseRename)
 
 // --- the chain against the full encode ---------------------------------
 
-/** A churn run: GPU faults, RPC loss and background defrag, with a
- *  checkpoint every 8 rounds. */
+/** A churn run: GPU faults and RPC loss, with a checkpoint every 8
+ *  rounds. */
 SimConfig
 churn_config(const std::string &dir, std::int64_t crash_round)
 {
     SimConfig config;
-    config.defrag.enabled = true;
     config.faults.seed = 3;
     config.faults.gpu_mtbf_s = 2.0 * kDay;
     config.faults.rpc_drop_prob = 0.02;
@@ -725,6 +724,16 @@ churn_config(const std::string &dir, std::int64_t crash_round)
     config.durability.journal_dir = dir;
     config.durability.snapshot_every = 8;
     return config;
+}
+
+/** Relocations ElasticFlow's repack made across @p result's jobs. */
+int
+total_migrations(const RunResult &result)
+{
+    int total = 0;
+    for (const JobOutcome &job : result.jobs)
+        total += job.migrations;
+    return total;
 }
 
 /** Encode and decode of @p sim's whole state into @p into. */
@@ -746,8 +755,13 @@ TEST(CrashRecovery, ChainRestoresWhatAFullEncodeDoes)
     const Trace trace = TraceGenerator::generate(gen);
     const RunResult whole = run_sim(trace, churn_config("", 1));
     ASSERT_GT(whole.state_hash_samples, 40u);
+    // The repack migrates during the run, so some crash below lands
+    // with migrations both behind it and ahead of it.
+    const int migrations = total_migrations(whole);
+    ASSERT_GT(migrations, 0);
 
     int checked = 0;
+    int between_migrations = 0;
     for (std::uint64_t round = 9; round < whole.state_hash_samples;
          round += 8) {
         const std::string what = "round " + std::to_string(round);
@@ -756,8 +770,9 @@ TEST(CrashRecovery, ChainRestoresWhatAFullEncodeDoes)
             churn_config(dir, static_cast<std::int64_t>(round));
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(trace, scheduler.get(), config);
-        sim.run();
+        const int before = total_migrations(sim.run());
         ASSERT_TRUE(sim.crashed()) << what;
+        between_migrations += before > 0 && before < migrations ? 1 : 0;
         // One more checkpoint, of the state the crash left in memory,
         // on top of the cadence ones.
         ASSERT_TRUE(sim.write_snapshot_now().ok()) << what;
@@ -783,6 +798,7 @@ TEST(CrashRecovery, ChainRestoresWhatAFullEncodeDoes)
         ++checked;
     }
     EXPECT_GT(checked, 4);
+    EXPECT_GT(between_migrations, 0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Snapshot-chain fuzz (DESIGN.md §12). Seeded mutations of real
- * Simulator (churn + faults + defrag) and serve::Service checkpoints —
+ * Simulator (churn + faults) and serve::Service checkpoints —
  * byte flips, truncations and inflated counts in a base, a history
  * segment or a journal head — are written back through the library,
  * so every checksum is valid and the section decoders see the mutated
@@ -15,6 +15,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -191,7 +192,7 @@ fuzz(const std::string &payload, std::uint64_t seed, int per_kind,
     EXPECT_GT(rejected, 0);
 }
 
-// --- Simulator: churn + GPU faults + RPC drops + defrag --------------
+// --- Simulator: churn + GPU faults + RPC drops -----------------------
 
 Trace
 churn_trace()
@@ -202,16 +203,16 @@ churn_trace()
 }
 
 /** Journaled churn run: a checkpoint every @p every rounds, scheduler
- *  crashes at rounds 45 and 47. */
+ *  crashes at rounds 85 and 87, after the repack's first migrations
+ *  and before its last. */
 SimConfig
 churn_config(const std::string &dir, bool recover, std::uint64_t every = 40)
 {
     SimConfig config;
-    config.defrag.enabled = true;
     config.faults.seed = 3;
     config.faults.gpu_mtbf_s = 2.0 * kDay;
     config.faults.rpc_drop_prob = 0.02;
-    for (std::int64_t round : {45, 47}) {
+    for (std::int64_t round : {85, 87}) {
         FaultEvent crash;
         crash.type = FaultType::kSchedCrash;
         crash.target = round;
@@ -240,7 +241,9 @@ recover_simulator(const std::string &payload)
 }
 
 /** A churn run with a checkpoint every @p every rounds, crashed at
- *  round 45 — and, with @p resumed, recovered and crashed again at 47. */
+ *  round 85 — and, with @p resumed, recovered and crashed again at 87.
+ *  ElasticFlow's repack has migrated jobs before the first crash, so
+ *  the checkpoints hold relocated placements. */
 std::string
 crashed_churn_dir(const std::string &name, std::uint64_t every,
                   bool resumed)
@@ -252,14 +255,17 @@ crashed_churn_dir(const std::string &name, std::uint64_t every,
         auto scheduler = make_scheduler("elasticflow");
         Simulator sim(churn_trace(), scheduler.get(),
                       churn_config(dir, recover, every));
-        sim.run();
+        int migrations = 0;
+        for (const JobOutcome &job : sim.run().jobs)
+            migrations += job.migrations;
         EXPECT_TRUE(sim.crashed());
+        EXPECT_GT(migrations, 0);
     }
     return dir;
 }
 
-/** A mid-run churn base (placed jobs, faulted GPUs, defrag): the one
- *  the recovery from the round-45 crash wrote. */
+/** A mid-run churn base (placed jobs, faulted GPUs, migrated jobs):
+ *  the one the recovery from the round-85 crash wrote. */
 const std::string &
 simulator_payload()
 {
@@ -268,13 +274,17 @@ simulator_payload()
     return payload;
 }
 
+/** Checkpoint cadence of the churn chain below. */
+constexpr std::uint64_t kChainEvery = 16;
+
 /** A churn chain: the base, five segments and a head, then the journal
- *  records of rounds 41 to 45. */
+ *  records of rounds 81 to 85. */
 const Parts &
 simulator_chain()
 {
     static const Parts parts =
-        read_parts(crashed_churn_dir("fuzz_chain_source", 8, false));
+        read_parts(crashed_churn_dir("fuzz_chain_source", kChainEvery,
+                                     false));
     return parts;
 }
 
@@ -330,16 +340,18 @@ up_flag(std::size_t table, std::size_t owner)
     return table + kUp + 8 + (owner - table - 8) / 8;
 }
 
-/** Offset of the owner of the first owned GPU of @p table (or, with
- *  @p owned false, the first free and up one). */
+/** Offset of the owner of the first owned GPU of @p table, or, given
+ *  @p other, of the first one whose owner differs from @p other's. */
 std::size_t
-first_row(const std::string &p, std::size_t table, bool owned)
+owned_row(const std::string &p, std::size_t table, std::size_t other = 0)
 {
     std::size_t g = 0;
-    while ((p[table + 8 + 8 * g] != '\xff') != owned ||
-           (!owned && p[up_flag(table, table + 8 + 8 * g)] != 1))
+    while (g < 64 && (p[table + 8 + 8 * g] == '\xff' ||
+                      (other != 0 &&
+                       p.compare(table + 8 + 8 * g, 8, p, other, 8) == 0)))
         ++g;
-    return table + 8 + 8 * g;
+    EXPECT_LT(g, 64u);
+    return table + 8 + 8 * std::min<std::size_t>(g, 63);
 }
 
 TEST(SnapshotFuzz, SimulatorPayloads)
@@ -352,16 +364,17 @@ TEST(SnapshotFuzz, InconsistentGpuTableIsBadRecord)
 {
     const std::string &payload = simulator_payload();
     const std::size_t table = gpu_table(payload);
-    const std::size_t owned = first_row(payload, table, true);
+    const std::size_t owned = owned_row(payload, table);
 
     std::string down = payload;
     down[up_flag(table, owned)] = 0;  // an owned GPU marked down
     EXPECT_EQ(recover_simulator(down).code, ErrorCode::kBadRecord);
 
-    // Hand a free, healthy GPU to the owner of another: that job now
-    // holds one GPU more than its gpus count says.
+    // Hand a GPU of another job to the first owner: that job now holds
+    // one GPU more than its gpus count says (the cluster is full at
+    // the crash, so there is no free GPU to hand it).
     std::string extra = payload;
-    extra.replace(first_row(payload, table, false), 8,
+    extra.replace(owned_row(payload, table, owned), 8,
                   payload.substr(owned, 8));
     EXPECT_EQ(recover_simulator(extra).code, ErrorCode::kBadRecord);
 }
@@ -401,7 +414,7 @@ TEST(SnapshotFuzz, ChainDamageIsTyped)
     ASSERT_FALSE(chain.records.empty());
     const std::string dir = dir_with(chain);
     const auto recover = [](const std::string &d) {
-        return recover_simulator_dir(d, 8);
+        return recover_simulator_dir(d, kChainEvery);
     };
     ASSERT_TRUE(recover(dir).ok());
     const std::string snap = read_file(DurableLog::snapshot_path(dir));
@@ -503,7 +516,7 @@ TEST(SnapshotFuzz, SegmentAndHeadPayloads)
 {
     const Parts &chain = simulator_chain();
     const auto recover = [](const Parts &p) {
-        return recover_simulator_dir(dir_with(p), 8);
+        return recover_simulator_dir(dir_with(p), kChainEvery);
     };
     // Each segment body, and the head's live state, mutated in turn.
     for (std::size_t k = 0; k <= chain.segments.size(); ++k) {

@@ -94,15 +94,13 @@ canonical()
     return run_once("elasticflow", 42);
 }
 
-/** A churn run with every optional hashed subsystem on: background
- *  defrag (budgeted), GPU faults and RPC drops. */
+/** A churn run with GPU faults and RPC drops: ElasticFlow's repack
+ *  migrates jobs while faults evict them. */
 RunResult
-churn_with_faults_and_defrag()
+churn_with_faults()
 {
     Trace trace = TraceGenerator::generate(churn_preset());
     SimConfig config;
-    config.defrag.enabled = true;
-    config.defrag.budget_units_per_round = 16.0;
     config.faults.seed = 7;
     config.faults.gpu_mtbf_s = 2.0 * kDay;
     config.faults.rpc_drop_prob = 0.02;
@@ -254,8 +252,8 @@ service_decision_digest()
  * fine when intended, but must be a conscious decision: re-pin the
  * constant from this test's failure message and say why in the
  * commit. Beyond the canonical batch run, the table covers every
- * optional hashed subsystem (defrag, fault streams, serve::Service's
- * per-round fold).
+ * optional hashed subsystem (fault streams, serve::Service's per-round
+ * fold).
  *
  * Re-pin history (DESIGN.md §7). The simulator pins moved when the
  * state hash became incremental: frozen jobs enter as a sealed sum, the
@@ -266,7 +264,10 @@ service_decision_digest()
  * walk. All three moved last when every state digest became a word
  * hash (common/hash.h: one multiply per field instead of FNV-1a's eight
  * byte steps); the hashed fields and their order did not change.
- * PinnedDecisions below did not move any of these times.
+ * PinnedDecisions below did not move any of these times. The churn
+ * pins (here and in PinnedDecisions) moved once more when background
+ * defrag was deleted: the churn run lost its defrag rounds and kept
+ * its GPU faults and RPC drops.
  */
 TEST(StateHash, PinnedBaseline)
 {
@@ -279,9 +280,9 @@ TEST(StateHash, PinnedBaseline)
     const Pin pins[] = {
         {"canonical elasticflow", [] { return canonical().state_hash; },
          UINT64_C(0x08d8f282766e740a)},
-        {"churn + defrag + GPU faults + RPC drops",
-         [] { return churn_with_faults_and_defrag().state_hash; },
-         UINT64_C(0xbc9ca316e57fad09)},
+        {"churn + GPU faults + RPC drops",
+         [] { return churn_with_faults().state_hash; },
+         UINT64_C(0x1d9dea8315167131)},
         {"serve::Service with arrival storm", service_with_arrival_storm,
          UINT64_C(0x8175396bcb884592)},
     };
@@ -392,11 +393,9 @@ TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
     faults.faults.rpc_drop_prob = 0.02;
     faults.faults.straggler_prob = 0.1;
     faults.faults.ckpt_failure_prob = 0.05;
-    SimConfig defrag;
-    defrag.defrag.enabled = true;
-    defrag.defrag.budget_units_per_round = 16.0;
-    defrag.faults.seed = 3;
-    defrag.faults.gpu_mtbf_s = 2.0 * kDay;
+    SimConfig churn_faults;
+    churn_faults.faults.seed = 3;
+    churn_faults.faults.gpu_mtbf_s = 2.0 * kDay;
 
     TraceGenConfig gen = testbed_small_preset();
     gen.seed = 42;
@@ -411,7 +410,7 @@ TEST(StateHash, IncrementalEqualsRecomputeAtEverySample)
         const Trace &trace;
     } runs[] = {{"plain", SimConfig{}, small},
                 {"faults", faults, small},
-                {"defrag", defrag, churn_trace}};
+                {"churn", churn_faults, churn_trace}};
     for (const std::string &name : all_scheduler_names()) {
         for (const auto &run : runs) {
             SCOPED_TRACE(name + " / " + run.name);
@@ -610,9 +609,9 @@ TEST(StateHash, PinnedDecisions)
         {"canonical elasticflow",
          [] { return decision_digest(canonical()); },
          UINT64_C(0xaa6772e4f5ec409b)},
-        {"churn + defrag + GPU faults + RPC drops",
-         [] { return decision_digest(churn_with_faults_and_defrag()); },
-         UINT64_C(0x60ad6cce35888f5e)},
+        {"churn + GPU faults + RPC drops",
+         [] { return decision_digest(churn_with_faults()); },
+         UINT64_C(0x7177f4130d70ec6f)},
         {"multi-rack server failures",
          [] { return decision_digest(multi_rack_server_failures()); },
          UINT64_C(0x87c6c9143db0709b)},
