@@ -6,8 +6,7 @@
  * mid-run state, and a complete recovery — chain load plus journal
  * replay — on the 2048-GPU / 1000-job fixture. Both are also compiled into
  * micro_scheduler_overhead (with EF_BENCH_NO_MAIN) so recovery cost is
- * recorded into BENCH_sched.json and stays visible in the repo's perf
- * trajectory.
+ * measured next to the scheduler numbers.
  */
 #include <benchmark/benchmark.h>
 
@@ -187,8 +186,7 @@ BENCHMARK(BM_RecoveryReplay)->Unit(benchmark::kMillisecond);
 
 #ifndef EF_BENCH_NO_MAIN
 /** Same custom main as micro_scheduler_overhead: record the build type
- *  of the ef libraries under measurement (`ef_build_type`), which the
- *  release-baseline guard gates on. */
+ *  of the ef libraries under measurement (`ef_build_type`). */
 int
 main(int argc, char **argv)
 {

@@ -200,7 +200,7 @@ BENCHMARK(BM_PerfModelThroughput);
  * `library_build_type` context key reports how the google-benchmark
  * harness itself was compiled (the distro ships a debug build of the
  * .so), which says nothing about the planner code being timed —
- * `ef_build_type` is the key baselines and CI gate on.
+ * `ef_build_type` does.
  */
 int
 main(int argc, char **argv)

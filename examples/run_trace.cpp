@@ -78,9 +78,6 @@ usage()
         << "            [--trace-out FILE.json] [--metrics-out FILE]\n"
         << "            [--journal-dir DIR] [--snapshot-every N]\n"
         << "            [--recover] [--report-out PREFIX]\n"
-        << "            [--defrag] [--defrag-budget UNITS]\n"
-        << "            [--defrag-steps N] [--defrag-interval S]\n"
-        << "            [--defrag-seed N]\n"
         << "            [--log-level debug|info|warn|error]\n"
         << "  run_trace --service --arrival-rate JOBS_PER_S "
         << "--duration SECONDS\n"
@@ -383,23 +380,6 @@ main(int argc, char **argv)
                     "a round count >= 1");
         } else if (arg == "--recover") {
             sim_config.durability.recover = true;
-        } else if (arg == "--defrag") {
-            sim_config.defrag.enabled = true;
-        } else if (arg == "--defrag-budget") {
-            sim_config.defrag.enabled = true;
-            number(&sim_config.defrag.budget_units_per_round);
-            require(sim_config.defrag.budget_units_per_round >= 0.0,
-                    "units >= 0 (0 disables)");
-        } else if (arg == "--defrag-steps") {
-            number(&sim_config.defrag.max_steps);
-            require(sim_config.defrag.max_steps >= 1, "a step count >= 1");
-        } else if (arg == "--defrag-interval") {
-            number(&scaled);
-            sim_config.defrag.governor.rounds_per_second = 1.0 / scaled;
-            require(positive(sim_config.defrag.governor.rounds_per_second),
-                    "seconds > 0");
-        } else if (arg == "--defrag-seed") {
-            number(&sim_config.defrag.seed);
         } else if (arg == "--report-out") {
             report_out = next();
         } else if (arg == "--trace-out") {
@@ -586,13 +566,6 @@ main(int argc, char **argv)
     table.add_row({"span excess (avg/final)",
                    format_double(average_span_excess(result), 1) + "/" +
                        format_double(final_span_excess(result), 1)});
-    if (sim_config.defrag.enabled) {
-        table.add_row({"defrag rounds/moves",
-                       std::to_string(result.defrag_rounds) + "/" +
-                           std::to_string(result.defrag_moves)});
-        table.add_row({"defrag budget spent",
-                       format_double(result.defrag_budget_spent, 1)});
-    }
     std::cout << table.render();
     if (show_state_hash) {
         // Fixed single-line format so CI can diff two runs directly.

@@ -23,8 +23,7 @@
  *    boundaries the current layout pays for.
  *
  * Both are pure functions of the placement — cheap enough to sample at
- * every planning round and report as obs gauges, independent of
- * whether the defrag optimizer is enabled.
+ * every planning round and report as obs gauges.
  */
 #ifndef EF_CLUSTER_FRAGMENTATION_H_
 #define EF_CLUSTER_FRAGMENTATION_H_

@@ -1190,27 +1190,6 @@ PlacementManager::release(JobId job)
 }
 
 void
-PlacementManager::apply_moves(const std::vector<Migration> &moves)
-{
-    if (moves.empty())
-        return;
-    for (const Migration &m : moves) {
-        EF_CHECK_MSG(is_placed(m.job),
-                     "defrag move for unplaced job " << m.job);
-        EF_CHECK_MSG(gpus_of(m.job) == m.from,
-                     "defrag move stale for job " << m.job);
-        EF_CHECK_MSG(m.to.size() == m.from.size(),
-                     "defrag move resizes job " << m.job);
-        unassign(m.job);
-    }
-    for (const Migration &m : moves)
-        assign(m.job, m.to);
-    obs::count("cluster.defrag_moves",
-               static_cast<std::uint64_t>(moves.size()));
-    validate();
-}
-
-void
 PlacementManager::validate() const
 {
     std::vector<GpuCount> free_check(free_per_server_.size(), 0);

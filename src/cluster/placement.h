@@ -33,21 +33,12 @@ enum class PlacementStrategy {
     kScatter,         ///< adversarial: round-robin across servers
 };
 
-/** A job relocation produced by defragmentation. */
+/** A job relocation produced by the migrating repack. */
 struct Migration
 {
     JobId job = kInvalidJob;
     std::vector<GpuCount> from;
     std::vector<GpuCount> to;
-
-    /** Persistent state (recover/fields.h). */
-    template <class V>
-    void
-    fields(V &v)
-    {
-        v(job);
-        v.each(from, to);
-    }
 };
 
 /** Outcome of a placement request. */
@@ -139,16 +130,6 @@ class PlacementManager
     PlacementResult resize_reference(JobId job, GpuCount new_size,
                                      PlacementStrategy strategy,
                                      bool allow_migration);
-
-    /**
-     * Atomically relocate a batch of placed jobs (background
-     * defragmentation commit path). Every move's `from` must match the
-     * job's current GPUs and every `to` must keep the job's size; the
-     * union of targets may only reuse GPUs freed by the batch itself.
-     * All moved jobs are released first, then reassigned, so circular
-     * exchanges (swaps) commit in one step. Validates on completion.
-     */
-    void apply_moves(const std::vector<Migration> &moves);
 
     /** Free all GPUs of a placed job. */
     void release(JobId job);

@@ -334,7 +334,6 @@ Exporter::render(std::uint64_t dropped)
           case EventKind::kRpcGiveUp:
           case EventKind::kPlacementFail:
           case EventKind::kCommand:
-          case EventKind::kDefragRound:
             instant(kSchedPid, 2, event_kind_name(event.kind), ts);
             args()
                 .kv("job", event.job)

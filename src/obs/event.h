@@ -38,7 +38,7 @@ enum class EventKind {
     // --- allocation and placement ---------------------------------------
     kAllocChange,     ///< job's concrete GPU set changed; ids = GPU ids
                       ///< (empty = suspended/released), a = old count
-    kMigration,       ///< defrag relocation; ids = new GPU ids
+    kMigration,       ///< repack relocation; ids = new GPU ids
     kScale,           ///< resize applied; a = old count, b = new count
     kCheckpoint,      ///< checkpoint write; a = 1 ok / 0 failed
     kPlacementFail,   ///< placement request unsatisfiable; a = want
@@ -79,10 +79,6 @@ enum class EventKind {
     kRecoveryBegin,   ///< snapshot loaded; a = journal records read,
                       ///< b = round commits to replay
     kRecoveryEnd,     ///< recovery verified; a = rounds replayed
-
-    // --- background defrag (DESIGN.md §14) -------------------------------
-    kDefragRound,     ///< SA round done; a = moves committed,
-                      ///< b = proposals evaluated, x = objective gain
 };
 
 /** Stable lowercase name (Chrome-trace event names, tests, dumps). */

@@ -41,7 +41,6 @@ event_kind_name(EventKind kind)
       case EventKind::kServeTimeout: return "serve_timeout";
       case EventKind::kRecoveryBegin: return "recovery_begin";
       case EventKind::kRecoveryEnd: return "recovery_end";
-      case EventKind::kDefragRound: return "defrag_round";
     }
     return "?";
 }

@@ -41,8 +41,9 @@ constexpr std::uint32_t kJournalMagic = 0x4c4a4645u;
  *  5: the state hashes that round commits carry (simulator and
  *     service) are chained with the word hasher, not FNV-1a.
  *  6: the simulator's head carries job rows without spec, curve,
- *     noise factor or attained-service copy. */
-constexpr std::uint32_t kJournalVersion = 6;
+ *     noise factor or attained-service copy.
+ *  7: the simulator's head carries no defrag state or defrag totals. */
+constexpr std::uint32_t kJournalVersion = 7;
 
 /**
  * Record kinds shared by the simulator and the serve-mode front end.

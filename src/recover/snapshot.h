@@ -45,8 +45,10 @@ constexpr std::uint32_t kSnapshotMagic = 0x4e534645u;
  *  not FNV-1a.
  *  8: the simulator's job rows carry no spec, curve, noise factor or
  *  attained-service copy (the trace and config rebuild them), and its
- *  fingerprint covers every spec field, the topology and the noise. */
-constexpr std::uint32_t kSnapshotVersion = 8;
+ *  fingerprint covers every spec field, the topology and the noise.
+ *  9: no defrag state, defrag presence byte in the fingerprint or
+ *  defrag totals in the simulator's run totals. */
+constexpr std::uint32_t kSnapshotVersion = 9;
 
 /** The end of a chain: what a journal head pairs with. */
 struct ChainTip

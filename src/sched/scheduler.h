@@ -142,7 +142,7 @@ class Scheduler
         return PlacementStrategy::kBestFitCompact;
     }
 
-    /** Whether defragmentation migrations may be used. */
+    /** Whether placement may migrate other jobs to repack (§4.3). */
     virtual bool allow_migration() const { return false; }
 
     /**

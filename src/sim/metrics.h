@@ -26,7 +26,7 @@ struct JobTally
     Time finish_time = kTimeInfinity;
     Time first_run_time = kTimeInfinity;
     int scaling_events = 0;    ///< allocation size changes
-    int migrations = 0;        ///< defragmentation relocations
+    int migrations = 0;        ///< repack relocations
     int failures_suffered = 0; ///< node/GPU-failure evictions (§4.4)
     /** SLO became unmeetable after a fault; runs on as best-effort. */
     bool demoted = false;
@@ -110,12 +110,12 @@ struct RunResult
     /** SLO jobs demoted to best-effort after a fault (each once). */
     int slo_demotions = 0;
 
-    // --- background defrag (all 0 unless SimConfig::defrag enabled) -----
-    /** Governor-funded SA rounds planned (including empty ones). */
+    // --- removed background defrag ---------------------------------------
+    /** Always 0. Background defragmentation is gone; these three remain
+     *  only because the end-to-end benchmark (e2ebench/) still reads
+     *  them, and go with its next revision. Not journaled or reported. */
     int defrag_rounds = 0;
-    /** Relocations committed by defrag rounds. */
     int defrag_moves = 0;
-    /** Migration-cost budget units spent across all rounds. */
     double defrag_budget_spent = 0.0;
 
     // --- determinism audit ----------------------------------------------
@@ -146,7 +146,6 @@ struct RunResult
                   replans_attempted, replans_coalesced, replans_elided,
                   rpc_retries, rpc_gave_up, stragglers_observed,
                   gpu_faults, ckpt_failures, slo_demotions,
-                  defrag_rounds, defrag_moves, defrag_budget_spent,
                   state_hash, state_hash_samples);
     }
 

@@ -105,11 +105,7 @@ summary_report(const RunResult &result)
         << "avg_span_excess="
         << format_double(average_span_excess(result), 6) << "\n"
         << "final_span_excess="
-        << format_double(final_span_excess(result), 6) << "\n"
-        << "defrag_rounds=" << result.defrag_rounds << "\n"
-        << "defrag_moves=" << result.defrag_moves << "\n"
-        << "defrag_budget_spent="
-        << format_double(result.defrag_budget_spent, 3) << "\n";
+        << format_double(final_span_excess(result), 6) << "\n";
     return out.str();
 }
 
@@ -179,14 +175,11 @@ summary_report_json(const RunResult &result)
     w.kv("gpu_seconds", result.total_gpu_seconds());
     w.kv("replan_failures", result.replan_failures);
     w.kv("placement_failures", result.placement_failures);
-    // Fragmentation (§3.2), reported whether or not defrag is on.
+    // Fragmentation (§3.2).
     w.kv("avg_buddy_fragmentation", average_fragmentation(result));
     w.kv("final_buddy_fragmentation", final_fragmentation(result));
     w.kv("avg_span_excess", average_span_excess(result));
     w.kv("final_span_excess", final_span_excess(result));
-    w.kv("defrag_rounds", result.defrag_rounds);
-    w.kv("defrag_moves", result.defrag_moves);
-    w.kv("defrag_budget_spent", result.defrag_budget_spent);
     w.end_object();
     return w.str();
 }

@@ -182,7 +182,6 @@ Simulator::fields(V &v)
         return placed == placement_.placed_jobs().size();
     });
     v.digest(fault_);
-    v.digest(defrag_);
 
     v.journal(tick_armed_, replan_pending_, view_dirty_,
               last_decision_time_, sched_crash_cursor_, events_, result_);
@@ -254,13 +253,6 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
                 "duplicate job id " << dup->first << " in trace");
     if (config_.faults.any())
         fault_ = std::make_unique<FaultInjector>(config_.faults);
-    // A zero budget stays null on purpose: such a run must be
-    // byte-identical to a defrag-disabled one (DESIGN.md §14).
-    if (config_.defrag.enabled &&
-        config_.defrag.budget_units_per_round > 0.0) {
-        defrag_ = std::make_unique<defrag::Defragmenter>(
-            config_.defrag, &topology_, &perf_);
-    }
 }
 
 Simulator::~Simulator() = default;
@@ -548,7 +540,7 @@ Simulator::apply_resize(JobRt &job, GpuCount desired)
         return;  // keep the previous allocation
     }
 
-    // Defragmentation relocations pause their victims too.
+    // Repack relocations pause their victims too.
     for (const Migration &m : res.migrations) {
         if (m.job == id)
             continue;
@@ -982,7 +974,6 @@ Simulator::compute_fingerprint() const
     h.f64(config_.noise.throughput_error);
     h.str(result_.scheduler_name);
     h.byte(fault_ != nullptr ? 1 : 0);
-    h.byte(defrag_ != nullptr ? 1 : 0);
     h.f64(config_.max_time);
     return h.digest();
 }
@@ -1309,84 +1300,9 @@ Simulator::flush_replan()
         EF_INFO("job " << id << " demoted to best-effort at "
                        << format_double(now_ / kHour, 2) << " h");
     }
-    // Background defrag runs after the decision is applied, so the
-    // round hash (audit_state below) covers any committed moves and a
-    // journal replay re-executes them deterministically.
-    maybe_defrag();
     record_timelines();
     audit_state();
     arm_tick();
-}
-
-void
-Simulator::maybe_defrag()
-{
-    if (defrag_ == nullptr || !defrag_->try_begin_round(now_))
-        return;
-    // Eligible movers: running jobs currently holding GPUs, ascending
-    // by id as the planner requires.
-    std::vector<defrag::DefragJob> eligible;
-    for (std::uint32_t slot : active_.live) {
-        const JobRt &job = jobs_[slot];
-        if (job.state != JobState::kRunning || job.gpus <= 0 ||
-            !placement_.is_placed(job.id))
-            continue;
-        defrag::DefragJob dj;
-        dj.id = job.id;
-        dj.model = job.spec->model;
-        dj.global_batch = job.spec->global_batch;
-        eligible.push_back(dj);
-    }
-    std::sort(eligible.begin(), eligible.end(),
-              [](const defrag::DefragJob &a, const defrag::DefragJob &b) {
-                  return a.id < b.id;
-              });
-    ++result_.defrag_rounds;
-    const defrag::DefragPlan plan =
-        defrag_->plan_round(placement_, eligible);
-    if (!plan.moves.empty()) {
-        placement_.apply_moves(plan.moves);
-        for (const Migration &m : plan.moves) {
-            JobRt &moved = rt(m.job);
-            ++moved.outcome.migrations;
-            charge_pause(moved, overhead_.migration_seconds(
-                                    moved.spec->model, moved.gpus));
-            if (moved.state == JobState::kRunning)
-                refresh_throughput(moved);
-            result_.allocation_log.push_back(
-                AllocationEvent{now_, m.job, m.to});
-            if (obs::tracing()) {
-                obs::TraceEvent alloc{now_,
-                                      obs::EventKind::kAllocChange,
-                                      m.job, moved.gpus};
-                alloc.ids = trace_ids(m.to);
-                obs::emit(alloc);
-                obs::TraceEvent mig{now_, obs::EventKind::kMigration,
-                                    m.job, moved.gpus};
-                mig.ids = trace_ids(m.to);
-                obs::emit(mig);
-            }
-            obs::count("sim.migrations");
-        }
-        result_.defrag_moves += static_cast<int>(plan.moves.size());
-        result_.defrag_budget_spent += plan.cost_units;
-    }
-    if (obs::tracing()) {
-        obs::TraceEvent round{now_, obs::EventKind::kDefragRound,
-                              kInvalidJob,
-                              static_cast<std::int64_t>(
-                                  plan.moves.size()),
-                              static_cast<std::int64_t>(plan.steps)};
-        round.x = plan.objective_before - plan.objective_after;
-        obs::emit(round);
-    }
-    if (obs::metrics() != nullptr) {
-        obs::count("sim.defrag.rounds");
-        obs::gauge_set("sim.defrag.budget_spent_total",
-                       defrag_->budget_spent_units());
-        obs::gauge_set("sim.defrag.moves_total",
-                       static_cast<double>(defrag_->moves_committed()));
-    }
 }
 
 void

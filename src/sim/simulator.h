@@ -25,7 +25,6 @@
 
 #include "cluster/placement.h"
 #include "common/rng.h"
-#include "defrag/defrag.h"
 #include "fault/fault.h"
 #include "recover/fields.h"
 #include "recover/log.h"
@@ -102,12 +101,16 @@ struct SimConfig
     /** Crash consistency (snapshot + journal); off by default. */
     DurabilityConfig durability;
     /**
-     * Background defragmentation (DESIGN.md §14): governor-gated SA
-     * repacking rounds bounded by a migration-cost budget. Disabled —
-     * or enabled with a zero budget — is byte-identical to runs
-     * predating this knob.
+     * Ignored. Background defragmentation is gone: ElasticFlow's
+     * migrating repack (paper §4.3) already relocates jobs. These two
+     * members remain only because the end-to-end benchmark (e2ebench/)
+     * still sets them, and go with its next revision.
      */
-    defrag::DefragConfig defrag;
+    struct
+    {
+        bool enabled = false;
+        double budget_units_per_round = 0.0;
+    } defrag;
 };
 
 /** Lifecycle of a job inside the simulator. */
@@ -164,8 +167,7 @@ class Simulator : public ClusterView
      * Determinism auditor: word hash (common/hash.h) of the hashed
      * fields listed in fields() — event clock, job table (state,
      * progress, attained service, pause windows), concrete GPU
-     * allocations and availability, and the optional fault and defrag
-     * state.
+     * allocations and availability, and the optional fault state.
      * Sampled and chained into RunResult::state_hash at every replan;
      * two runs of the same (trace, scheduler, config) must produce
      * identical digests, otherwise a hidden nondeterminism source
@@ -246,9 +248,7 @@ class Simulator : public ClusterView
      *  sample). */
     void audit_state(bool terminal = false);
     void apply_decision(const SchedulerDecision &decision);
-    /** Governor-gated background defrag round (DESIGN.md §14). */
-    void maybe_defrag();
-    /** Sample fragmentation gauges/series (always on, defrag or not). */
+    /** Sample the fragmentation gauges and series. */
     void record_fragmentation();
     void apply_resize(JobRt &job, GpuCount desired);
     void charge_pause(JobRt &job, Time seconds);
@@ -350,9 +350,6 @@ class Simulator : public ClusterView
 
     /** Null unless some fault class is enabled. */
     std::unique_ptr<FaultInjector> fault_;
-    /** Null unless defrag is enabled with a positive budget (a zero
-     *  budget must be byte-identical to defrag disabled). */
-    std::unique_ptr<defrag::Defragmenter> defrag_;
     /** Capacity-affecting fault events so far (ClusterView). */
     std::uint64_t fault_epoch_ = 0;
 

@@ -96,11 +96,10 @@ TraceGenConfig testbed_small_preset();
 TraceGenConfig testbed_large_preset();
 
 /**
- * Churn-heavy preset for the defrag experiments (DESIGN.md §14):
- * many short jobs with mixed power-of-two sizes arriving in bursts on
- * a 64-GPU cluster. Completions keep punching odd-sized holes, so
- * greedy-only (non-migrating) scheduling demonstrably fragments —
- * exactly the workload background defragmentation is judged on.
+ * Churn-heavy preset: many short jobs with mixed power-of-two sizes
+ * arriving in bursts on a 64-GPU cluster. Completions keep punching
+ * odd-sized holes, so greedy-only (non-migrating) scheduling fragments
+ * and ElasticFlow's migrating repack (§4.3) has work to do.
  */
 TraceGenConfig churn_preset();
 

@@ -483,6 +483,13 @@ TEST(CrashRecovery, MismatchedTraceIsTypedError)
     EXPECT_EQ(resume(trace, noisy).code,
               recover::ErrorCode::kStateMismatch)
         << "noise";
+    // So must a resume without the fault injector the run was written
+    // with: the snapshot holds its RNG cursors.
+    SimConfig no_faults = recover_config;
+    no_faults.faults.script.clear();
+    EXPECT_EQ(resume(trace, no_faults).code,
+              recover::ErrorCode::kStateMismatch)
+        << "no fault injector";
 
     // The trace and config the run was written with still resume.
     EXPECT_TRUE(resume(trace, recover_config).ok());
@@ -549,7 +556,7 @@ TEST(CrashRecovery, OldJournalVersionIsTypedError)
     const std::string path = recover::DurableLog::journal_path(dir);
     const std::string current = read_file(path);
     ASSERT_GT(current.size(), 8u);
-    for (char version : {3, 4, 5}) {
+    for (char version : {3, 4, 5, 6}) {
         SCOPED_TRACE(static_cast<int>(version));
         std::string journal = current;
         journal[4] = version;  // little-endian u32 version after the magic

@@ -523,10 +523,12 @@ TEST(EfLintLayering, RealTreeIsCleanAndCatchesAnUpwardInclude)
     const lint::LayerDag dag = lint::read_layer_dag(tree);
     for (const Issue &issue : dag.issues)
         ADD_FAILURE() << lint::format_issue(issue);
-    EXPECT_GE(dag.reach.size(), 12u);
+    EXPECT_GE(dag.reach.size(), 11u);
     EXPECT_EQ(dag.reach.at("common"), std::set<std::string>{"common"});
     EXPECT_EQ(dag.reach.at("sim").count("core"), 1u);
     EXPECT_EQ(dag.reach.at("core").count("sim"), 0u);
+    // The simulator does not pull in the service front end.
+    EXPECT_EQ(dag.reach.at("sim").count("serve"), 0u);
 
     lint::LintOptions options;
     options.layers = &dag;

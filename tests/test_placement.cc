@@ -3,7 +3,8 @@
  * Tests for the placement manager: best-fit selection, fragmentation
  * behaviour of the non-migrating strategies, and the buddy guarantee —
  * with migration, any power-of-two request that fits idle capacity is
- * placeable and compact.
+ * placeable and compact — plus the fragmentation metrics the simulator
+ * samples (cluster/fragmentation.h).
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <set>
 #include <utility>
 
+#include "cluster/fragmentation.h"
 #include "cluster/placement.h"
 #include "common/rng.h"
 #include "recover/fields.h"
@@ -544,6 +546,60 @@ TEST_F(PlacementTest, OwnershipDigestUnderRandomChurn)
                   recover::recomputed_digest(manager_))
             << "step " << step;
     }
+}
+
+// --- fragmentation metrics ---------------------------------------------
+
+TEST(BuddyBlockFloor, LargestPowerOfTwoAtMostN)
+{
+    EXPECT_EQ(buddy_block_floor(0), 0);
+    EXPECT_EQ(buddy_block_floor(1), 1);
+    EXPECT_EQ(buddy_block_floor(2), 2);
+    EXPECT_EQ(buddy_block_floor(3), 2);
+    EXPECT_EQ(buddy_block_floor(5), 4);
+    EXPECT_EQ(buddy_block_floor(7), 4);
+    EXPECT_EQ(buddy_block_floor(8), 8);
+}
+
+TEST(FragmentationStats, EmptyClusterHasNoFragmentation)
+{
+    Topology topo(TopologySpec::with_total_gpus(16));
+    PlacementManager pm(&topo);
+    FragmentationStats stats = fragmentation_stats(pm);
+    EXPECT_EQ(stats.idle_gpus, 16);
+    EXPECT_EQ(stats.buddy_usable_gpus, 16);
+    EXPECT_DOUBLE_EQ(stats.buddy_external_frag, 0.0);
+    EXPECT_EQ(stats.total_span_excess, 0);
+}
+
+TEST(FragmentationStats, OddHolesAreExternalFragmentation)
+{
+    Topology topo(TopologySpec::with_total_gpus(16));
+    PlacementManager pm(&topo);
+    // One 1-GPU job leaves a 7-GPU hole: only a 4-block is buddy-usable
+    // there, so 3 of 15 idle GPUs are stranded.
+    ASSERT_TRUE(pm.place(1, 1, PlacementStrategy::kBestFitCompact,
+                         false).ok);
+    FragmentationStats stats = fragmentation_stats(pm);
+    EXPECT_EQ(stats.idle_gpus, 15);
+    EXPECT_EQ(stats.buddy_usable_gpus, 12);
+    EXPECT_NEAR(stats.buddy_external_frag, 0.2, 1e-12);
+    EXPECT_EQ(stats.largest_buddy_block, 8);
+}
+
+TEST(FragmentationStats, ScatteredJobsHaveSpanExcess)
+{
+    Topology topo(TopologySpec::with_total_gpus(16));
+    PlacementManager pm(&topo);
+    // kScatter round-robins across servers: a 4-GPU job lands 2+2
+    // although it fits on one server (compact span 1, actual span 2).
+    ASSERT_TRUE(pm.place(1, 4, PlacementStrategy::kScatter, false).ok);
+    EXPECT_EQ(pm.server_span(1), 2);
+    EXPECT_EQ(span_excess_of(pm, 1), 1);
+    FragmentationStats stats = fragmentation_stats(pm);
+    EXPECT_EQ(stats.total_span_excess, 1);
+    EXPECT_EQ(stats.jobs_with_span_excess, 1);
+    EXPECT_EQ(stats.placed_jobs, 1);
 }
 
 }  // namespace

@@ -439,11 +439,12 @@ TEST(Journal, VersionOneFilesAreTyped)
     // streaming-admission queue, a version 6 one (or a version 4
     // journal), whose chained state hashes were taken with FNV-1a, and
     // a version 7 one (or a version 5 journal), whose simulator job
-    // rows carry their spec and curve.
+    // rows carry their spec and curve, and a version 8 one (or a
+    // version 6 journal), whose simulator state carries defrag.
     const std::string snap = temp_path("ef_snap_v1.bin");
     recover::ChainTip tip;
     std::string bytes;
-    for (std::uint8_t version : {1, 4, 5, 6, 7}) {
+    for (std::uint8_t version : {1, 4, 5, 6, 7, 8}) {
         SCOPED_TRACE(static_cast<int>(version));
         ASSERT_TRUE(
             recover::write_base_file(snap, 1, "payload", &tip).ok());
@@ -457,7 +458,7 @@ TEST(Journal, VersionOneFilesAreTyped)
     }
 
     const std::string journal = temp_path("ef_journal_v1.bin");
-    for (std::uint8_t version : {1, 4, 5}) {
+    for (std::uint8_t version : {1, 4, 5, 6}) {
         SCOPED_TRACE(static_cast<int>(version));
         bytes = journal_with_records(journal, 1);
         bytes[4] = static_cast<char>(version);

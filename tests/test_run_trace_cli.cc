@@ -57,10 +57,30 @@ trace_file(const std::string &name, const std::string &text)
     return path;
 }
 
+/** A valid one-job trace. */
+std::string
+one_job_trace()
+{
+    return trace_file(
+        "cli_ok.csv", "id,name,user,model,global_batch,iterations,"
+                      "submit_time,deadline,kind,requested_gpus\n"
+                      "0,j0,u,ResNet50,128,100,0,inf,best-effort,1\n");
+}
+
 TEST(RunTraceCli, UnknownFlagExitsTwo)
 {
     EXPECT_EQ(run_cli("--definitely-not-a-flag"), 2);
     EXPECT_EQ(run_cli("trace.csv --frobnicate"), 2);
+    // The background-defrag flags went with the defragmenter.
+    const std::string trace = one_job_trace();
+    std::string err;
+    for (const char *args :
+         {"--defrag", "--defrag-budget 16", "--defrag-steps 400",
+          "--defrag-interval 600", "--defrag-seed 1"}) {
+        EXPECT_EQ(run_cli(trace + " " + args, &err), 2) << args;
+        EXPECT_NE(err.find("unknown flag"), std::string::npos)
+            << args << ": " << err;
+    }
 }
 
 TEST(RunTraceCli, NoArgumentsExitsTwo)
@@ -93,10 +113,7 @@ TEST(RunTraceCli, ServiceFlagsRejectedWithATraceFile)
 
 TEST(RunTraceCli, BadFlagValuesExitTwo)
 {
-    const std::string trace = trace_file(
-        "cli_ok.csv", "id,name,user,model,global_batch,iterations,"
-                      "submit_time,deadline,kind,requested_gpus\n"
-                      "0,j0,u,ResNet50,128,100,0,inf,best-effort,1\n");
+    const std::string trace = one_job_trace();
     EXPECT_EQ(run_cli(trace + " --snapshot-every=abc"), 2);
     EXPECT_EQ(run_cli(trace + " --gpus 12x"), 2);
     EXPECT_EQ(run_cli(trace + " --seed -3"), 2);
@@ -121,7 +138,6 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         {"--snapshot-every 0 --journal-dir " + journal, "--snapshot-every"},
         {"--rpc-drop 1.5", "--rpc-drop"},
         {"--scheduler nosuch", "--scheduler"},
-        {"--defrag --defrag-steps 0", "--defrag-steps"},
         // This one ran out of memory building the topology.
         {"--gpus 2000000000", "--gpus needs"},
         {"--gpus 65537", "--gpus needs"},
@@ -129,9 +145,6 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         {"--mtbf -1", "--mtbf"},
         {"--repair -1", "--repair"},
         {"--rpc-drop -0.5", "--rpc-drop"},
-        {"--defrag-interval 0", "--defrag-interval"},
-        {"--defrag-budget -3", "--defrag-budget"},
-        {"--defrag-steps -1", "--defrag-steps"},
         {"--noise -5", "--noise"},
         // Fault rates above one per GPU per planning slot were accepted
         // and the run then did not finish.
@@ -161,11 +174,10 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
     // missing (the flag ends the line), empty, not a number, NaN, both
     // infinities, beyond double range, and negative.
     const char *numeric_flags[] = {
-        "--arrival-rate", "--duration",        "--seed",
-        "--gpus",         "--noise",           "--mtbf",
-        "--repair",       "--gpu-fault-rate",  "--rpc-drop",
-        "--fault-seed",   "--snapshot-every",  "--defrag-budget",
-        "--defrag-steps", "--defrag-interval", "--defrag-seed"};
+        "--arrival-rate", "--duration",       "--seed",
+        "--gpus",         "--noise",          "--mtbf",
+        "--repair",       "--gpu-fault-rate", "--rpc-drop",
+        "--fault-seed",   "--snapshot-every"};
     const char *bad_values[] = {"''", "x", "nan", "inf", "-inf", "1e309",
                                 "-1"};
     int swept = 0;
@@ -180,7 +192,7 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
             ++swept;
         }
     }
-    EXPECT_EQ(swept, 120);
+    EXPECT_EQ(swept, 88);
     // Standalone service mode checks its values the same way.
     for (const char *args :
          {"--service --arrival-rate 1 --duration 100 --gpus 0",
@@ -191,8 +203,8 @@ TEST(RunTraceCli, BadFlagValuesExitTwo)
         EXPECT_NE(err.find("needs"), std::string::npos) << args << ": " << err;
     }
     // Zero stays valid where it means "disabled".
-    EXPECT_EQ(run_cli(trace + " --mtbf 0 --defrag-budget 0 --noise 0 "
-                              "--rpc-drop 0 --repair 0"),
+    EXPECT_EQ(run_cli(trace + " --mtbf 0 --noise 0 --rpc-drop 0 "
+                              "--repair 0"),
               0);
 }
 

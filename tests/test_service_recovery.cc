@@ -255,8 +255,10 @@ TEST(ServiceRecovery, OldFormatVersionsAreTypedErrors)
         char version;
     } cases[] = {{"journal v4", journal_path, 4},
                  {"journal v5", journal_path, 5},
+                 {"journal v6", journal_path, 6},
                  {"snapshot v6", snapshot_path, 6},
-                 {"snapshot v7", snapshot_path, 7}};
+                 {"snapshot v7", snapshot_path, 7},
+                 {"snapshot v8", snapshot_path, 8}};
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
         write_file(snapshot_path, snapshot);

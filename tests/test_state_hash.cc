@@ -72,6 +72,25 @@ TEST(StateHash, DoubleRunWithFaultsIsBitIdentical)
     RunResult b = run_once("elasticflow", 42, config);
     EXPECT_EQ(a.state_hash, b.state_hash);
     EXPECT_EQ(a.state_hash_samples, b.state_hash_samples);
+
+    // The end-to-end benchmark's churn config still sets the ignored
+    // defrag members: the run must be the one without them.
+    SimConfig churn;
+    churn.faults.seed = 7;
+    churn.faults.gpu_mtbf_s = 12.0 * kDay;
+    SimConfig shimmed = churn;
+    shimmed.defrag.enabled = true;
+    shimmed.defrag.budget_units_per_round = 16.0;
+    const Trace trace = TraceGenerator::generate(churn_preset());
+    const auto run = [&trace](const SimConfig &c) {
+        auto scheduler = make_scheduler("elasticflow");
+        Simulator sim(trace, scheduler.get(), c);
+        return sim.run();
+    };
+    a = run(churn);
+    b = run(shimmed);
+    EXPECT_EQ(a.state_hash, b.state_hash);
+    EXPECT_EQ(a.state_hash_samples, b.state_hash_samples);
 }
 
 TEST(StateHash, DistinguishesSchedulersSeedsAndFaults)
