@@ -5,10 +5,10 @@
  * the results in our real cluster experiments").
  *
  * This reproduction has no physical testbed, but it has the next best
- * thing: the iteration-granular executor fleet (the "real system"
- * model) and the fluid event simulator. The ReplayValidator feeds the
- * simulator's recorded allocation timeline, command for command,
- * through the ExecutorFleet and compares per-job completion times.
+ * thing: the iteration-granular executor (the "real system" model) and
+ * the fluid event simulator. replay_and_compare() feeds the
+ * simulator's recorded allocation timeline, event by event, to one
+ * JobExecution per admitted job and compares per-job completion times.
  * Agreement bounds the error the fluid approximation introduces —
  * the analogue of the paper's simulator-vs-testbed comparison.
  */
@@ -17,7 +17,7 @@
 
 #include <vector>
 
-#include "exec/control_plane.h"
+#include "exec/executor.h"
 #include "sim/metrics.h"
 #include "workload/trace.h"
 
@@ -28,7 +28,7 @@ struct ReplayJobResult
 {
     JobId job = kInvalidJob;
     Time sim_finish = kTimeInfinity;     ///< fluid simulator
-    Time replay_finish = kTimeInfinity;  ///< executor fleet
+    Time replay_finish = kTimeInfinity;  ///< executor replay
     /** |replay - sim| / (sim - submit); 0 when both never finish. */
     double relative_error = 0.0;
 };
@@ -43,7 +43,7 @@ struct ReplayReport
 };
 
 /**
- * Replay a run's allocation log through an ExecutorFleet and compare
+ * Replay a run's allocation log through the executor and compare
  * completion times. Only jobs that finished in the simulation and
  * were not rolled back by node failures are compared (failure
  * rollback points differ legitimately between the two models).

@@ -166,16 +166,6 @@ FaultInjector::rpc_attempt_lost()
     return lost;
 }
 
-bool
-FaultInjector::rpc_loss_was_ack()
-{
-    if (config_.rpc_ack_loss_fraction <= 0.0)
-        return false;
-    if (config_.rpc_ack_loss_fraction >= 1.0)
-        return true;
-    return rpc_rng_.flip(config_.rpc_ack_loss_fraction);
-}
-
 Time
 FaultInjector::rpc_delay()
 {

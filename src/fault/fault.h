@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic fault injection for the control plane and simulator.
+ * Deterministic fault injection for the simulator and the service.
  *
  * A production ElasticFlow deployment survives lossy gRPC links,
  * straggling workers, single-GPU (ECC-style) faults, failed checkpoint
@@ -103,9 +103,6 @@ struct FaultConfig
 
     // --- unreliable RPC delivery ---
     double rpc_drop_prob = 0.0;      ///< per-attempt loss probability
-    /** Fraction of losses where the command arrived but the ack was
-     *  lost (the retry then redelivers a duplicate). */
-    double rpc_ack_loss_fraction = 0.0;
     double rpc_delay_prob = 0.0;     ///< chance of a slow delivery
     Time rpc_delay_mean_s = 0.5;
     Time rpc_backoff_base_s = 0.2;   ///< first retry backoff
@@ -139,8 +136,8 @@ struct FaultConfig
 
 /**
  * Draws fault events from per-class independent Rng streams and hands
- * out scripted events. Owned by whoever runs the clock (the simulator
- * or a test harness); the control plane and executors borrow it.
+ * out scripted events. Owned by whoever runs the clock: the simulator,
+ * the service or a test harness.
  */
 class FaultInjector
 {
@@ -171,8 +168,6 @@ class FaultInjector
     bool rpc_drops_enabled() const { return config_.rpc_drop_prob > 0.0; }
     /** Was this delivery attempt lost? No draw when the rate is 0. */
     bool rpc_attempt_lost();
-    /** Was a loss the ack (command applied) rather than the request? */
-    bool rpc_loss_was_ack();
     /** Extra delivery latency (0 unless the delay class fires). */
     Time rpc_delay();
     /** Bounded exponential backoff before retry @p attempt (1-based). */

@@ -333,7 +333,6 @@ Exporter::render(std::uint64_t dropped)
           case EventKind::kRpcRetry:
           case EventKind::kRpcGiveUp:
           case EventKind::kPlacementFail:
-          case EventKind::kCommand:
             instant(kSchedPid, 2, event_kind_name(event.kind), ts);
             args()
                 .kv("job", event.job)

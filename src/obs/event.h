@@ -64,8 +64,6 @@ enum class EventKind {
     // --- control plane ---------------------------------------------------
     kRpcRetry,        ///< a = attempt number
     kRpcGiveUp,       ///< command abandoned after max retries
-    kCommand,         ///< executor command issued; a = seq,
-                      ///< b = CommandType as int
 
     // --- service mode (ef::serve, streaming admission) -------------------
     kServeShed,       ///< submission shed; a = ShedVerdict as int,

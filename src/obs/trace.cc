@@ -35,7 +35,6 @@ event_kind_name(EventKind kind)
       case EventKind::kStragglerEnd: return "straggler_end";
       case EventKind::kRpcRetry: return "rpc_retry";
       case EventKind::kRpcGiveUp: return "rpc_give_up";
-      case EventKind::kCommand: return "command";
       case EventKind::kServeShed: return "serve_shed";
       case EventKind::kServeRound: return "serve_round";
       case EventKind::kServeTimeout: return "serve_timeout";

@@ -461,8 +461,6 @@ Simulator::deliver_resize(JobId id, Time *penalty)
         return true;
     // The simulator's control path is synchronous, so delivery
     // collapses to: how many attempts were lost, and did we give up?
-    // (Ack-vs-request loss only matters for the asynchronous
-    // ExecutorFleet, which models duplicate suppression explicitly.)
     int forced = fault_->take_scripted_rpc_drops(id, now_);
     int attempt = 0;
     for (;;) {
