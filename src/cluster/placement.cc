@@ -856,13 +856,12 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
             std::sort(to.begin(), to.end());
             result->gpus = std::move(to);
         } else if (!to.empty()) {
-            const std::vector<GpuCount> &from = job_gpus_.at(job);
-            for (GpuCount g : from) {
+            for (GpuCount g : job_gpus_.at(job)) {
                 if (new_owner[static_cast<std::size_t>(g)] == job)
                     to.push_back(g);
             }
             std::sort(to.begin(), to.end());
-            result->migrations.push_back(Migration{job, from, std::move(to)});
+            result->migrations.push_back(Migration{job, std::move(to)});
         }
     }
     commit_repack(new_job, result);
@@ -1015,13 +1014,8 @@ PlacementManager::repack_with_reference(JobId new_job, GpuCount size,
         std::sort(gpus.begin(), gpus.end());
     for (const auto &[job, old_set] : job_gpus_) {
         const auto &fresh = new_gpus.at(job);
-        if (fresh != old_set) {
-            Migration m;
-            m.job = job;
-            m.from = old_set;
-            m.to = fresh;
-            result->migrations.push_back(std::move(m));
-        }
+        if (fresh != old_set)
+            result->migrations.push_back(Migration{job, fresh});
     }
     result->gpus = new_gpus.at(new_job);
     commit_repack(new_job, result);

@@ -33,11 +33,11 @@ enum class PlacementStrategy {
     kScatter,         ///< adversarial: round-robin across servers
 };
 
-/** A job relocation produced by the migrating repack. */
+/** A job relocation produced by the migrating repack: `job` moves to
+ *  the GPUs `to`. */
 struct Migration
 {
     JobId job = kInvalidJob;
-    std::vector<GpuCount> from;
     std::vector<GpuCount> to;
 };
 
