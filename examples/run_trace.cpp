@@ -3,10 +3,11 @@
  * Command-line driver: run any scheduler on a CSV job trace, or dump
  * one of the built-in presets to CSV to edit and replay.
  *
- *   # dump a preset workload to CSV
+ *   # dump a preset workload to CSV (it prints the preset's GPU count)
  *   ./run_trace --generate testbed-small my_trace.csv
  *
- *   # replay it (or your own trace) under a scheduler
+ *   # replay it (or your own trace) under a scheduler; a CSV carries
+ *   # no cluster size, so --gpus is required
  *   ./run_trace my_trace.csv --gpus 32 --scheduler elasticflow
  *   ./run_trace my_trace.csv --gpus 32 --scheduler tiresias \
  *       --mtbf 3 --noise 0.05
@@ -69,7 +70,7 @@ usage()
 {
     std::cerr
         << "usage:\n"
-        << "  run_trace <trace.csv> [--gpus N] [--scheduler NAME]\n"
+        << "  run_trace <trace.csv> --gpus N [--scheduler NAME]\n"
         << "            [--noise FRACTION] [--no-coalesce] [--no-elide]\n"
         << "            [--mtbf DAYS] [--repair HOURS]\n"
         << "            [--gpu-fault-rate PER_GPU_PER_DAY (0, 288]]\n"
@@ -248,7 +249,7 @@ main(int argc, char **argv)
         trace_path = argv[1];
         first_flag = 2;
     }
-    int gpus = 128;
+    std::optional<int> gpus;  // required for a trace; 128 in service mode
     std::string scheduler_name = "elasticflow";
     bool show_state_hash = false;
     bool service_mode = false;
@@ -316,8 +317,8 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             number(&stream_seed);
         } else if (arg == "--gpus") {
-            number(&gpus);
-            require(gpus >= 1 && gpus <= kMaxGpus,
+            number(&gpus.emplace());
+            require(*gpus >= 1 && *gpus <= kMaxGpus,
                     "a GPU count in [1, " + std::to_string(kMaxGpus) + "]");
         } else if (arg == "--scheduler") {
             scheduler_name = next();
@@ -424,9 +425,10 @@ main(int argc, char **argv)
                       << "--duration > 0\n";
             return usage();
         }
-        return run_service(arrival_rate, service_duration, gpus,
-                           stream_seed, sim_config.faults,
-                           show_state_hash, metrics_out);
+        return run_service(arrival_rate, service_duration,
+                           gpus.value_or(128), stream_seed,
+                           sim_config.faults, show_state_hash,
+                           metrics_out);
     }
     if (service_mode) {
         std::cerr << "run_trace: --service takes no trace file; run "
@@ -439,10 +441,17 @@ main(int argc, char **argv)
                   << "to standalone --service mode (no trace file)\n";
         return usage();
     }
+    if (!gpus.has_value()) {
+        // A CSV trace carries no cluster size; a silent default would
+        // replay a generated preset on the wrong cluster.
+        std::cerr << "run_trace: a trace replay needs --gpus N (the "
+                  << "cluster size; --generate prints a preset's)\n";
+        return usage();
+    }
 
     Trace trace;
     if (const std::optional<TraceError> error = try_load_trace_csv(
-            trace_path, TopologySpec::with_total_gpus(gpus), "csv-trace",
+            trace_path, TopologySpec::with_total_gpus(*gpus), "csv-trace",
             &trace)) {
         std::cerr << "run_trace: " << trace_path << ": "
                   << error->to_string() << "\n";
