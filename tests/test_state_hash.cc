@@ -662,6 +662,59 @@ TEST(StateHash, PinnedDecisions)
     }
 }
 
+/** Digest of the bits of every time and value of the two fragmentation
+ *  series, which are journaled but not hashed. */
+std::uint64_t
+fragmentation_digest(const RunResult &result)
+{
+    Fnv1a h;
+    for (const StepSeries *series :
+         {&result.buddy_fragmentation, &result.span_excess}) {
+        h.u64(series->size());
+        for (std::size_t i = 0; i < series->size(); ++i) {
+            h.f64(series->times()[i]);
+            h.f64(series->values()[i]);
+        }
+    }
+    return h.digest();
+}
+
+/**
+ * Pinned fragmentation series: the buddy fragmentation and span excess
+ * sampled at every replan, for ElasticFlow on the large testbed trace
+ * (migrating repacks), Tiresias on the same trace (no migration, so
+ * span excess stays) and the churn run with GPU faults. No state-hash
+ * pin covers these series, so this one must only move when the
+ * sampled layouts do.
+ */
+TEST(StateHash, PinnedFragmentationSeries)
+{
+    struct Pin
+    {
+        const char *name;
+        RunResult (*run)();
+        std::uint64_t want;
+    };
+    const Pin pins[] = {
+        {"testbed-large elasticflow",
+         [] { return testbed_large("elasticflow"); },
+         UINT64_C(0x1b7f800bb8ca26ce)},
+        {"testbed-large tiresias",
+         [] { return testbed_large("tiresias"); },
+         UINT64_C(0x1a3cc807ec7485bf)},
+        {"churn + GPU faults + RPC drops", churn_with_faults,
+         UINT64_C(0xce17b470570c7b2d)},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const RunResult result = pin.run();
+        ASSERT_FALSE(result.span_excess.empty());
+        ASSERT_FALSE(result.buddy_fragmentation.empty());
+        const std::uint64_t got = fragmentation_digest(result);
+        EXPECT_EQ(got, pin.want) << std::hex << "0x" << got;
+    }
+}
+
 TEST(WordHash, KnownVectors)
 {
     // From an independent big-integer model of mix_word() and fmix64()
