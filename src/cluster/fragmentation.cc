@@ -33,8 +33,11 @@ span_excess_of(const PlacementManager &placement, JobId job)
     return span > compact ? span - compact : 0;
 }
 
+namespace {
+
+/** The buddy fields of the snapshot. */
 FragmentationStats
-fragmentation_stats(const PlacementManager &placement)
+buddy_stats(const PlacementManager &placement)
 {
     FragmentationStats stats;
     const Topology &topology = placement.topology();
@@ -51,6 +54,25 @@ fragmentation_stats(const PlacementManager &placement)
             1.0 - static_cast<double>(stats.buddy_usable_gpus) /
                       static_cast<double>(stats.idle_gpus);
     }
+    return stats;
+}
+
+}  // namespace
+
+FragmentationStats
+fragmentation_stats(const PlacementManager &placement)
+{
+    FragmentationStats stats = buddy_stats(placement);
+    stats.placed_jobs = placement.num_placed();
+    stats.total_span_excess = placement.total_span_excess();
+    stats.jobs_with_span_excess = placement.jobs_with_span_excess();
+    return stats;
+}
+
+FragmentationStats
+scanned_fragmentation_stats(const PlacementManager &placement)
+{
+    FragmentationStats stats = buddy_stats(placement);
     for (JobId job : placement.placed_jobs()) {
         const int excess = span_excess_of(placement, job);
         ++stats.placed_jobs;

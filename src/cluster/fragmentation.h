@@ -22,8 +22,11 @@
  *    Summed over jobs this counts how many avoidable NIC-bound
  *    boundaries the current layout pays for.
  *
- * Both are pure functions of the placement — cheap enough to sample at
- * every planning round and report as obs gauges.
+ * The simulator samples both at every planning round. The span half
+ * reads counters the placement manager keeps as jobs are assigned and
+ * released, so a sample costs O(servers) for the buddy half and no
+ * walk over the placed jobs; scanned_fragmentation_stats() recomputes
+ * everything from the layout and is the oracle tests hold it to.
  */
 #ifndef EF_CLUSTER_FRAGMENTATION_H_
 #define EF_CLUSTER_FRAGMENTATION_H_
@@ -61,8 +64,13 @@ int compact_server_span(const Topology &topology, GpuCount size);
 /** Cross-server span excess of one placed job. */
 int span_excess_of(const PlacementManager &placement, JobId job);
 
-/** Compute the full fragmentation snapshot for @p placement. */
+/** The fragmentation snapshot of @p placement: an O(servers) scan for
+ *  the buddy fields, the manager's counters for the span fields. */
 FragmentationStats fragmentation_stats(const PlacementManager &placement);
+
+/** The same snapshot with the span fields scanned job by job. */
+FragmentationStats
+scanned_fragmentation_stats(const PlacementManager &placement);
 
 }  // namespace ef
 

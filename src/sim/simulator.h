@@ -46,6 +46,10 @@ struct NoiseConfig
     double throughput_error = 0.0;  ///< e.g. 0.02 = up to +/-2%
 };
 
+/** The deterministic factor, in [1 - e, 1 + e], by which job @p id
+ *  runs faster than its profiled throughput (1.0 without noise). */
+double noise_factor(const NoiseConfig &noise, JobId id);
+
 /**
  * Crash-consistent control plane (DESIGN.md §12): snapshot + write-
  * ahead journal under a directory, with deterministic recovery. A run
@@ -337,6 +341,13 @@ class Simulator : public ClusterView
      * verdicts and completions; rebuilt when a snapshot is decoded.
      */
     recover::SplitCache active_;
+    /** Working memory of one replan, kept between replans and never
+     *  journaled or hashed: apply_decision()'s desired count per slot
+     *  (0 between calls) and its pending growths, record_timelines()'s
+     *  per-job efficiency shares. */
+    std::vector<GpuCount> desired_by_slot_;
+    std::vector<std::pair<GpuCount, std::uint32_t>> grows_;
+    std::vector<std::pair<JobId, double>> shares_;
     /** Jobs that arrived / were admitted so far (rebuilt on decode). */
     std::size_t arrived_ = 0;
     std::size_t admitted_ = 0;

@@ -418,6 +418,27 @@ count_capacity(const PlacementManager &pm, const Topology &topo)
     return {available, idle};
 }
 
+/** fragmentation_stats() of @p pm, which reads the span counters,
+ *  equals the job-by-job scan, field by field. */
+void
+expect_stats_match_scan(const PlacementManager &pm, int step)
+{
+    const FragmentationStats got = fragmentation_stats(pm);
+    const FragmentationStats want = scanned_fragmentation_stats(pm);
+    EXPECT_EQ(got.idle_gpus, want.idle_gpus) << "step " << step;
+    EXPECT_EQ(got.buddy_usable_gpus, want.buddy_usable_gpus)
+        << "step " << step;
+    EXPECT_EQ(got.buddy_external_frag, want.buddy_external_frag)
+        << "step " << step;
+    EXPECT_EQ(got.largest_buddy_block, want.largest_buddy_block)
+        << "step " << step;
+    EXPECT_EQ(got.placed_jobs, want.placed_jobs) << "step " << step;
+    EXPECT_EQ(got.total_span_excess, want.total_span_excess)
+        << "step " << step;
+    EXPECT_EQ(got.jobs_with_span_excess, want.jobs_with_span_excess)
+        << "step " << step;
+}
+
 TEST_F(PlacementTest, CapacityCountersFollowEveryMutation)
 {
     Rng rng(7);
@@ -431,6 +452,7 @@ TEST_F(PlacementTest, CapacityCountersFollowEveryMutation)
             << "step " << step;
         EXPECT_EQ(manager_.used_gpus(),
                   manager_.available_gpus() - manager_.idle_gpus());
+        expect_stats_match_scan(manager_, step);
     };
     check(-1);
     EXPECT_EQ(manager_.available_gpus(), topo_.total_gpus());
@@ -497,6 +519,10 @@ TEST_F(PlacementTest, CapacityCountersFollowEveryMutation)
     EXPECT_EQ(back.available_gpus(), manager_.available_gpus());
     EXPECT_EQ(back.idle_gpus(), manager_.idle_gpus());
     back.validate();
+    expect_stats_match_scan(back, 800);
+    EXPECT_EQ(back.total_span_excess(), manager_.total_span_excess());
+    EXPECT_EQ(back.jobs_with_span_excess(),
+              manager_.jobs_with_span_excess());
 }
 
 TEST_F(PlacementTest, OwnershipDigestUnderRandomChurn)

@@ -7,14 +7,16 @@
  * matrix; the other through place_reference()/resize_reference(), the
  * original global greedy. Before each placement call the full GPU owner
  * tables must be identical, so each migration's source is too; after
- * it the results (including the migration list, in order) and the
- * owner tables must be identical, and both managers must validate.
+ * it the results (including the migration list, in order), the owner
+ * tables and the fragmentation snapshots must be identical, and both
+ * managers must validate.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "cluster/fragmentation.h"
 #include "cluster/placement.h"
 #include "common/rng.h"
 
@@ -41,6 +43,15 @@ expect_same_layout(const PlacementManager &fast, const PlacementManager &ref)
     ref.validate();
     for (GpuCount g = 0; g < fast.total_gpus(); ++g)
         ASSERT_EQ(fast.owner_of(g), ref.owner_of(g)) << "GPU " << g;
+    const FragmentationStats a = fragmentation_stats(fast);
+    const FragmentationStats b = fragmentation_stats(ref);
+    EXPECT_EQ(a.idle_gpus, b.idle_gpus);
+    EXPECT_EQ(a.buddy_usable_gpus, b.buddy_usable_gpus);
+    EXPECT_EQ(a.buddy_external_frag, b.buddy_external_frag);
+    EXPECT_EQ(a.largest_buddy_block, b.largest_buddy_block);
+    EXPECT_EQ(a.placed_jobs, b.placed_jobs);
+    EXPECT_EQ(a.total_span_excess, b.total_span_excess);
+    EXPECT_EQ(a.jobs_with_span_excess, b.jobs_with_span_excess);
 }
 
 /** A random power-of-two request: mostly single-server sizes, which
