@@ -2,9 +2,10 @@
  * @file
  * Simulator fidelity (paper §6.1): the paper validates its event
  * simulator against the real 128-GPU testbed and reports <=3% error.
- * Here the "real system" stand-in is the iteration-granular executor
- * fleet; every scheduler's full allocation timeline is replayed
- * through it and per-job completion times are compared.
+ * Here the "real system" stand-in is the iteration-granular executor:
+ * every scheduler's full allocation timeline is replayed through one
+ * JobExecution per admitted job and per-job completion times are
+ * compared.
  */
 #include "bench_util.h"
 
@@ -23,7 +24,7 @@ main()
     for (const std::string &name : all_scheduler_names()) {
         RunResult result = bench::run_once(trace, name, config);
         ReplayReport report =
-            replay_and_compare(trace, result, config.overhead);
+            replay_and_compare(trace, result, config.overhead, config.noise);
         table.add_row({name, std::to_string(report.compared),
                        format_percent(report.mean_relative_error, 2),
                        format_percent(report.max_relative_error, 2),

@@ -8,10 +8,13 @@
 namespace ef {
 
 JobExecution::JobExecution(JobSpec spec, const PerfModel *perf,
-                           const OverheadModel *overhead)
-    : spec_(std::move(spec)), perf_(perf), overhead_(overhead)
+                           const OverheadModel *overhead,
+                           double speed_factor)
+    : spec_(std::move(spec)), perf_(perf), overhead_(overhead),
+      speed_factor_(speed_factor)
 {
     EF_CHECK(perf_ != nullptr && overhead_ != nullptr);
+    EF_CHECK(speed_factor_ > 0.0);
     EF_FATAL_IF(spec_.iterations <= 0,
                 "job " << spec_.id << " has no work");
     cursor_ = spec_.submit_time;
@@ -72,7 +75,8 @@ JobExecution::scale(Time now, const std::vector<GpuCount> &gpus)
 
     PlacementShape shape = perf_->shape_of(gpus);
     iteration_seconds_ = perf_->iteration_seconds(
-        spec_.model, spec_.global_batch, shape);
+                             spec_.model, spec_.global_batch, shape) /
+                         speed_factor_;
     EF_CHECK(iteration_seconds_ > 0.0);
 }
 

@@ -38,8 +38,10 @@ struct Worker
 class JobExecution
 {
   public:
+    /** @p speed_factor scales the profiled throughput, as the
+     *  simulator's noise_factor() does (1.0 = as profiled). */
     JobExecution(JobSpec spec, const PerfModel *perf,
-                 const OverheadModel *overhead);
+                 const OverheadModel *overhead, double speed_factor = 1.0);
 
     const JobSpec &spec() const { return spec_; }
 
@@ -82,6 +84,7 @@ class JobExecution
     JobSpec spec_;
     const PerfModel *perf_;
     const OverheadModel *overhead_;
+    double speed_factor_;
 
     std::vector<Worker> workers_;
     double iteration_seconds_ = 0.0;

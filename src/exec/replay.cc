@@ -10,7 +10,8 @@ namespace ef {
 
 ReplayReport
 replay_and_compare(const Trace &trace, const RunResult &result,
-                   const OverheadConfig &overhead_config)
+                   const OverheadConfig &overhead_config,
+                   const NoiseConfig &noise)
 {
     Topology topology(trace.topology);
     PerfModel perf(&topology);
@@ -22,7 +23,8 @@ replay_and_compare(const Trace &trace, const RunResult &result,
     std::map<JobId, JobExecution> executions;
     for (const JobOutcome &job : result.jobs) {
         if (job.admitted)
-            executions.try_emplace(job.spec.id, job.spec, &perf, &overhead);
+            executions.try_emplace(job.spec.id, job.spec, &perf, &overhead,
+                                   noise_factor(noise, job.spec.id));
     }
 
     // Feed the allocation log in order. An empty GPU set suspends; a

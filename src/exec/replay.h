@@ -19,6 +19,7 @@
 
 #include "exec/executor.h"
 #include "sim/metrics.h"
+#include "sim/simulator.h"
 #include "workload/trace.h"
 
 namespace ef {
@@ -44,13 +45,15 @@ struct ReplayReport
 
 /**
  * Replay a run's allocation log through the executor and compare
- * completion times. Only jobs that finished in the simulation and
- * were not rolled back by node failures are compared (failure
- * rollback points differ legitimately between the two models).
+ * completion times. Each job runs at the speed the run's @p noise gave
+ * it. Only jobs that finished in the simulation and were not rolled
+ * back by node failures are compared (failure rollback points differ
+ * legitimately between the two models).
  */
 ReplayReport replay_and_compare(const Trace &trace,
                                 const RunResult &result,
-                                const OverheadConfig &overhead_config);
+                                const OverheadConfig &overhead_config,
+                                const NoiseConfig &noise);
 
 }  // namespace ef
 
