@@ -142,6 +142,15 @@ expect_identical(const RunResult &a, const RunResult &b,
     }
     EXPECT_EQ(a.jobs.size(), b.jobs.size()) << what;
     EXPECT_EQ(a.makespan, b.makespan) << what;
+    // Journaled but not hashed; sampled after a resume from counters
+    // the decode rebuilt.
+    EXPECT_EQ(a.span_excess.times(), b.span_excess.times()) << what;
+    EXPECT_EQ(a.span_excess.values(), b.span_excess.values()) << what;
+    EXPECT_EQ(a.buddy_fragmentation.times(), b.buddy_fragmentation.times())
+        << what;
+    EXPECT_EQ(a.buddy_fragmentation.values(),
+              b.buddy_fragmentation.values())
+        << what;
 }
 
 /** Baseline with the fault injector present (so the configuration
